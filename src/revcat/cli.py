@@ -99,6 +99,12 @@ def _load_matrix(name: str, raw: bytes) -> np.ndarray:
         raise InputError(f"{name}: bad matrix: {e}") from e
 
 
+def _single(verb: str, raws: list[tuple[str, bytes]]) -> tuple[str, bytes]:
+    if len(raws) != 1:
+        raise InputError(f"{verb} takes one input, got {len(raws)}")
+    return raws[0]
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="revcat", description=__doc__)
     parser.add_argument("verb", choices=VERBS)
@@ -148,6 +154,8 @@ def _dispatch(args, raws) -> tuple[dict, int]:
     if verb == "lawcheck":
         if not args.instance:
             raise InputError("lawcheck requires --instance")
+        if args.trials <= 0:
+            raise InputError(f"--trials must be positive, got {args.trials}")
         cat = INSTANCES[args.instance]()
         if args.law == "all":
             laws = [l for l in lc.ALL_LAWS.values()
@@ -176,11 +184,11 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         return {"morphism": out.to_json()}, 0
 
     if verb == "bennett-of":
-        (f,) = [_load_pfn(*r) for r in raws]
+        f = _load_pfn(*_single(verb, raws))
         return {"morphism": cl.bennett(f).to_json()}, 0
 
     if verb == "pfn-of":
-        (m,) = [_load_aux(*r) for r in raws]
+        m = _load_aux(*_single(verb, raws))
         return {"morphism": ex.pfn_normalize(m).to_json()}, 0
 
     if verb in ("aux-equal", "ext-equal"):
@@ -199,16 +207,16 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         return {"equal": ex.ext_equiv(f, g)}, 0
 
     if verb == "dilate":
-        (c,) = [_load_channel(*r) for r in raws]
+        c = _load_channel(*_single(verb, raws))
         v, r = qu.minimal_stinespring(c)
         return {"isometry": qu.matrix_to_json(v.mat), "env_dim": r}, 0
 
     if verb == "kraus":
-        (c,) = [_load_channel(*r) for r in raws]
+        c = _load_channel(*_single(verb, raws))
         return {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0
 
     if verb == "channel-of-unitary":
-        (m,) = [_load_matrix(*r) for r in raws]
+        m = _load_matrix(*_single(verb, raws))
         try:
             u = Unitary(m)
         except ValueError as e:
@@ -217,26 +225,18 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         return {"channel": c.to_json()}, 0
 
     if verb == "extract-unitary":
-        (c,) = [_load_channel(*r) for r in raws]
+        c = _load_channel(*_single(verb, raws))
         u = qu.extract_unitary(c)
         return {"unitary": qu.matrix_to_json(u.mat)}, 0
 
     if verb == "inv":
-        (name, raw) = raws[0]
+        (name, raw) = _single(verb, raws)
         data = _parse_json(name, raw)
         if "din" in data:
-            c = _load_channel(name, raw)
-            pc = pl.inv_cptp(c)
-            if pc is None:
-                if c.din != c.dout:
-                    reason = "dimension mismatch"
-                elif not qu.is_pure_choi(c):
-                    reason = "choi impure"
-                else:
-                    reason = "not unitary"
-                return {"reversible": False, "reason": reason}, 0
-            return {"reversible": True,
-                    "unitary": qu.matrix_to_json(pc.rep.mat)}, 0
+            core = qu.reversible_core(_load_channel(name, raw))
+            if isinstance(core, str):
+                return {"reversible": False, "reason": core}, 0
+            return {"reversible": True, "unitary": qu.matrix_to_json(core.mat)}, 0
         f = _load_pfn(name, raw)
         inj = pl.inv_pfn(f)
         if inj is None:
@@ -244,7 +244,7 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
 
     if verb == "roundtrip":
-        (c,) = [_load_channel(*r) for r in raws]
+        c = _load_channel(*_single(verb, raws))
         u, anc, env = pl.channel_to_unitary_presentation(c)
         back = pl.unitary_to_channel(u, anc, env)
         residual = float(np.max(np.abs(back.choi - c.choi)))

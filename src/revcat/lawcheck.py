@@ -23,7 +23,8 @@ EXHAUSTIVE_CAP = 250_000
 
 
 class ConfigurationError(ValueError):
-    """A law was requested on an instance lacking the needed oracle."""
+    """A law was requested on an instance lacking the needed oracle, or a
+    random-mode check was asked for no trials."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +195,11 @@ def run_law(
                 return LawReport(law.name, len(tuples), False, counterexample=t,
                                  mode="exhaustive")
         return LawReport(law.name, len(tuples), True, mode="exhaustive")
+    if trials <= 0:
+        raise ConfigurationError(
+            f"trials must be positive to check {law.name!r} on {cat.name!r} "
+            f"in random mode, got {trials}"
+        )
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         t = _sample_tuple(cat, law.pattern, rng)

@@ -118,15 +118,5 @@ def inv_cptp(c: Channel) -> Optional[UnitaryPhaseClass]:
     extracted matrix fails unitarity; conjugation by the result reproduces
     the channel within 1e-8.
     """
-    if c.din != c.dout:
-        return None
-    if not qu.is_pure_choi(c):
-        return None
-    w, vecs = np.linalg.eigh(c.choi)
-    k = (vecs[:, -1] * np.sqrt(w[-1])).reshape(c.din, c.dout).T
-    if np.max(np.abs(k.conj().T @ k - np.eye(c.din))) > qu.ROUND_ATOL:
-        return None
-    u = Unitary(qu.phase_fix(qu.nearest_unitary(k)))
-    if not qu.channel_of_unitary(u).close_to(c, qu.ROUND_ATOL):
-        return None
-    return UnitaryPhaseClass(u)
+    core = qu.reversible_core(c)
+    return None if isinstance(core, str) else UnitaryPhaseClass(core)

@@ -7,6 +7,12 @@ Channels are stored as Choi matrices with the input factor first:
 so C reshaped to (din, dout, din, dout) has C[i, m, j, n] = <m| L(|i><j|) |n>.
 Trace preservation reads Tr_out C = I_din.
 
+The channel algebra works on Choi matrices directly: composition is the link
+product (Chiribella, D'Ariano and Perinotti, "Theoretical framework for
+quantum networks", PRA 80 022339, 2009), a contraction over the middle
+factor, and the tensor product is an index-permuted kron.  Every result is
+still validated in full by the Channel constructor.
+
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
 cutoff on Choi eigenvalues.
@@ -40,6 +46,15 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return (m + _dag(m)) / 2
+
+
+def _require_finite(m: np.ndarray, field: str, error: type) -> None:
+    if not np.all(np.isfinite(m)):
+        raise error(f"{field} has a non-finite entry (NaN or inf)")
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     r, c = m.shape
     return {
@@ -67,6 +82,7 @@ class Isometry:
         r, c = self.mat.shape
         if r < c:
             raise NotAnIsometryError(f"isometry needs rows >= cols, got {r}x{c}")
+        _require_finite(self.mat, "isometry matrix", NotAnIsometryError)
         if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), atol=ATOL):
             raise NotAnIsometryError("V^dag V != I within 1e-9")
 
@@ -87,6 +103,7 @@ class Unitary:
         r, c = self.mat.shape
         if r != c:
             raise NotAnIsometryError(f"unitary must be square, got {r}x{c}")
+        _require_finite(self.mat, "unitary matrix", NotAnIsometryError)
         if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), atol=ATOL):
             raise NotAnIsometryError("U^dag U != I within 1e-9")
 
@@ -104,9 +121,14 @@ class Channel:
     choi: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.din < 1 or self.dout < 1:
+            raise NotAChannelError(
+                f"din and dout must be positive, got din={self.din}, dout={self.dout}"
+            )
         n = self.din * self.dout
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
+        _require_finite(self.choi, "choi", NotAChannelError)
         if not np.allclose(self.choi, _dag(self.choi), atol=ATOL):
             raise NotAChannelError("choi not Hermitian within 1e-9")
         evals = np.linalg.eigvalsh(self.choi)
@@ -150,16 +172,14 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
     for k in ks:
         if k.shape != (dout, din):
             raise NotAChannelError("Kraus operators must share one shape")
-    s = sum(_dag(k) @ k for k in ks)
+    stacked = np.asarray(ks, dtype=complex)  # stacked[k, m, i] = K_k[m, i]
+    column = stacked.reshape(len(ks) * dout, din)  # the K_k one above the other
+    s = _dag(column) @ column
     if not np.allclose(s, np.eye(din), atol=ROUND_ATOL):
         raise NotAChannelError("sum K^dag K != I within 1e-8")
-    n = din * dout
-    choi = np.zeros((n, n), dtype=complex)
-    for k in ks:
-        v = k.T.reshape(-1)  # v[i*dout + m] = K[m, i]
-        choi += np.outer(v, v.conj())
-    choi = (choi + _dag(choi)) / 2
-    return Channel(din, dout, choi)
+    # C = V V^dag, where column k of V is vec(K_k)[i*dout + m] = K_k[m, i].
+    v = stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T
+    return Channel(din, dout, _hermitian_part(v @ _dag(v)))
 
 
 def kraus_of_choi(c: Channel, cutoff: float = RANK_CUTOFF) -> list[np.ndarray]:
@@ -219,16 +239,35 @@ def phase_fix(m: np.ndarray) -> np.ndarray:
     return m * (z.conj() / abs(z))
 
 
+def reversible_core(c: Channel) -> Unitary | str:
+    """The phase-fixed unitary whose conjugation is c, or why there is none.
+
+    The reason is "dimension mismatch", "choi impure", or "not unitary" (the
+    top Kraus operator fails unitarity, or conjugation by its polar part does
+    not reproduce c within 1e-8).
+    """
+    if c.din != c.dout:
+        return "dimension mismatch"
+    if not is_pure_choi(c):
+        return "choi impure"
+    w, vecs = np.linalg.eigh(c.choi)
+    k = (vecs[:, -1] * np.sqrt(w[-1])).reshape(c.din, c.dout).T
+    if np.max(np.abs(_dag(k) @ k - np.eye(c.din))) > ROUND_ATOL:
+        return "not unitary"
+    u = Unitary(phase_fix(nearest_unitary(k)))
+    if not channel_of_unitary(u).close_to(c, ROUND_ATOL):
+        return "not unitary"
+    return u
+
+
 def extract_unitary(c: Channel) -> Unitary:
     """Recover the phase-fixed unitary from a pure, square Choi matrix."""
-    if c.din != c.dout:
+    core = reversible_core(c)
+    if core == "dimension mismatch":
         raise DimensionError("a reversible channel must have equal dimensions")
-    if not is_pure_choi(c):
-        raise NotAChannelError("choi impure: channel is not a unitary conjugation")
-    w, vecs = np.linalg.eigh(c.choi)
-    v = vecs[:, -1] * np.sqrt(w[-1])
-    k = v.reshape(c.din, c.dout).T
-    return Unitary(phase_fix(nearest_unitary(k)))
+    if isinstance(core, str):
+        raise NotAChannelError(f"{core}: channel is not a unitary conjugation")
+    return core
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
@@ -240,35 +279,44 @@ def nearest_unitary(m: np.ndarray) -> np.ndarray:
 def complete_to_unitary(v: Isometry) -> Unitary:
     """Extend the columns of V to an orthonormal basis; deterministic
     Gram-Schmidt over standard basis vectors, smallest index first."""
-    n, k = v.rows, v.cols
-    cols = [v.mat[:, j].astype(complex) for j in range(k)]
+    n = v.rows
+    u = np.zeros((n, n), dtype=complex)
+    u[:, : v.cols] = v.mat
+    filled = v.cols
     for j in range(n):
-        if len(cols) == n:
+        if filled == n:
             break
+        q = u[:, :filled]
         w = np.zeros(n, dtype=complex)
         w[j] = 1.0
         for _ in range(2):  # re-orthogonalize once for stability
-            for c in cols:
-                w = w - c * (c.conj() @ w)
+            w = w - q @ (_dag(q) @ w)
         norm = np.linalg.norm(w)
         if norm > 1e-7:
-            cols.append(w / norm)
-    if len(cols) != n:
+            u[:, filled] = w / norm
+            filled += 1
+    if filled != n:
         raise NotAnIsometryError("completion failed: columns not independent")
-    return Unitary(np.stack(cols, axis=1))
+    return Unitary(u)
 
 
 def channel_compose(g: Channel, f: Channel) -> Channel:
-    """The composite channel g after f, via Kraus products."""
+    """The composite channel g after f, as the link product of the Choi
+    matrices: C[i, n, j, l] = sum_{m, k} F[i, m, j, k] G[m, n, k, l]."""
     if f.dout != g.din:
         raise DimensionError(f"cannot compose: dout {f.dout} != din {g.din}")
-    ks = [kg @ kf for kg in kraus_of_choi(g) for kf in kraus_of_choi(f)]
-    return choi_of_kraus(ks)
+    c = np.tensordot(f.blocks(), g.blocks(), axes=([1, 3], [0, 2]))  # [i, j, n, l]
+    n = f.din * g.dout
+    choi = c.transpose(0, 2, 1, 3).reshape(n, n)
+    return Channel(f.din, g.dout, _hermitian_part(choi))
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:
-    ks = [np.kron(ka, kb) for ka in kraus_of_choi(a) for kb in kraus_of_choi(b)]
-    return choi_of_kraus(ks)
+    """The parallel channel a (x) b: an index-permuted kron of the Choi
+    matrices, with input factors before output factors."""
+    din, dout = a.din * b.din, a.dout * b.dout
+    c = np.einsum("imjn,akbl->iamkjbnl", a.blocks(), b.blocks())
+    return Channel(din, dout, _hermitian_part(c.reshape(din * dout, din * dout)))
 
 
 def identity_channel(d: int) -> Channel:

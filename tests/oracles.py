@@ -158,3 +158,23 @@ def choi_by_action(apply, din: int, dout: int) -> np.ndarray:
             block = apply(eij)
             c[i * dout:(i + 1) * dout, j * dout:(j + 1) * dout] = block
     return c
+
+
+def product_action(apply_a, din_a: int, apply_b, din_b: int):
+    """The action of a (x) b, by linearity from kron products of basis
+    operators: rho = sum rho[ia ib, ja jb] |ia><ja| (x) |ib><jb|."""
+    def apply(rho: np.ndarray) -> np.ndarray:
+        r = rho.reshape(din_a, din_b, din_a, din_b)
+        out = 0
+        for ia in range(din_a):
+            for ja in range(din_a):
+                ea = np.zeros((din_a, din_a), dtype=complex)
+                ea[ia, ja] = 1.0
+                out_a = apply_a(ea)
+                for ib in range(din_b):
+                    for jb in range(din_b):
+                        eb = np.zeros((din_b, din_b), dtype=complex)
+                        eb[ib, jb] = 1.0
+                        out = out + r[ia, ib, ja, jb] * np.kron(out_a, apply_b(eb))
+        return out
+    return apply

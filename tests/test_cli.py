@@ -108,6 +108,11 @@ class TestVerbs:
         code, rep = run_to(tmp_path, ["inv", d])
         assert code == 0 and rep["result"]["reversible"] is False
         assert rep["result"]["reason"] == "choi impure"
+        v = qu.haar_isometry(4, 2, np.random.default_rng(2))
+        e = write(tmp_path, "e.json", channel_json(qu.channel_of_isometry(v, 1)))
+        code, rep = run_to(tmp_path, ["inv", e])
+        assert code == 0 and rep["result"] == {"reversible": False,
+                                               "reason": "dimension mismatch"}
 
     def test_inv_pfn(self, tmp_path):
         f = write(tmp_path, "f.json", pfn_json(2, 2, [(0, 1), (1, 0)]))
@@ -169,6 +174,41 @@ class TestExitCodes:
 
     def test_unknown_law_is_2(self):
         assert cli.run(["lawcheck", "--instance", "pfn", "--law", "nope"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_2(self, capsys, trials):
+        assert cli.run(["lawcheck", "--instance", "cptp", "--trials", trials]) == 2
+        assert "--trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["bennett-of", "pfn-of", "dilate", "kraus",
+                                      "channel-of-unitary", "extract-unitary", "inv",
+                                      "roundtrip"])
+    def test_wrong_arity_is_2(self, tmp_path, capsys, verb):
+        c = write(tmp_path, "c.json", channel_json(qu.dephasing_channel(2)))
+        assert cli.run([verb, c, c, "--out", str(tmp_path / "o.json")]) == 2
+        assert f"{verb} takes one input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("din, dout", [(0, 2), (2, 0)])
+    def test_zero_dimension_channel_is_2(self, tmp_path, capsys, din, dout):
+        c = write(tmp_path, "c.json", {"din": din, "dout": dout,
+                                       "choi": {"rows": 0, "cols": 0, "entries": []}})
+        assert cli.run(["dilate", c]) == 2
+        err = capsys.readouterr().err
+        assert "bad channel" in err and f"din={din}, dout={dout}" in err
+
+    def test_non_finite_choi_is_2(self, tmp_path, capsys):
+        data = channel_json(qu.identity_channel(2))
+        data["choi"]["entries"][1][0] = float("nan")  # json writes NaN
+        c = write(tmp_path, "c.json", data)
+        assert cli.run(["kraus", c]) == 2
+        assert "choi has a non-finite entry" in capsys.readouterr().err
+
+    def test_non_finite_matrix_is_2(self, tmp_path, capsys):
+        m = qu.matrix_to_json(np.eye(2, dtype=complex))
+        m["entries"][0][1] = float("inf")
+        p = write(tmp_path, "u.json", m)
+        assert cli.run(["channel-of-unitary", p]) == 2
+        assert "unitary matrix has a non-finite entry" in capsys.readouterr().err
 
 
 class TestDeterminism:

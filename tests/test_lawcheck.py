@@ -34,6 +34,17 @@ class TestModes:
         with pytest.raises(lc.ConfigurationError):
             lc.run_law(cat, lc.ALL_LAWS["restriction_i"], exhaustive=True)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_random_mode_needs_trials(self, trials):
+        cat = inst.make_cptp_instance()
+        with pytest.raises(lc.ConfigurationError, match="trials must be positive"):
+            lc.run_law(cat, lc.ALL_LAWS["restriction_i"], trials=trials)
+
+    def test_exhaustive_ignores_trials(self):
+        cat = inst.make_pfn_instance(2)
+        rep = lc.run_law(cat, lc.ALL_LAWS["restriction_i"], trials=0)
+        assert rep.mode == "exhaustive" and rep.passed and rep.trials > 0
+
     def test_seed_determinism(self):
         cat = inst.make_pfn_instance(6)
         r1 = lc.run_law(cat, lc.ALL_LAWS["restriction_iv"], trials=30, seed=9)

@@ -45,6 +45,27 @@ class TestChannelInvariants:
         assert np.max(np.abs(rebuilt - c.choi)) < 1e-10
 
 
+class TestTrustBoundary:
+    @pytest.mark.parametrize("din, dout", [(0, 2), (2, 0), (0, 0)])
+    def test_zero_dimension_rejected(self, din, dout):
+        with pytest.raises(qu.NotAChannelError, match="din and dout must be positive"):
+            Channel(din, dout, np.zeros((0, 0), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_choi_rejected(self, bad):
+        choi = qu.identity_channel(2).choi.copy()
+        choi[1, 2] = bad
+        with pytest.raises(qu.NotAChannelError, match="choi has a non-finite entry"):
+            Channel(2, 2, choi)
+
+    @pytest.mark.parametrize("cls, field", [(Unitary, "unitary"), (Isometry, "isometry")])
+    def test_non_finite_matrix_rejected(self, cls, field):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(qu.NotAnIsometryError, match=f"{field} matrix has a non-finite"):
+            cls(m)
+
+
 class TestIsometryChannel:
     def test_identity_isometry_identity_channel(self):
         v = Isometry(np.eye(2, dtype=complex))
@@ -102,6 +123,16 @@ class TestKraus:
     def test_count_equals_rank(self, rng):
         c = qu.random_channel(2, 2, 3, rng)
         assert len(qu.kraus_of_choi(c)) == qu.choi_rank(c)
+
+    def test_matches_sum_of_outer_products(self, rng):
+        for din, dout, k in [(2, 3, 1), (3, 2, 4), (1, 4, 2), (4, 1, 3), (2, 2, 4)]:
+            c = qu.random_channel(din, dout, k, rng)
+            ks = qu.kraus_of_choi(c)
+            expected = np.zeros((din * dout, din * dout), dtype=complex)
+            for m in ks:
+                v = m.T.reshape(-1)
+                expected += np.outer(v, v.conj())
+            assert np.max(np.abs(qu.choi_of_kraus(ks).choi - expected)) <= 1e-12
 
     def test_tp_violation_rejected(self):
         with pytest.raises(qu.NotAChannelError):
@@ -202,6 +233,62 @@ class TestCompleteToUnitary:
             u = qu.complete_to_unitary(v)
             assert np.max(np.abs(u.mat[:, :2] - v.mat)) < 1e-12
             assert np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(4))) < 1e-9
+
+    def test_real_input_columns_preserved(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+        v = Isometry(q)  # real dtype
+        u = qu.complete_to_unitary(v)
+        assert np.max(np.abs(u.mat[:, :3] - q)) < 1e-12
+        assert np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(5))) < 1e-9
+
+    def test_deterministic(self, rng):
+        v = qu.haar_isometry(6, 2, rng)
+        assert np.array_equal(qu.complete_to_unitary(v).mat,
+                              qu.complete_to_unitary(v).mat)
+
+    def test_no_input_columns(self):
+        u = qu.complete_to_unitary(Isometry(np.zeros((3, 0), dtype=complex)))
+        assert np.array_equal(u.mat, np.eye(3))
+
+
+def _sample_channels(din, dout, rng):
+    """Channels din -> dout from every family with that shape, rank 1 and
+    full rank (din * dout) among them."""
+    out = [qu.random_channel(din, dout, 1, rng),
+           qu.random_channel(din, dout, din * dout, rng)]
+    if dout >= din:
+        out.append(qu.channel_of_isometry(qu.haar_isometry(dout, din, rng), 1))
+    if din == dout:
+        out += [qu.channel_of_unitary(qu.haar_unitary(din, rng)),
+                qu.depolarizing_channel(din, 0.7), qu.dephasing_channel(din)]
+    return out
+
+
+class TestLinkProduct:
+    """channel_compose and channel_tensor against the channel action."""
+
+    @pytest.mark.parametrize("dims", [(2, 3, 1), (1, 4, 2), (3, 1, 3), (1, 1, 1),
+                                      (2, 2, 2), (3, 2, 4)])
+    def test_compose_matches_action(self, rng, dims):
+        a, b, c = dims
+        for f in _sample_channels(a, b, rng):
+            for g in _sample_channels(b, c, rng):
+                got = qu.channel_compose(g, f)
+                assert (got.din, got.dout) == (a, c)
+                expected = oracles.choi_by_action(lambda r: g.apply(f.apply(r)), a, c)
+                assert np.max(np.abs(got.choi - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((2, 3), (1, 2)), ((1, 1), (3, 2)),
+                                                  ((2, 2), (2, 2)), ((3, 1), (1, 4))])
+    def test_tensor_matches_action(self, rng, shape_a, shape_b):
+        for a in _sample_channels(*shape_a, rng):
+            for b in _sample_channels(*shape_b, rng):
+                got = qu.channel_tensor(a, b)
+                assert (got.din, got.dout) == (a.din * b.din, a.dout * b.dout)
+                expected = oracles.choi_by_action(
+                    oracles.product_action(a.apply, a.din, b.apply, b.din),
+                    got.din, got.dout)
+                assert np.max(np.abs(got.choi - expected)) <= 1e-12
 
 
 class TestComposeTensor:
