@@ -5,17 +5,9 @@ Usage: python3 scripts/run_lawchecks.py [--trials N] [--seed S] [--out report.js
 
 import argparse
 import json
-from dataclasses import dataclass
 
 from revcat import lawcheck as lc
 from revcat.instances import INSTANCES
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    trials: int = 200
-    seed: int = 0
-    out: str | None = None
 
 
 def main() -> None:
@@ -23,16 +15,13 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
-    ns = ap.parse_args()
-    cfg = RunConfig(ns.trials, ns.seed, ns.out)
+    args = ap.parse_args()
 
     rows = []
     for name, make in sorted(INSTANCES.items()):
         cat = make()
-        for law in lc.ALL_LAWS.values():
-            if any(getattr(cat, n) is None for n in law.needs):
-                continue
-            rep = lc.run_law(cat, law, trials=cfg.trials, seed=cfg.seed)
+        for law in lc.applicable_laws(cat):
+            rep = lc.run_law(cat, law, trials=args.trials, seed=args.seed)
             rows.append((name, rep))
             status = "ok" if rep.passed else "FAIL"
             print(f"{name:14s} {law.name:28s} {rep.mode:10s} "
@@ -40,13 +29,13 @@ def main() -> None:
 
     failed = [r for _, r in rows if not r.passed]
     print(f"\n{len(rows)} checks, {len(failed)} failures")
-    if cfg.out:
+    if args.out:
         payload = [
             {"instance": name, **rep.to_json()} for name, rep in rows
         ]
-        with open(cfg.out, "w") as fh:
+        with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     raise SystemExit(1 if failed else 0)
 
 

@@ -107,10 +107,14 @@ class PartialFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialFn":
+        graph = tuple((x, y) for x, y in data["graph"])
+        for v in itertools.chain.from_iterable(graph):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"graph entry {v!r} is not an integer")
         return cls(
             FinObj(tuple(data["dom"]["shape"])),
             FinObj(tuple(data["cod"]["shape"])),
-            tuple((int(x), int(y)) for x, y in data["graph"]),
+            graph,
         )
 
 

@@ -33,7 +33,7 @@ VERBS = [
 ]
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -67,36 +67,21 @@ def _digest(raws: list[tuple[str, bytes]]) -> str:
     return h.hexdigest()[:16]
 
 
-def _load_pfn(name: str, raw: bytes) -> PartialFn:
+_PARSERS = {
+    "morphism": PartialFn.from_json,
+    "garbage-carrying morphism": AuxMorphism.from_json,
+    "channel": Channel.from_json,
+    "matrix": qu.matrix_from_json,
+}
+
+
+def _load(kind: str, name: str, raw: bytes):
+    """Parse one input as a value of the given kind."""
     data = _parse_json(name, raw)
     try:
-        return PartialFn.from_json(data)
+        return _PARSERS[kind](data)
     except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{name}: bad morphism: {e}") from e
-
-
-def _load_aux(name: str, raw: bytes) -> AuxMorphism:
-    data = _parse_json(name, raw)
-    try:
-        return AuxMorphism.from_json(data)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{name}: bad garbage-carrying morphism: {e}") from e
-
-
-def _load_channel(name: str, raw: bytes) -> Channel:
-    data = _parse_json(name, raw)
-    try:
-        return Channel.from_json(data)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{name}: bad channel: {e}") from e
-
-
-def _load_matrix(name: str, raw: bytes) -> np.ndarray:
-    data = _parse_json(name, raw)
-    try:
-        return qu.matrix_from_json(data)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{name}: bad matrix: {e}") from e
+        raise InputError(f"{name}: bad {kind}: {e}") from e
 
 
 def _single(verb: str, raws: list[tuple[str, bytes]]) -> tuple[str, bytes]:
@@ -123,12 +108,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         raws = _read_inputs(args.inputs) if args.verb != "lawcheck" else []
         result, status = _dispatch(args, raws)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (cl.CompositionError, qu.DimensionError, qu.NotAnIsometryError,
-            qu.NotAChannelError, gb.BaseMismatchError, gb.EndpointMismatchError,
-            ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -158,8 +138,7 @@ def _dispatch(args, raws) -> tuple[dict, int]:
             raise InputError(f"--trials must be positive, got {args.trials}")
         cat = INSTANCES[args.instance]()
         if args.law == "all":
-            laws = [l for l in lc.ALL_LAWS.values()
-                    if all(getattr(cat, n) is not None for n in l.needs)]
+            laws = lc.applicable_laws(cat)
         else:
             if args.law not in lc.ALL_LAWS:
                 raise InputError(f"unknown law {args.law!r}")
@@ -175,8 +154,8 @@ def _dispatch(args, raws) -> tuple[dict, int]:
     if verb in ("compose", "tensor"):
         if len(raws) != 2:
             raise InputError(f"{verb} takes two morphisms")
-        f = _load_pfn(*raws[0])
-        g = _load_pfn(*raws[1])
+        f = _load("morphism", *raws[0])
+        g = _load("morphism", *raws[1])
         if verb == "compose":
             out = cl.compose(g, f)  # g after f, inputs given in diagram order
         else:
@@ -184,18 +163,18 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         return {"morphism": out.to_json()}, 0
 
     if verb == "bennett-of":
-        f = _load_pfn(*_single(verb, raws))
+        f = _load("morphism", *_single(verb, raws))
         return {"morphism": cl.bennett(f).to_json()}, 0
 
     if verb == "pfn-of":
-        m = _load_aux(*_single(verb, raws))
+        m = _load("garbage-carrying morphism", *_single(verb, raws))
         return {"morphism": ex.pfn_normalize(m).to_json()}, 0
 
     if verb in ("aux-equal", "ext-equal"):
         if len(raws) != 2:
             raise InputError(f"{verb} takes two morphisms")
-        f = _load_aux(*raws[0])
-        g = _load_aux(*raws[1])
+        f = _load("garbage-carrying morphism", *raws[0])
+        g = _load("garbage-carrying morphism", *raws[1])
         if verb == "aux-equal":
             w = gb.aux_equiv(f, g)
             res = {"equal": w is not None}
@@ -207,25 +186,21 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         return {"equal": ex.ext_equiv(f, g)}, 0
 
     if verb == "dilate":
-        c = _load_channel(*_single(verb, raws))
+        c = _load("channel", *_single(verb, raws))
         v, r = qu.minimal_stinespring(c)
         return {"isometry": qu.matrix_to_json(v.mat), "env_dim": r}, 0
 
     if verb == "kraus":
-        c = _load_channel(*_single(verb, raws))
+        c = _load("channel", *_single(verb, raws))
         return {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0
 
     if verb == "channel-of-unitary":
-        m = _load_matrix(*_single(verb, raws))
-        try:
-            u = Unitary(m)
-        except ValueError as e:
-            raise InputError(str(e)) from e
+        u = Unitary(_load("matrix", *_single(verb, raws)))
         c = pl.unitary_to_channel(u, args.anc, args.env)
         return {"channel": c.to_json()}, 0
 
     if verb == "extract-unitary":
-        c = _load_channel(*_single(verb, raws))
+        c = _load("channel", *_single(verb, raws))
         u = qu.extract_unitary(c)
         return {"unitary": qu.matrix_to_json(u.mat)}, 0
 
@@ -233,18 +208,18 @@ def _dispatch(args, raws) -> tuple[dict, int]:
         (name, raw) = _single(verb, raws)
         data = _parse_json(name, raw)
         if "din" in data:
-            core = qu.reversible_core(_load_channel(name, raw))
+            core = qu.reversible_core(_load("channel", name, raw))
             if isinstance(core, str):
                 return {"reversible": False, "reason": core}, 0
             return {"reversible": True, "unitary": qu.matrix_to_json(core.mat)}, 0
-        f = _load_pfn(name, raw)
+        f = _load("morphism", name, raw)
         inj = pl.inv_pfn(f)
         if inj is None:
             return {"reversible": False, "reason": "not injective"}, 0
         return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
 
     if verb == "roundtrip":
-        c = _load_channel(*_single(verb, raws))
+        c = _load("channel", *_single(verb, raws))
         u, anc, env = pl.channel_to_unitary_presentation(c)
         back = pl.unitary_to_channel(u, anc, env)
         residual = float(np.max(np.abs(back.choi - c.choi)))

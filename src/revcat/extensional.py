@@ -20,7 +20,7 @@ from . import garbage as gb
 from . import quantum as qu
 from .classical import FinObj, PartialFn, PartialInj
 from .garbage import AuxMorphism, PINJ, ISO
-from .lawcheck import LawReport
+from .lawcheck import ConfigurationError, LawReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +101,8 @@ def wellpointed_check_cptp(d: int, trials: int, seed: int = 0) -> LawReport:
     every family member, and distinct random channels disagree somewhere."""
     if d > 4:
         raise ValueError("well-pointedness check supports d <= 4")
+    if trials <= 0:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     for t in range(trials):
         c1 = qu.random_channel(d, d, 2, rng)
@@ -128,6 +130,8 @@ def wellpointed_check_cptp(d: int, trials: int, seed: int = 0) -> LawReport:
 def ext_congruence_check(trials: int, seed: int = 0, max_size: int = 4) -> LawReport:
     """Composition, tensor, and restriction respect the point-agreement
     quotient, on random data in both shipped bases."""
+    if trials <= 0:
+        raise ConfigurationError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     for t in range(trials):
         if not _pinj_congruence_trial(rng, max_size):
@@ -188,8 +192,8 @@ def _iso_congruence_trial(rng: np.random.Generator) -> bool:
     padm = pad.reshape(d, r + 1, d)
     padm[:, :r, :] = v1m
     v2 = qu.Isometry(padm.reshape(d * (r + 1), d))
-    f1 = gb.from_isometry_core(v1, d, r)
-    f2 = gb.from_isometry_core(v2, d, r + 1)
+    f1 = AuxMorphism(ISO, v1, d, r)
+    f2 = AuxMorphism(ISO, v2, d, r + 1)
     if not ext_equiv(f1, f2):
         return False
     # Tensor with the identity, then compose with an entangling isometry.
@@ -198,5 +202,5 @@ def _iso_congruence_trial(rng: np.random.Generator) -> bool:
     if not ext_equiv(t1, t2):
         return False
     w = qu.haar_isometry(d * d * 2, d * d, rng)
-    waux = gb.from_isometry_core(w, d * d, 2)
+    waux = AuxMorphism(ISO, w, d * d, 2)
     return ext_equiv(gb.aux_compose(waux, t1), gb.aux_compose(waux, t2))

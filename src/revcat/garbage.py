@@ -122,12 +122,11 @@ def _same_endpoints(f: AuxMorphism, g: AuxMorphism) -> None:
 
 # -- constructors -------------------------------------------------------------
 
-def from_pinj_core(core: PartialInj, cod_size: int, garbage_size: int) -> AuxMorphism:
-    return AuxMorphism(PINJ, core, cod_size, garbage_size)
-
-
-def from_isometry_core(core: Isometry, cod_size: int, garbage_size: int) -> AuxMorphism:
-    return AuxMorphism(ISO, core, cod_size, garbage_size)
+def _permute_rows(p: PartialInj, mat: np.ndarray) -> np.ndarray:
+    """Move row x of mat to row p(x), for a structural permutation p."""
+    out = np.empty_like(mat)
+    out[[y for _, y in p.graph]] = mat
+    return out
 
 
 def embed(f: Union[PartialInj, Isometry]) -> AuxMorphism:
@@ -161,14 +160,10 @@ def proj1(a: int, b: int, base: str = PINJ) -> AuxMorphism:
 
 def proj2(a: int, b: int, base: str = PINJ) -> AuxMorphism:
     """Total projection A (x) B -> B with garbage A."""
+    swap = cl.coherence("symm", (a, b))
     if base == PINJ:
-        core = cl.coherence("symm", (a, b))
-        return AuxMorphism(PINJ, core, b, a)
-    swap = np.zeros((a * b, a * b), dtype=complex)
-    for x in range(a):
-        for y in range(b):
-            swap[y * a + x, x * b + y] = 1.0
-    return AuxMorphism(ISO, Isometry(swap), b, a)
+        return AuxMorphism(PINJ, swap, b, a)
+    return AuxMorphism(ISO, Isometry(_permute_rows(swap, np.eye(a * b, dtype=complex))), b, a)
 
 
 # -- structure ----------------------------------------------------------------
@@ -201,20 +196,16 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
     garbage factors to the right."""
     if f.base != g.base:
         raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
+    theta = cl.coherence(
+        "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size)
+    )
     if f.base == PINJ:
-        theta = cl.coherence(
-            "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size)
-        )
         core = cl.compose(theta, cl.tensor_prod(f.core, g.core))
-        return AuxMorphism(
-            PINJ, core, f.cod_size * g.cod_size, f.garbage_size * g.garbage_size
-        )
-    b, e, b2, e2 = f.cod_size, f.garbage_size, g.cod_size, g.garbage_size
-    prod = np.kron(f.core.mat, g.core.mat)
-    # Row reindexing (b e b2 e2) -> (b b2 e e2).
-    reshaped = prod.reshape(b, e, b2, e2, -1).transpose(0, 2, 1, 3, 4)
-    mat = reshaped.reshape(b * b2 * e * e2, -1)
-    return AuxMorphism(ISO, Isometry(mat), b * b2, e * e2)
+    else:
+        core = Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
+    return AuxMorphism(
+        f.base, core, f.cod_size * g.cod_size, f.garbage_size * g.garbage_size
+    )
 
 
 def factorize(f: AuxMorphism) -> tuple[AuxMorphism, AuxMorphism]:

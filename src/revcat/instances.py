@@ -62,7 +62,6 @@ def make_pfn_instance(max_size: int = 4, injective: bool = False) -> CategoryIns
         eq=lambda f, g: f.same_table(g),
         restrict=cl.ridm,
         dagger=cl.dagger if injective else None,
-        tensor_obj=lambda a, b: a.tensor(b),
         tensor_mor=cl.tensor_prod,
         unit=cl.UNIT,
         enumerate_objs=enum_objs,
@@ -94,7 +93,6 @@ def make_unitary_instance(max_dim: int = 3) -> CategoryInstance:
         eq=lambda u, v: u.dim == v.dim and np.allclose(u.mat, v.mat, atol=qu.ATOL),
         restrict=lambda u: qu.Unitary(np.eye(u.dim, dtype=complex)),
         dagger=lambda u: qu.Unitary(u.mat.conj().T),
-        tensor_obj=lambda a, b: a * b,
         tensor_mor=lambda u, v: qu.Unitary(np.kron(u.mat, v.mat)),
         unit=1,
         describe=lambda u: qu.matrix_to_json(u.mat),
@@ -121,7 +119,6 @@ def make_isometry_instance(max_dim: int = 3) -> CategoryInstance:
         eq=lambda v, w: v.mat.shape == w.mat.shape
         and np.allclose(v.mat, w.mat, atol=qu.ATOL),
         restrict=lambda v: qu.Isometry(np.eye(v.cols, dtype=complex)),
-        tensor_obj=lambda a, b: a * b,
         tensor_mor=lambda v, w: qu.Isometry(np.kron(v.mat, w.mat)),
         unit=1,
         describe=lambda v: qu.matrix_to_json(v.mat),
@@ -147,7 +144,6 @@ def make_cptp_instance(max_dim: int = 3) -> CategoryInstance:
         identity=qu.identity_channel,
         eq=lambda a, b: a.close_to(b, qu.ROUND_ATOL),
         restrict=lambda c: qu.identity_channel(c.din),
-        tensor_obj=lambda a, b: a * b,
         tensor_mor=qu.channel_tensor,
         unit=1,
         describe=lambda c: c.to_json(),
@@ -203,7 +199,6 @@ def make_aux_pinj_instance(
         identity=lambda n: gb.aux_id(n, PINJ),
         eq=eq,
         restrict=gb.aux_ridm,
-        tensor_obj=lambda a, b: a * b,
         tensor_mor=gb.aux_tensor,
         unit=1,
         enumerate_objs=enum_objs,

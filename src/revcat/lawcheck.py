@@ -14,8 +14,10 @@ mutable state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from math import prod
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -46,7 +48,6 @@ class CategoryInstance:
     eq: Callable[[Any, Any], bool]
     restrict: Optional[Callable[[Any], Any]] = None
     dagger: Optional[Callable[[Any], Any]] = None
-    tensor_obj: Optional[Callable[[Any, Any], Any]] = None
     tensor_mor: Optional[Callable[[Any, Any], Any]] = None
     unit: Any = None
     enumerate_objs: Optional[Callable[[], list]] = None
@@ -82,15 +83,8 @@ class LawReport:
 
 @dataclass(frozen=True)
 class Law:
-    """A checkable equation: a sampling pattern plus a predicate.
-
-    patterns:
-      - "single":    one morphism f : A -> B
-      - "same_dom":  f : A -> B, g : A -> C
-      - "chain":     f : A -> B, g : B -> C
-      - "chain3":    f : A -> B, g : B -> C, h : C -> D
-      - "pair":      two unrelated morphisms
-    """
+    """A checkable equation: a sampling pattern (a key of PATTERNS) plus a
+    predicate on the pattern's morphisms."""
 
     name: str
     pattern: str
@@ -104,76 +98,59 @@ def _require(cat: CategoryInstance, needs: Iterable[str]) -> None:
             raise ConfigurationError(f"instance {cat.name!r} has no {n} oracle")
 
 
+# Each pattern lists its morphism slots in order.  A slot's domain is any
+# object (None) or an end of an earlier slot: ("dom", j) or ("cod", j).
+PATTERNS: dict[str, tuple[Optional[tuple[str, int]], ...]] = {
+    "single": (None,),  # f : A -> B
+    "same_dom": (None, ("dom", 0)),  # f : A -> B, g : A -> C
+    "chain": (None, ("cod", 0)),  # f : A -> B, g : B -> C
+    "chain3": (None, ("cod", 0), ("cod", 1)),  # f : A -> B, g : B -> C, h : C -> D
+    "pair": (None, None),  # f : A -> B, g : C -> D
+}
+
+
+def _slots(pattern: str) -> tuple[Optional[tuple[str, int]], ...]:
+    try:
+        return PATTERNS[pattern]
+    except KeyError:
+        raise ValueError(f"unknown pattern {pattern!r}") from None
+
+
 def _sample_tuple(cat: CategoryInstance, pattern: str, rng: np.random.Generator) -> tuple:
-    if pattern == "single":
-        return (cat.sample_mor(rng, None),)
-    if pattern == "same_dom":
-        f = cat.sample_mor(rng, None)
-        g = cat.sample_mor(rng, cat.dom(f))
-        return (f, g)
-    if pattern == "chain":
-        f = cat.sample_mor(rng, None)
-        g = cat.sample_mor(rng, cat.cod(f))
-        return (f, g)
-    if pattern == "chain3":
-        f = cat.sample_mor(rng, None)
-        g = cat.sample_mor(rng, cat.cod(f))
-        h = cat.sample_mor(rng, cat.cod(g))
-        return (f, g, h)
-    if pattern == "pair":
-        return (cat.sample_mor(rng, None), cat.sample_mor(rng, None))
-    raise ValueError(f"unknown pattern {pattern!r}")
+    out: list = []
+    for tie in _slots(pattern):
+        dom = None if tie is None else getattr(cat, tie[0])(out[tie[1]])
+        out.append(cat.sample_mor(rng, dom))
+    return tuple(out)
 
 
-def _enumerate_tuples(cat: CategoryInstance, pattern: str) -> Optional[list[tuple]]:
+def _enumerate_tuples(
+    cat: CategoryInstance, pattern: str
+) -> Optional[tuple[int, Iterator[tuple]]]:
+    """The tuple count and a lazy stream of every tuple the pattern admits,
+    or None when the instance does not enumerate or the count exceeds
+    EXHAUSTIVE_CAP.  Tuples come shape by shape, a shape being the (dom, cod)
+    objects of every slot in lexicographic order."""
+    slots = _slots(pattern)
     if cat.enumerate_objs is None or cat.enumerate_mors is None:
         return None
     objs = cat.enumerate_objs()
     homs = {(a, b): cat.enumerate_mors(a, b) for a in objs for b in objs}
-    out: list[tuple] = []
-    if pattern == "single":
-        for ms in homs.values():
-            out.extend((m,) for m in ms)
-            if len(out) > EXHAUSTIVE_CAP:
-                return None
-    elif pattern == "same_dom":
-        for (a, b), ms in homs.items():
-            for c in objs:
-                for f in ms:
-                    for g in homs[(a, c)]:
-                        out.append((f, g))
-                        if len(out) > EXHAUSTIVE_CAP:
-                            return None
-    elif pattern == "chain":
-        for (a, b), ms in homs.items():
-            for c in objs:
-                for f in ms:
-                    for g in homs[(b, c)]:
-                        out.append((f, g))
-                        if len(out) > EXHAUSTIVE_CAP:
-                            return None
-    elif pattern == "chain3":
-        for (a, b), ms in homs.items():
-            for c in objs:
-                for d in objs:
-                    for f in ms:
-                        for g in homs[(b, c)]:
-                            for h in homs[(c, d)]:
-                                out.append((f, g, h))
-                                if len(out) > EXHAUSTIVE_CAP:
-                                    return None
-    elif pattern == "pair":
-        all_ms = [m for ms in homs.values() for m in ms]
-        for f in all_ms:
-            for g in all_ms:
-                out.append((f, g))
-                if len(out) > EXHAUSTIVE_CAP:
-                    return None
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    if len(out) > EXHAUSTIVE_CAP:
+    shapes: list[tuple] = [()]  # per slot, its hom-set key (dom, cod)
+    for tie in slots:
+        shapes = [
+            shape + ((a, b),)
+            for shape in shapes
+            for a in (objs if tie is None else [shape[tie[1]][tie[0] == "cod"]])
+            for b in objs
+        ]
+    count = sum(prod(len(homs[hom]) for hom in shape) for shape in shapes)
+    if count > EXHAUSTIVE_CAP:
         return None
-    return out
+    stream = itertools.chain.from_iterable(
+        itertools.product(*(homs[hom] for hom in shape)) for shape in shapes
+    )
+    return count, stream
 
 
 def run_law(
@@ -186,15 +163,16 @@ def run_law(
     """Check one law, exhaustively when the tuple space is small enough."""
     _require(cat, law.needs)
     predicate = law.check(cat)
-    tuples = _enumerate_tuples(cat, law.pattern) if exhaustive in (None, True) else None
-    if exhaustive is True and tuples is None:
+    space = _enumerate_tuples(cat, law.pattern) if exhaustive in (None, True) else None
+    if exhaustive is True and space is None:
         raise ConfigurationError(f"instance {cat.name!r} cannot be enumerated")
-    if tuples is not None:
+    if space is not None:
+        count, tuples = space
         for t in tuples:
             if not predicate(*t):
-                return LawReport(law.name, len(tuples), False, counterexample=t,
+                return LawReport(law.name, count, False, counterexample=t,
                                  mode="exhaustive")
-        return LawReport(law.name, len(tuples), True, mode="exhaustive")
+        return LawReport(law.name, count, True, mode="exhaustive")
     if trials <= 0:
         raise ConfigurationError(
             f"trials must be positive to check {law.name!r} on {cat.name!r} "
@@ -384,31 +362,7 @@ ALL_LAWS: dict[str, Law] = {
 }
 
 
-def _run_group(cat, laws, trials, seed, exhaustive) -> LawReport:
-    for law in laws:
-        report = run_law(cat, law, trials, seed, exhaustive)
-        if not report.passed:
-            return report
-    names = "+".join(l.name for l in laws)
-    return LawReport(names, trials, True)
-
-
-def check_restriction_axioms(cat, trials: int = 1000, seed: int = 0,
-                             exhaustive: Optional[bool] = None) -> LawReport:
-    return _run_group(cat, RESTRICTION_LAWS, trials, seed, exhaustive)
-
-
-def check_derived_lemma(cat, trials: int = 1000, seed: int = 0,
-                        exhaustive: Optional[bool] = None) -> LawReport:
-    _require(cat, {"restrict"})
-    return _run_group(cat, DERIVED_LAWS, trials, seed, exhaustive)
-
-
-def check_inverse_axioms(cat, trials: int = 1000, seed: int = 0,
-                         exhaustive: Optional[bool] = None) -> LawReport:
-    return _run_group(cat, INVERSE_LAWS, trials, seed, exhaustive)
-
-
-def check_monoidal_restriction(cat, trials: int = 1000, seed: int = 0,
-                               exhaustive: Optional[bool] = None) -> LawReport:
-    return _run_group(cat, MONOIDAL_LAWS, trials, seed, exhaustive)
+def applicable_laws(cat: CategoryInstance) -> list[Law]:
+    """The registered laws whose oracles the instance provides."""
+    return [law for law in ALL_LAWS.values()
+            if all(getattr(cat, n) is not None for n in law.needs)]

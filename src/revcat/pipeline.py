@@ -75,15 +75,6 @@ def isometry_to_inp(v: Isometry) -> InpUnitary:
     return InpUnitary(v.cols, v.rows - v.cols, qu.complete_to_unitary(v))
 
 
-def inp_pinj_conservative(f: PartialInj) -> PartialInj:
-    """Adjoining a size-0 ancilla input to a partial injection is a no-op;
-    checked on the table, then the morphism is returned unchanged."""
-    padded = cl.direct_sum(f, cl.empty_map(cl.ZERO, cl.ZERO))
-    if not padded.same_table(f):
-        raise AssertionError("0-ancilla padding changed the table")
-    return f
-
-
 def unitary_to_channel(u: Unitary, anc_dim: int, env_dim: int) -> Channel:
     """The full pipeline on a unitary: ancilla input of size anc_dim, then
     trace out an environment factor of size env_dim from the output.

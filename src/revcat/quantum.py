@@ -66,6 +66,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(data: dict) -> np.ndarray:
     r, c = int(data["rows"]), int(data["cols"])
+    if r < 0 or c < 0:
+        raise ValueError(f"rows and cols must be nonnegative, got rows={r}, cols={c}")
     flat = np.array([complex(re, im) for re, im in data["entries"]], dtype=complex)
     if flat.size != r * c:
         raise ValueError(f"expected {r * c} entries, got {flat.size}")
@@ -83,7 +85,7 @@ class Isometry:
         if r < c:
             raise NotAnIsometryError(f"isometry needs rows >= cols, got {r}x{c}")
         _require_finite(self.mat, "isometry matrix", NotAnIsometryError)
-        if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), atol=ATOL):
+        if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), rtol=0, atol=ATOL):
             raise NotAnIsometryError("V^dag V != I within 1e-9")
 
     @property
@@ -104,7 +106,7 @@ class Unitary:
         if r != c:
             raise NotAnIsometryError(f"unitary must be square, got {r}x{c}")
         _require_finite(self.mat, "unitary matrix", NotAnIsometryError)
-        if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), atol=ATOL):
+        if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), rtol=0, atol=ATOL):
             raise NotAnIsometryError("U^dag U != I within 1e-9")
 
     @property
@@ -129,13 +131,13 @@ class Channel:
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
         _require_finite(self.choi, "choi", NotAChannelError)
-        if not np.allclose(self.choi, _dag(self.choi), atol=ATOL):
+        if not np.allclose(self.choi, _dag(self.choi), rtol=0, atol=ATOL):
             raise NotAChannelError("choi not Hermitian within 1e-9")
         evals = np.linalg.eigvalsh(self.choi)
         if evals.min() < -ATOL:
             raise NotAChannelError(f"choi not PSD: min eigenvalue {evals.min():.2e}")
         tr_out = np.einsum("imjm->ij", self.blocks())
-        if not np.allclose(tr_out, np.eye(self.din), atol=ATOL):
+        if not np.allclose(tr_out, np.eye(self.din), rtol=0, atol=ATOL):
             raise NotAChannelError("partial trace over output != identity within 1e-9")
 
     def blocks(self) -> np.ndarray:
@@ -175,7 +177,7 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
     stacked = np.asarray(ks, dtype=complex)  # stacked[k, m, i] = K_k[m, i]
     column = stacked.reshape(len(ks) * dout, din)  # the K_k one above the other
     s = _dag(column) @ column
-    if not np.allclose(s, np.eye(din), atol=ROUND_ATOL):
+    if not np.allclose(s, np.eye(din), rtol=0, atol=ROUND_ATOL):
         raise NotAChannelError("sum K^dag K != I within 1e-8")
     # C = V V^dag, where column k of V is vec(K_k)[i*dout + m] = K_k[m, i].
     v = stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T

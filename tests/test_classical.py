@@ -225,6 +225,12 @@ class TestJson:
     def test_roundtrip(self, f):
         assert PartialFn.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("entry", [1.7, 1.0, "1", True, None])
+    def test_non_integer_graph_entry_rejected(self, entry):
+        data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": [[0, entry]]}
+        with pytest.raises(ValueError, match="graph entry"):
+            PartialFn.from_json(data)
+
     def test_sorted_no_duplicates(self):
         f = PartialFn(FinObj.of_size(3), FinObj.of_size(3), ((2, 0), (0, 1)))
         assert f.to_json()["graph"] == [[0, 1], [2, 0]]

@@ -203,6 +203,17 @@ class TestExitCodes:
         assert cli.run(["kraus", c]) == 2
         assert "choi has a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, data, message", [
+        ("bennett-of", {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": [[0, 1.7]]},
+         "bad morphism: graph entry 1.7 is not an integer"),
+        ("channel-of-unitary", {"rows": -1, "cols": -1, "entries": [[1, 0]]},
+         "bad matrix: rows and cols must be nonnegative"),
+    ], ids=["float-graph-entry", "negative-shape"])
+    def test_bad_json_field_is_2(self, tmp_path, capsys, verb, data, message):
+        p = write(tmp_path, "in.json", data)
+        assert cli.run([verb, p]) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_finite_matrix_is_2(self, tmp_path, capsys):
         m = qu.matrix_to_json(np.eye(2, dtype=complex))
         m["entries"][0][1] = float("inf")

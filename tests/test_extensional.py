@@ -3,10 +3,12 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from revcat import classical as cl
 from revcat import extensional as ex
 from revcat import garbage as gb
+from revcat import lawcheck as lc
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialFn
 from revcat.garbage import ISO, PINJ, AuxMorphism
@@ -138,3 +140,12 @@ class TestTomography:
         for d in (2, 3):
             rep = ex.wellpointed_check_cptp(d, trials=30, seed=4)
             assert rep.passed, rep.detail
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("check", [lambda trials: ex.wellpointed_check_cptp(2, trials),
+                                   lambda trials: ex.ext_congruence_check(trials)],
+                         ids=["wellpointed", "congruence"])
+def test_sampled_checks_need_trials(check, trials):
+    with pytest.raises(lc.ConfigurationError, match="trials must be positive"):
+        check(trials)

@@ -1,6 +1,7 @@
 """The law-checking engine itself: modes, counterexamples, configuration."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -91,45 +92,83 @@ class TestCounterexamples:
 
     def test_group_runner_stops_at_failure(self):
         cat = self.broken_instance()
-        rep = lc.check_restriction_axioms(cat)
-        assert not rep.passed and rep.law == "restriction_i"
+        failed = [r for r in (lc.run_law(cat, law) for law in lc.RESTRICTION_LAWS)
+                  if not r.passed]
+        assert failed and failed[0].law == "restriction_i"
+
+
+def assert_laws_pass(cat, laws, **kwargs):
+    for law in laws:
+        rep = lc.run_law(cat, law, **kwargs)
+        assert rep.passed, rep.to_json(cat.describe)
 
 
 class TestShippedInstancesPass:
     @pytest.mark.parametrize("name", ["pfn", "pinj", "aux-pinj", "ext-aux-pinj"])
     def test_restriction_exhaustive(self, name):
-        cat = inst.INSTANCES[name]()
-        rep = lc.check_restriction_axioms(cat)
-        assert rep.passed, rep.to_json(cat.describe)
+        assert_laws_pass(inst.INSTANCES[name](), lc.RESTRICTION_LAWS)
 
     @pytest.mark.parametrize("name", ["pfn", "pinj"])
     def test_derived_lemma(self, name):
-        cat = inst.INSTANCES[name]()
-        rep = lc.check_derived_lemma(cat)
-        assert rep.passed, rep.to_json(cat.describe)
+        assert_laws_pass(inst.INSTANCES[name](), lc.DERIVED_LAWS)
 
     @pytest.mark.parametrize("name", ["pinj", "unitary"])
     def test_inverse_axioms(self, name):
-        cat = inst.INSTANCES[name]()
-        rep = lc.check_inverse_axioms(cat, trials=100, seed=2)
-        assert rep.passed, rep.to_json(cat.describe)
+        assert_laws_pass(inst.INSTANCES[name](), lc.INVERSE_LAWS, trials=100, seed=2)
 
     @pytest.mark.parametrize("name", ["pfn", "pinj"])
     def test_monoidal_exhaustive_small(self, name):
-        cat = inst.INSTANCES[name]()
-        rep = lc.check_monoidal_restriction(cat, trials=100, seed=3)
-        assert rep.passed, rep.to_json(cat.describe)
+        assert_laws_pass(inst.INSTANCES[name](), lc.MONOIDAL_LAWS, trials=100, seed=3)
 
     @pytest.mark.parametrize("name", ["unitary", "isometry", "cptp"])
     def test_quantum_sampled(self, name):
         cat = inst.INSTANCES[name]()
-        rep = lc.check_restriction_axioms(cat, trials=40, seed=4)
-        assert rep.passed, rep.to_json(cat.describe)
-        rep = lc.check_monoidal_restriction(cat, trials=20, seed=5)
-        assert rep.passed, rep.to_json(cat.describe)
+        assert_laws_pass(cat, lc.RESTRICTION_LAWS, trials=40, seed=4)
+        assert_laws_pass(cat, lc.MONOIDAL_LAWS, trials=20, seed=5)
 
     def test_large_instances_sampled(self):
         for name in ("pfn-large", "pinj-large"):
-            cat = inst.INSTANCES[name]()
-            rep = lc.check_restriction_axioms(cat, trials=200, seed=6)
-            assert rep.passed, rep.to_json(cat.describe)
+            assert_laws_pass(inst.INSTANCES[name](), lc.RESTRICTION_LAWS, trials=200, seed=6)
+
+
+# The tuples each pattern admits, stated without the pattern table.
+PATTERN_FILTERS = {
+    "single": lambda cat, f: True,
+    "same_dom": lambda cat, f, g: cat.dom(f) == cat.dom(g),
+    "chain": lambda cat, f, g: cat.cod(f) == cat.dom(g),
+    "chain3": lambda cat, f, g, h: cat.cod(f) == cat.dom(g) and cat.cod(g) == cat.dom(h),
+    "pair": lambda cat, f, g: True,
+}
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("pattern", sorted(PATTERN_FILTERS))
+    @pytest.mark.parametrize("make", [lambda: inst.make_pfn_instance(2),
+                                      lambda: inst.make_pinj_instance(3),
+                                      lambda: inst.make_aux_pinj_instance(2, 2)],
+                             ids=["pfn2", "pinj3", "aux-pinj22"])
+    def test_matches_brute_force_filter(self, make, pattern):
+        base = make()
+        homs = {}  # one morphism object per hom-set entry, so tuples compare by id
+
+        def enumerate_mors(a, b):
+            return homs.setdefault((a, b), base.enumerate_mors(a, b))
+
+        cat = dataclasses.replace(base, enumerate_mors=enumerate_mors)
+        count, stream = lc._enumerate_tuples(cat, pattern)
+        got = [tuple(map(id, t)) for t in stream]
+        every = [m for ms in homs.values() for m in ms]
+        keep = PATTERN_FILTERS[pattern]
+        arity = len(lc.PATTERNS[pattern])
+        want = {tuple(map(id, t)) for t in itertools.product(every, repeat=arity)
+                if keep(cat, *t)}
+        assert len(got) == count == len(set(got)) == len(want)
+        assert set(got) == want
+
+    def test_over_cap_returns_none(self):
+        assert lc._enumerate_tuples(inst.make_pfn_instance(3), "chain3") is None
+
+    def test_applicable_laws_follow_oracles(self):
+        assert lc.applicable_laws(inst.make_pinj_instance(2)) == list(lc.ALL_LAWS.values())
+        pfn_laws = lc.applicable_laws(inst.make_pfn_instance(2))
+        assert pfn_laws and all("dagger" not in law.needs for law in pfn_laws)

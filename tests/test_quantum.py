@@ -65,6 +65,23 @@ class TestTrustBoundary:
         with pytest.raises(qu.NotAnIsometryError, match=f"{field} matrix has a non-finite"):
             cls(m)
 
+    def test_tp_residual_above_atol_rejected(self):
+        # Tr_out C - I = 5e-6: inside a relative tolerance of 1e-5, outside 1e-9.
+        choi = (1 + 5e-6) * qu.identity_channel(2).choi
+        with pytest.raises(qu.NotAChannelError, match="partial trace"):
+            Channel(2, 2, choi)
+
+    def test_unitarity_residual_above_atol_rejected(self):
+        # U^dag U - I = 8e-6: inside a relative tolerance of 1e-5, outside 1e-9.
+        with pytest.raises(qu.NotAnIsometryError, match="U\\^dag U != I"):
+            Unitary((1 + 4e-6) * np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("rows, cols", [(-1, -1), (-1, 1), (1, -1)])
+    def test_negative_matrix_shape_rejected(self, rows, cols):
+        data = {"rows": rows, "cols": cols, "entries": [[1, 0]]}
+        with pytest.raises(ValueError, match="rows and cols must be nonnegative"):
+            qu.matrix_from_json(data)
+
 
 class TestIsometryChannel:
     def test_identity_isometry_identity_channel(self):
