@@ -41,6 +41,13 @@ class FinObj:
         return FinObj((n,))
 
 
+def json_int(value, field: str) -> int:
+    """A JSON integer field (a bool is not one), or a ValueError naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return value
+
+
 UNIT = FinObj(())  # one-element set, unit of the tensor product
 ZERO = FinObj((0,))  # empty set, unit of the disjoint sum
 
@@ -79,10 +86,6 @@ class PartialFn:
     def mapping(self) -> dict[int, int]:
         return dict(self.graph)
 
-    @property
-    def defined_on(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.graph)
-
     def is_total(self) -> bool:
         return len(self.graph) == self.dom.size
 
@@ -108,14 +111,12 @@ class PartialFn:
     @classmethod
     def from_json(cls, data: dict) -> "PartialFn":
         graph = tuple((x, y) for x, y in data["graph"])
-        for v in itertools.chain.from_iterable(graph):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"graph entry {v!r} is not an integer")
-        return cls(
-            FinObj(tuple(data["dom"]["shape"])),
-            FinObj(tuple(data["cod"]["shape"])),
-            graph,
-        )
+        dom, cod = tuple(data["dom"]["shape"]), tuple(data["cod"]["shape"])
+        for field, values in (("graph entry", itertools.chain.from_iterable(graph)),
+                              ("dom shape entry", dom), ("cod shape entry", cod)):
+            for v in values:
+                json_int(v, field)
+        return cls(FinObj(dom), FinObj(cod), graph)
 
 
 class PartialInj(PartialFn):
@@ -190,24 +191,11 @@ def direct_sum(f: PartialFn, g: PartialFn) -> PartialFn:
 def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
     """Structural permutation of flat indices for the tensor product.
 
-    kinds:
-      - "assoc":       (a, b, c), (A x B) x C -> A x (B x C); identity here.
-      - "lunit":       (a,), I x A -> A; identity.
-      - "runit":       (a,), A x I -> A; identity.
+    Associators and unitors are identities under flat indexing, so only two
+    kinds are genuine permutations:
       - "symm":        (a, b), A x B -> B x A.
       - "interchange": (b, e, b2, e2), (B x E) x (B' x E') -> (B x B') x (E x E').
     """
-    if kind in ("assoc",):
-        if len(shapes) != 3:
-            raise ValueError("assoc takes three factor sizes")
-        n = prod(shapes)
-        return PartialInj(FinObj(tuple(shapes)), FinObj(tuple(shapes)),
-                          tuple((i, i) for i in range(n)))
-    if kind in ("lunit", "runit"):
-        if len(shapes) != 1:
-            raise ValueError(f"{kind} takes one factor size")
-        (a,) = shapes
-        return PartialInj(FinObj((a,)), FinObj((a,)), tuple((i, i) for i in range(a)))
     if kind == "symm":
         if len(shapes) != 2:
             raise ValueError("symm takes two factor sizes")

@@ -3,6 +3,11 @@
 Every report carries the verb, a digest of the inputs, the seed and the
 tolerances in effect, so identical invocations are byte-identical.  Exit
 status: 0 on success, 1 on a law violation, 2 on malformed input.
+
+Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
+(partial function), a garbage-carrying morphism, a channel or a matrix; inv
+takes a channel or a morphism.  The table VERBS declares each verb once, with
+its input kinds and its action.
 """
 
 from __future__ import annotations
@@ -25,12 +30,6 @@ from .classical import PartialFn
 from .garbage import AuxMorphism
 from .instances import INSTANCES
 from .quantum import Channel, Unitary
-
-VERBS = [
-    "lawcheck", "compose", "tensor", "bennett-of", "pfn-of", "aux-equal",
-    "ext-equal", "dilate", "kraus", "channel-of-unitary", "extract-unitary",
-    "inv", "roundtrip",
-]
 
 
 class InputError(ValueError):
@@ -67,27 +66,27 @@ def _digest(raws: list[tuple[str, bytes]]) -> str:
     return h.hexdigest()[:16]
 
 
+# Input kinds; the name is the label of a parse error.
+_MOR, _AUX, _CHAN, _MAT = "morphism", "garbage-carrying morphism", "channel", "matrix"
+_CHAN_OR_MOR = "channel or morphism"  # a channel when it has a "din" key
+
 _PARSERS = {
-    "morphism": PartialFn.from_json,
-    "garbage-carrying morphism": AuxMorphism.from_json,
-    "channel": Channel.from_json,
-    "matrix": qu.matrix_from_json,
+    _MOR: PartialFn.from_json,
+    _AUX: AuxMorphism.from_json,
+    _CHAN: Channel.from_json,
+    _MAT: qu.matrix_from_json,
 }
 
 
 def _load(kind: str, name: str, raw: bytes):
     """Parse one input as a value of the given kind."""
     data = _parse_json(name, raw)
+    if kind == _CHAN_OR_MOR:
+        kind = _CHAN if isinstance(data, dict) and "din" in data else _MOR
     try:
         return _PARSERS[kind](data)
     except (KeyError, ValueError, TypeError) as e:
         raise InputError(f"{name}: bad {kind}: {e}") from e
-
-
-def _single(verb: str, raws: list[tuple[str, bytes]]) -> tuple[str, bytes]:
-    if len(raws) != 1:
-        raise InputError(f"{verb} takes one input, got {len(raws)}")
-    return raws[0]
 
 
 def run(argv: Optional[list[str]] = None) -> int:
@@ -105,9 +104,13 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", help="write the report here instead of stdout")
     args = parser.parse_args(argv)
 
+    kinds, action = VERBS[args.verb]
     try:
-        raws = _read_inputs(args.inputs) if args.verb != "lawcheck" else []
-        result, status = _dispatch(args, raws)
+        raws = _read_inputs(args.inputs) if kinds else []
+        if len(raws) != len(kinds):
+            wanted = "one input" if len(kinds) == 1 else f"{len(kinds)} inputs"
+            raise InputError(f"{args.verb} takes {wanted}, got {len(raws)}")
+        result, status = action(args, *(_load(kind, *raw) for kind, raw in zip(kinds, raws)))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -128,106 +131,82 @@ def run(argv: Optional[list[str]] = None) -> int:
     return status
 
 
-def _dispatch(args, raws) -> tuple[dict, int]:
-    verb = args.verb
+def _lawcheck(args) -> tuple[dict, int]:
+    if not args.instance:
+        raise InputError("lawcheck requires --instance")
+    if args.trials <= 0:
+        raise InputError(f"--trials must be positive, got {args.trials}")
+    cat = INSTANCES[args.instance]()
+    if args.law == "all":
+        laws = lc.applicable_laws(cat)
+    else:
+        if args.law not in lc.ALL_LAWS:
+            raise InputError(f"unknown law {args.law!r}")
+        laws = [lc.ALL_LAWS[args.law]]
+    reports = [lc.run_law(cat, law, args.trials, args.seed) for law in laws]
+    ok = all(r.passed for r in reports)
+    return (
+        {"instance": args.instance,
+         "reports": [r.to_json(cat.describe) for r in reports]},
+        0 if ok else 1,
+    )
 
-    if verb == "lawcheck":
-        if not args.instance:
-            raise InputError("lawcheck requires --instance")
-        if args.trials <= 0:
-            raise InputError(f"--trials must be positive, got {args.trials}")
-        cat = INSTANCES[args.instance]()
-        if args.law == "all":
-            laws = lc.applicable_laws(cat)
-        else:
-            if args.law not in lc.ALL_LAWS:
-                raise InputError(f"unknown law {args.law!r}")
-            laws = [lc.ALL_LAWS[args.law]]
-        reports = [lc.run_law(cat, law, args.trials, args.seed) for law in laws]
-        ok = all(r.passed for r in reports)
-        return (
-            {"instance": args.instance,
-             "reports": [r.to_json(cat.describe) for r in reports]},
-            0 if ok else 1,
-        )
 
-    if verb in ("compose", "tensor"):
-        if len(raws) != 2:
-            raise InputError(f"{verb} takes two morphisms")
-        f = _load("morphism", *raws[0])
-        g = _load("morphism", *raws[1])
-        if verb == "compose":
-            out = cl.compose(g, f)  # g after f, inputs given in diagram order
-        else:
-            out = cl.tensor_prod(f, g)
-        return {"morphism": out.to_json()}, 0
+def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
+    w = gb.aux_equiv(f, g)
+    res = {"equal": w is not None}
+    if w is not None and f.base == gb.PINJ:
+        res["mediator"] = [{"forward": fwd, "map": h.to_json()} for fwd, h in w.steps]
+    return res, 0
 
-    if verb == "bennett-of":
-        f = _load("morphism", *_single(verb, raws))
-        return {"morphism": cl.bennett(f).to_json()}, 0
 
-    if verb == "pfn-of":
-        m = _load("garbage-carrying morphism", *_single(verb, raws))
-        return {"morphism": ex.pfn_normalize(m).to_json()}, 0
+def _dilate(args, c: Channel) -> tuple[dict, int]:
+    v, r = qu.minimal_stinespring(c)
+    return {"isometry": qu.matrix_to_json(v.mat), "env_dim": r}, 0
 
-    if verb in ("aux-equal", "ext-equal"):
-        if len(raws) != 2:
-            raise InputError(f"{verb} takes two morphisms")
-        f = _load("garbage-carrying morphism", *raws[0])
-        g = _load("garbage-carrying morphism", *raws[1])
-        if verb == "aux-equal":
-            w = gb.aux_equiv(f, g)
-            res = {"equal": w is not None}
-            if w is not None and f.base == gb.PINJ:
-                res["mediator"] = [
-                    {"forward": fwd, "map": h.to_json()} for fwd, h in w.steps
-                ]
-            return res, 0
-        return {"equal": ex.ext_equiv(f, g)}, 0
 
-    if verb == "dilate":
-        c = _load("channel", *_single(verb, raws))
-        v, r = qu.minimal_stinespring(c)
-        return {"isometry": qu.matrix_to_json(v.mat), "env_dim": r}, 0
+def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
+    if isinstance(x, Channel):
+        core = qu.reversible_core(x)
+        if isinstance(core, str):
+            return {"reversible": False, "reason": core}, 0
+        return {"reversible": True, "unitary": qu.matrix_to_json(core.mat)}, 0
+    inj = pl.inv_pfn(x)
+    if inj is None:
+        return {"reversible": False, "reason": "not injective"}, 0
+    return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
 
-    if verb == "kraus":
-        c = _load("channel", *_single(verb, raws))
-        return {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0
 
-    if verb == "channel-of-unitary":
-        u = Unitary(_load("matrix", *_single(verb, raws)))
-        c = pl.unitary_to_channel(u, args.anc, args.env)
-        return {"channel": c.to_json()}, 0
+def _roundtrip(args, c: Channel) -> tuple[dict, int]:
+    u, anc, env = pl.channel_to_unitary_presentation(c)
+    back = pl.unitary_to_channel(u, anc, env)
+    residual = float(np.max(np.abs(back.choi - c.choi)))
+    ok = residual <= args.tol
+    return {"residual": residual, "pass": ok,
+            "anc_dim": anc, "env_dim": env}, 0 if ok else 1
 
-    if verb == "extract-unitary":
-        c = _load("channel", *_single(verb, raws))
-        u = qu.extract_unitary(c)
-        return {"unitary": qu.matrix_to_json(u.mat)}, 0
 
-    if verb == "inv":
-        (name, raw) = _single(verb, raws)
-        data = _parse_json(name, raw)
-        if "din" in data:
-            core = qu.reversible_core(_load("channel", name, raw))
-            if isinstance(core, str):
-                return {"reversible": False, "reason": core}, 0
-            return {"reversible": True, "unitary": qu.matrix_to_json(core.mat)}, 0
-        f = _load("morphism", name, raw)
-        inj = pl.inv_pfn(f)
-        if inj is None:
-            return {"reversible": False, "reason": "not injective"}, 0
-        return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
-
-    if verb == "roundtrip":
-        c = _load("channel", *_single(verb, raws))
-        u, anc, env = pl.channel_to_unitary_presentation(c)
-        back = pl.unitary_to_channel(u, anc, env)
-        residual = float(np.max(np.abs(back.choi - c.choi)))
-        ok = residual <= args.tol
-        return {"residual": residual, "pass": ok,
-                "anc_dim": anc, "env_dim": env}, 0 if ok else 1
-
-    raise InputError(f"unknown verb {verb!r}")
+# Each verb: the kinds of its inputs, and an action from the parsed arguments
+# and the loaded inputs to (result, exit status).
+VERBS = {
+    "lawcheck": ((), _lawcheck),
+    # g after f: inputs are given in diagram order.
+    "compose": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.compose(g, f).to_json()}, 0)),
+    "tensor": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.tensor_prod(f, g).to_json()}, 0)),
+    "bennett-of": ((_MOR,), lambda args, f: ({"morphism": cl.bennett(f).to_json()}, 0)),
+    "pfn-of": ((_AUX,), lambda args, m: ({"morphism": ex.pfn_normalize(m).to_json()}, 0)),
+    "aux-equal": ((_AUX, _AUX), _aux_equal),
+    "ext-equal": ((_AUX, _AUX), lambda args, f, g: ({"equal": ex.ext_equiv(f, g)}, 0)),
+    "dilate": ((_CHAN,), _dilate),
+    "kraus": ((_CHAN,), lambda args, c: (
+        {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0)),
+    "channel-of-unitary": ((_MAT,), lambda args, m: (
+        {"channel": pl.unitary_to_channel(Unitary(m), args.anc, args.env).to_json()}, 0)),
+    "extract-unitary": ((_CHAN,), lambda args, c: (
+        {"unitary": qu.matrix_to_json(qu.extract_unitary(c).mat)}, 0)),
+    "inv": ((_CHAN_OR_MOR,), _inv),
+    "roundtrip": ((_CHAN,), _roundtrip),
+}
 
 
 def main() -> None:

@@ -3,7 +3,9 @@
 Over the pinj base this is a genuine quotient (garbage is intensional there):
 two garbage-carrying morphisms are identified exactly when their visible
 partial functions coincide.  Over the isometry base the induced channel is
-already extensional, so nothing changes.
+already extensional, so nothing changes.  The quotient is the equivalence
+relation ``ext_equiv`` on garbage-carrying morphisms; a class is held by any
+of its representatives.
 
 Also ships the point-agreement checks that make "partial functions and
 quantum channels are determined by their behaviour on states" testable:
@@ -12,7 +14,6 @@ a congruence sampler and a tomographic-family check for channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from . import classical as cl
@@ -23,47 +24,18 @@ from .garbage import AuxMorphism, PINJ, ISO
 from .lawcheck import ConfigurationError, LawReport
 
 
-@dataclass(frozen=True, eq=False)
-class ExtMorphism:
-    """A class of the point-agreement quotient, held by a representative."""
-
-    rep: AuxMorphism
-
-    @property
-    def base(self) -> str:
-        return self.rep.base
-
-    @property
-    def dom_size(self) -> int:
-        return self.rep.dom_size
-
-    @property
-    def cod_size(self) -> int:
-        return self.rep.cod_size
+# Agreement on all global points is equality once the garbage is forgotten.
+ext_equiv = gb.collapsed_equal
 
 
-def ext_equiv(f: ExtMorphism | AuxMorphism, g: ExtMorphism | AuxMorphism) -> bool:
-    """Decide agreement on all global points."""
-    fr = f.rep if isinstance(f, ExtMorphism) else f
-    gr = g.rep if isinstance(g, ExtMorphism) else g
-    gb._same_endpoints(fr, gr)
-    if fr.base == PINJ:
-        return gb.visible_fn(fr).same_table(gb.visible_fn(gr))
-    return gb.collapse(fr).close_to(gb.collapse(gr), qu.ATOL)
+def pfn_functor(f: PartialFn) -> AuxMorphism:
+    """The input-preserving reversibilization, as a representative of its
+    extensional class."""
+    return AuxMorphism(PINJ, cl.bennett(f), f.cod.size, f.dom.size)
 
 
-def pfn_functor(f: PartialFn) -> ExtMorphism:
-    """The input-preserving reversibilization, as an extensional class."""
-    core = cl.bennett(f)
-    return ExtMorphism(AuxMorphism(PINJ, core, f.cod.size, f.dom.size))
-
-
-def pfn_normalize(f: ExtMorphism | AuxMorphism) -> PartialFn:
-    """The visible partial function; inverse to pfn_functor up to the quotient."""
-    fr = f.rep if isinstance(f, ExtMorphism) else f
-    if fr.base != PINJ:
-        raise gb.BaseMismatchError("pfn_normalize requires the pinj base")
-    return gb.visible_fn(fr)
+# The visible partial function; inverse to pfn_functor up to the quotient.
+pfn_normalize = gb.visible_fn
 
 
 def tomographic_family(d: int) -> list[np.ndarray]:
@@ -159,17 +131,17 @@ def _pinj_congruence_trial(rng: np.random.Generator, max_size: int) -> bool:
     f = _random_pfn(rng, a, b)
     # Two representatives of the same class: minimal garbage and full-copy garbage.
     rep1 = AuxMorphism(PINJ, _distinct_garbage_core(f), f.cod.size, f.dom.size + 1)
-    rep2 = pfn_functor(f).rep
+    rep2 = pfn_functor(f)
     if not ext_equiv(rep1, rep2):
         return False
     g = _random_pfn(rng, b, c)
-    gaux = pfn_functor(g).rep
+    gaux = pfn_functor(g)
     lhs = gb.aux_compose(gaux, rep1)
     rhs = gb.aux_compose(gaux, rep2)
     if not ext_equiv(lhs, rhs):
         return False
     h = _random_pfn(rng, a, b)
-    haux = pfn_functor(h).rep
+    haux = pfn_functor(h)
     if not ext_equiv(gb.aux_tensor(rep1, haux), gb.aux_tensor(rep2, haux)):
         return False
     return ext_equiv(gb.aux_ridm(rep1), gb.aux_ridm(rep2))

@@ -18,6 +18,7 @@ equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Union
 
 import numpy as np
@@ -81,15 +82,24 @@ class AuxMorphism:
     @classmethod
     def from_json(cls, data: dict) -> "AuxMorphism":
         base = data["base"]
-        e = int(np.prod(data["garbage_shape"])) if data["garbage_shape"] else 1
-        if e <= 0:
-            raise ValueError("garbage_shape must have positive size in JSON form")
+        shape = [cl.json_int(n, "garbage_shape entry") for n in data["garbage_shape"]]
+        if min(shape, default=0) < 0:
+            raise ValueError(f"garbage_shape {shape} has a negative entry")
+        e = prod(shape)
         if base == PINJ:
             core = PartialInj.from_json(data["core"])
+            if e == 0:
+                # Only the empty morphism has garbage size 0; its core codomain
+                # has shape (B, 0), which keeps B.
+                if core.cod.shape[1:] != (0,):
+                    raise ValueError("garbage size 0 needs a core codomain of shape [B, 0]")
+                return cls(PINJ, core, core.cod.shape[0], 0)
             if core.cod.size % e != 0:
                 raise ValueError("core codomain does not factor by the garbage size")
             return cls(PINJ, core, core.cod.size // e, e)
         if base == ISO:
+            if e == 0:
+                raise ValueError("garbage size 0 exists only over the pinj base")
             core = Isometry(qu.matrix_from_json(data["core"]))
             return cls(ISO, core, core.rows // e, e)
         raise ValueError(f"unknown base {base!r}")
@@ -223,6 +233,16 @@ def collapse(f: AuxMorphism) -> Union[PartialFn, Channel]:
     return qu.channel_of_isometry(f.core, f.garbage_size)
 
 
+def collapsed_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
+    """Whether f and g agree once the garbage is forgotten: the same visible
+    partial function, or channels equal within 1e-9."""
+    _same_endpoints(f, g)
+    cf, cg = collapse(f), collapse(g)
+    if f.base == PINJ:
+        return cf.same_table(cg)
+    return cf.close_to(cg, qu.ATOL)
+
+
 # -- pinj normal forms and equivalence ---------------------------------------
 
 def visible_fn(f: AuxMorphism) -> PartialFn:
@@ -274,13 +294,12 @@ def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[MediatorWitness]:
     equivalent, None otherwise.  For the isometry base the decision is Choi
     equality within 1e-9 and no witness mediator is produced.
     """
+    if f.base == ISO:
+        return MediatorWitness(()) if collapsed_equal(f, g) else None
     _same_endpoints(f, g)
-    if f.base == PINJ:
-        if normal_form(f) != normal_form(g):
-            return None
-        return MediatorWitness(((True, direct_mediator(f, g)),))
-    cf, cg = collapse(f), collapse(g)
-    return MediatorWitness(()) if cf.close_to(cg, qu.ATOL) else None
+    if normal_form(f) != normal_form(g):
+        return None
+    return MediatorWitness(((True, direct_mediator(f, g)),))
 
 
 def replay_witness(f: AuxMorphism, g: AuxMorphism, w: MediatorWitness) -> bool:

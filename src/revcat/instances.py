@@ -74,55 +74,48 @@ def make_pinj_instance(max_size: int = 4) -> CategoryInstance:
     return make_pfn_instance(max_size, injective=True)
 
 
-def make_unitary_instance(max_dim: int = 3) -> CategoryInstance:
+def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> CategoryInstance:
+    """Matrices of one class (``wrap``) under product and kron, compared
+    entrywise within 1e-9.  sample_mat(rng, cols) draws a morphism from
+    cols dimensions."""
+
     def sample_obj(rng):
         return int(rng.integers(1, max_dim + 1))
 
     def sample_mor(rng, dom):
-        d = dom if dom is not None else sample_obj(rng)
-        return qu.haar_unitary(d, rng)
+        return sample_mat(rng, dom if dom is not None else sample_obj(rng))
+
+    def eq(m, n):
+        return m.mat.shape == n.mat.shape and bool(np.max(np.abs(m.mat - n.mat)) <= qu.ATOL)
 
     return CategoryInstance(
-        name="unitary",
+        name=name,
         sample_obj=sample_obj,
         sample_mor=sample_mor,
-        dom=lambda u: u.dim,
-        cod=lambda u: u.dim,
-        compose=lambda g, f: qu.Unitary(g.mat @ f.mat),
-        identity=lambda d: qu.Unitary(np.eye(d, dtype=complex)),
-        eq=lambda u, v: u.dim == v.dim and np.allclose(u.mat, v.mat, atol=qu.ATOL),
-        restrict=lambda u: qu.Unitary(np.eye(u.dim, dtype=complex)),
-        dagger=lambda u: qu.Unitary(u.mat.conj().T),
-        tensor_mor=lambda u, v: qu.Unitary(np.kron(u.mat, v.mat)),
+        dom=lambda m: m.mat.shape[1],
+        cod=lambda m: m.mat.shape[0],
+        compose=lambda g, f: wrap(g.mat @ f.mat),
+        identity=lambda d: wrap(np.eye(d, dtype=complex)),
+        eq=eq,
+        restrict=lambda m: wrap(np.eye(m.mat.shape[1], dtype=complex)),
+        dagger=(lambda m: wrap(m.mat.conj().T)) if dagger else None,
+        tensor_mor=lambda m, n: wrap(np.kron(m.mat, n.mat)),
         unit=1,
-        describe=lambda u: qu.matrix_to_json(u.mat),
+        describe=lambda m: qu.matrix_to_json(m.mat),
+    )
+
+
+def make_unitary_instance(max_dim: int = 3) -> CategoryInstance:
+    return _matrix_instance(
+        "unitary", qu.Unitary, lambda rng, d: qu.haar_unitary(d, rng), max_dim, dagger=True
     )
 
 
 def make_isometry_instance(max_dim: int = 3) -> CategoryInstance:
-    def sample_obj(rng):
-        return int(rng.integers(1, max_dim + 1))
+    def sample_mat(rng, c):
+        return qu.haar_isometry(c * int(rng.integers(1, 3)), c, rng)
 
-    def sample_mor(rng, dom):
-        c = dom if dom is not None else sample_obj(rng)
-        r = c * int(rng.integers(1, 3))
-        return qu.haar_isometry(r, c, rng)
-
-    return CategoryInstance(
-        name="isometry",
-        sample_obj=sample_obj,
-        sample_mor=sample_mor,
-        dom=lambda v: v.cols,
-        cod=lambda v: v.rows,
-        compose=lambda g, f: qu.Isometry(g.mat @ f.mat),
-        identity=lambda d: qu.Isometry(np.eye(d, dtype=complex)),
-        eq=lambda v, w: v.mat.shape == w.mat.shape
-        and np.allclose(v.mat, w.mat, atol=qu.ATOL),
-        restrict=lambda v: qu.Isometry(np.eye(v.cols, dtype=complex)),
-        tensor_mor=lambda v, w: qu.Isometry(np.kron(v.mat, w.mat)),
-        unit=1,
-        describe=lambda v: qu.matrix_to_json(v.mat),
-    )
+    return _matrix_instance("isometry", qu.Isometry, sample_mat, max_dim, dagger=False)
 
 
 def make_cptp_instance(max_dim: int = 3) -> CategoryInstance:

@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .classical import json_int
+
 ATOL = 1e-9
 ROUND_ATOL = 1e-8
 RANK_CUTOFF = 1e-10
@@ -65,7 +67,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(data: dict) -> np.ndarray:
-    r, c = int(data["rows"]), int(data["cols"])
+    r, c = json_int(data["rows"], "rows"), json_int(data["cols"], "cols")
     if r < 0 or c < 0:
         raise ValueError(f"rows and cols must be nonnegative, got rows={r}, cols={c}")
     flat = np.array([complex(re, im) for re, im in data["entries"]], dtype=complex)
@@ -161,7 +163,8 @@ class Channel:
 
     @classmethod
     def from_json(cls, data: dict) -> "Channel":
-        return cls(int(data["din"]), int(data["dout"]), matrix_from_json(data["choi"]))
+        return cls(json_int(data["din"], "din"), json_int(data["dout"], "dout"),
+                   matrix_from_json(data["choi"]))
 
 
 # -- constructors -------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_06_extensional_quotient_equals_pfn():
                     ok = False
     for a, b in itertools.product(range(4), repeat=2):
         for m in oracles.enumerate_cores(a, b, 2):
-            if not ex.ext_equiv(ex.pfn_functor(ex.pfn_normalize(m)).rep, m):
+            if not ex.ext_equiv(ex.pfn_functor(ex.pfn_normalize(m)), m):
                 ok = False
     f1 = AuxMorphism(PINJ, PartialInj(FinObj.of_size(3), FinObj((4, 1)),
                                       tuple((x, x + 1) for x in range(3))), 4, 1)

@@ -142,10 +142,6 @@ class TestDirectSum:
 
 
 class TestCoherence:
-    def test_runit_identity(self):
-        p = cl.coherence("runit", (4,))
-        assert p.graph == tuple((i, i) for i in range(4))
-
     def test_symm_2x3(self):
         p = cl.coherence("symm", (2, 3))
         for x in range(2):
@@ -229,6 +225,14 @@ class TestJson:
     def test_non_integer_graph_entry_rejected(self, entry):
         data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": [[0, entry]]}
         with pytest.raises(ValueError, match="graph entry"):
+            PartialFn.from_json(data)
+
+    @pytest.mark.parametrize("side", ["dom", "cod"])
+    @pytest.mark.parametrize("entry", [2.5, 2.0, "2", True, None])
+    def test_non_integer_shape_entry_rejected(self, side, entry):
+        data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": []}
+        data[side]["shape"] = [entry]
+        with pytest.raises(ValueError, match=f"{side} shape entry"):
             PartialFn.from_json(data)
 
     def test_sorted_no_duplicates(self):

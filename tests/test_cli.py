@@ -180,13 +180,18 @@ class TestExitCodes:
         assert cli.run(["lawcheck", "--instance", "cptp", "--trials", trials]) == 2
         assert "--trials must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["bennett-of", "pfn-of", "dilate", "kraus",
-                                      "channel-of-unitary", "extract-unitary", "inv",
-                                      "roundtrip"])
-    def test_wrong_arity_is_2(self, tmp_path, capsys, verb):
+    @pytest.mark.parametrize("verb, count", [
+        *[pytest.param(verb, 2, id=verb)
+          for verb in ["bennett-of", "pfn-of", "dilate", "kraus", "channel-of-unitary",
+                       "extract-unitary", "inv", "roundtrip"]],
+        *[pytest.param(verb, count, id=f"{verb}-{count}")
+          for verb in ["compose", "tensor", "aux-equal", "ext-equal"] for count in (1, 3)],
+    ])
+    def test_wrong_arity_is_2(self, tmp_path, capsys, verb, count):
         c = write(tmp_path, "c.json", channel_json(qu.dephasing_channel(2)))
-        assert cli.run([verb, c, c, "--out", str(tmp_path / "o.json")]) == 2
-        assert f"{verb} takes one input" in capsys.readouterr().err
+        assert cli.run([verb, *[c] * count, "--out", str(tmp_path / "o.json")]) == 2
+        wanted = "one input" if count == 2 else "2 inputs"
+        assert f"{verb} takes {wanted}, got {count}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("din, dout", [(0, 2), (2, 0)])
     def test_zero_dimension_channel_is_2(self, tmp_path, capsys, din, dout):
@@ -208,7 +213,22 @@ class TestExitCodes:
          "bad morphism: graph entry 1.7 is not an integer"),
         ("channel-of-unitary", {"rows": -1, "cols": -1, "entries": [[1, 0]]},
          "bad matrix: rows and cols must be nonnegative"),
-    ], ids=["float-graph-entry", "negative-shape"])
+        ("channel-of-unitary", {"rows": 1.7, "cols": 1, "entries": [[1, 0]]},
+         "bad matrix: rows 1.7 is not an integer"),
+        ("dilate", {"din": 1.9, "dout": 1,
+                    "choi": {"rows": 1, "cols": 1, "entries": [[1, 0]]}},
+         "bad channel: din 1.9 is not an integer"),
+        ("bennett-of", {"dom": {"shape": [2.5]}, "cod": {"shape": [2]}, "graph": []},
+         "bad morphism: dom shape entry 2.5 is not an integer"),
+        ("pfn-of", {"base": "pinj", "garbage_shape": [1.5],
+                    "core": {"dom": {"shape": [1]}, "cod": {"shape": [1]}, "graph": []}},
+         "bad garbage-carrying morphism: garbage_shape entry 1.5 is not an integer"),
+        ("inv", {"din": True, "dout": 1,
+                 "choi": {"rows": 1, "cols": 1, "entries": [[1, 0]]}},
+         "bad channel: din True is not an integer"),
+        ("inv", 5, "bad morphism"),
+    ], ids=["float-graph-entry", "negative-shape", "float-rows", "float-din",
+            "float-shape", "float-garbage-shape", "bool-din", "number-for-inv"])
     def test_bad_json_field_is_2(self, tmp_path, capsys, verb, data, message):
         p = write(tmp_path, "in.json", data)
         assert cli.run([verb, p]) == 2

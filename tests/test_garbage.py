@@ -1,6 +1,7 @@
 """Garbage-carrying morphisms: normal forms, equivalence, and structure."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from revcat import garbage as gb
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialInj
 from revcat.garbage import ISO, PINJ, AuxMorphism
+from revcat.instances import enumerate_aux_pinj
 
 import oracles
 
@@ -301,3 +303,41 @@ class TestJson:
                 {"base": PINJ, "garbage_shape": [0],
                  "core": pinj(1, 1, []).to_json()}
             )
+
+    def test_enumerated_morphisms_roundtrip(self):
+        # Garbage size 0 included: enumerate_aux_pinj builds the empty
+        # morphisms with core codomain (B, 0).
+        for a, b in itertools.product(range(4), repeat=2):
+            for m in enumerate_aux_pinj(a, b, 2):
+                back = AuxMorphism.from_json(json.loads(json.dumps(m.to_json())))
+                assert (back.dom_size, back.cod_size, back.garbage_size) == (
+                    m.dom_size, m.cod_size, m.garbage_size)
+                assert back.core.graph == m.core.graph
+
+    def test_to_json_with_garbage(self):
+        _, f2 = successor_pair()
+        assert f2.to_json() == {
+            "base": PINJ,
+            "garbage_shape": [3],
+            "core": {"dom": {"shape": [3]}, "cod": {"shape": [12]},
+                     "graph": [[0, 3], [1, 7], [2, 11]]},
+        }
+
+    @pytest.mark.parametrize("shape", [[1.5], [2.0], ["2"], [True], [None]])
+    def test_rejects_non_integer_garbage_shape(self, shape):
+        _, f2 = successor_pair()
+        data = dict(f2.to_json(), garbage_shape=shape)
+        with pytest.raises(ValueError, match="garbage_shape entry .* is not an integer"):
+            AuxMorphism.from_json(data)
+
+    def test_rejects_negative_garbage_shape(self):
+        _, f2 = successor_pair()
+        data = dict(f2.to_json(), garbage_shape=[-1, -3])
+        with pytest.raises(ValueError, match="negative entry"):
+            AuxMorphism.from_json(data)
+
+    def test_rejects_zero_garbage_over_isometries(self):
+        data = {"base": ISO, "garbage_shape": [0],
+                "core": qu.matrix_to_json(np.eye(2, dtype=complex))}
+        with pytest.raises(ValueError, match="garbage size 0"):
+            AuxMorphism.from_json(data)

@@ -3,11 +3,13 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from revcat import classical as cl
 from revcat import instances as inst
 from revcat import lawcheck as lc
+from revcat import quantum as qu
 
 
 class TestModes:
@@ -51,6 +53,19 @@ class TestModes:
         r1 = lc.run_law(cat, lc.ALL_LAWS["restriction_iv"], trials=30, seed=9)
         r2 = lc.run_law(cat, lc.ALL_LAWS["restriction_iv"], trials=30, seed=9)
         assert r1.passed == r2.passed and r1.trials == r2.trials
+
+
+class TestMatrixInstances:
+    @pytest.mark.parametrize("make, wrap", [(inst.make_unitary_instance, qu.Unitary),
+                                            (inst.make_isometry_instance, qu.Isometry)])
+    def test_eq_is_absolute_1e9(self, make, wrap):
+        # 5e-6 apart: inside numpy's default relative tolerance, outside 1e-9.
+        cat = make()
+        ident = wrap(np.eye(2, dtype=complex))
+        assert cat.eq(ident, wrap(np.eye(2, dtype=complex)))
+        assert not cat.eq(ident, wrap(np.diag([1, np.exp(5e-6j)])))
+        assert cat.eq(ident, wrap(np.diag([1, np.exp(5e-10j)])))
+        assert not cat.eq(ident, wrap(np.eye(3, dtype=complex)))
 
 
 class TestConfiguration:

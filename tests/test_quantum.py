@@ -82,6 +82,21 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match="rows and cols must be nonnegative"):
             qu.matrix_from_json(data)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [1.7, 1.0, "1", True, None])
+    def test_non_integer_matrix_shape_rejected(self, field, value):
+        data = {"rows": 1, "cols": 1, "entries": [[1, 0]], field: value}
+        with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
+            qu.matrix_from_json(data)
+
+    @pytest.mark.parametrize("field", ["din", "dout"])
+    @pytest.mark.parametrize("value", [1.9, 2.0, "2", True, None])
+    def test_non_integer_channel_dimension_rejected(self, field, value):
+        data = qu.identity_channel(2).to_json()
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
+            Channel.from_json(data)
+
 
 class TestIsometryChannel:
     def test_identity_isometry_identity_channel(self):
