@@ -110,13 +110,22 @@ class PartialFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialFn":
-        graph = tuple((x, y) for x, y in data["graph"])
-        dom, cod = tuple(data["dom"]["shape"]), tuple(data["cod"]["shape"])
+        pairs = data["graph"]
+        try:
+            if not isinstance(pairs, list):
+                raise TypeError
+            graph = tuple((x, y) for x, y in pairs)
+        except (TypeError, ValueError):
+            raise ValueError("graph must be a list of [x, y] pairs") from None
+        dom, cod = data["dom"]["shape"], data["cod"]["shape"]
+        for end, shape in (("dom", dom), ("cod", cod)):
+            if not isinstance(shape, list):
+                raise ValueError(f"{end} shape {shape!r} is not a list")
         for field, values in (("graph entry", itertools.chain.from_iterable(graph)),
                               ("dom shape entry", dom), ("cod shape entry", cod)):
             for v in values:
                 json_int(v, field)
-        return cls(FinObj(dom), FinObj(cod), graph)
+        return cls(FinObj(tuple(dom)), FinObj(tuple(cod)), graph)
 
 
 class PartialInj(PartialFn):

@@ -93,12 +93,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="revcat", description=__doc__)
     parser.add_argument("verb", choices=VERBS)
     parser.add_argument("inputs", nargs="*", help="input JSON files ('-' for stdin)")
-    parser.add_argument("--instance", help="instance name for lawcheck",
-                        choices=sorted(INSTANCES))
+    parser.add_argument("--instance", help="instance name for lawcheck, or 'all'",
+                        choices=[*sorted(INSTANCES), "all"])
     parser.add_argument("--law", default="all", help="law name or 'all'")
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=qu.ROUND_ATOL)
     parser.add_argument("--anc", type=int, default=0, help="ancilla input dimension")
     parser.add_argument("--env", type=int, default=1, help="environment split of the output")
     parser.add_argument("--out", help="write the report here instead of stdout")
@@ -119,7 +118,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         "verb": args.verb,
         "inputs_digest": _digest(raws),
         "seed": args.seed,
-        "tolerances": {"structural": qu.ATOL, "roundtrip": args.tol},
+        "tolerances": {"structural": qu.ATOL, "roundtrip": qu.ROUND_ATOL},
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -131,25 +130,31 @@ def run(argv: Optional[list[str]] = None) -> int:
     return status
 
 
-def _lawcheck(args) -> tuple[dict, int]:
+def _lawcheck(args) -> tuple[dict | list, int]:
+    """One {"instance", "reports"} entry, or with --instance all a list of
+    them in instance order; there a single --law skips the instances that
+    lack its oracles."""
     if not args.instance:
         raise InputError("lawcheck requires --instance")
     if args.trials <= 0:
         raise InputError(f"--trials must be positive, got {args.trials}")
-    cat = INSTANCES[args.instance]()
-    if args.law == "all":
+    if args.law != "all" and args.law not in lc.ALL_LAWS:
+        raise InputError(f"unknown law {args.law!r}")
+    every = args.instance == "all"
+    entries = []
+    for name in sorted(INSTANCES) if every else [args.instance]:
+        cat = INSTANCES[name]()
         laws = lc.applicable_laws(cat)
-    else:
-        if args.law not in lc.ALL_LAWS:
-            raise InputError(f"unknown law {args.law!r}")
-        laws = [lc.ALL_LAWS[args.law]]
-    reports = [lc.run_law(cat, law, args.trials, args.seed) for law in laws]
-    ok = all(r.passed for r in reports)
-    return (
-        {"instance": args.instance,
-         "reports": [r.to_json(cat.describe) for r in reports]},
-        0 if ok else 1,
-    )
+        if args.law != "all":
+            law = lc.ALL_LAWS[args.law]
+            if every and law not in laws:
+                continue
+            laws = [law]
+        reports = [lc.run_law(cat, law, args.trials, args.seed) for law in laws]
+        entries.append({"instance": name,
+                        "reports": [r.to_json(cat.describe) for r in reports]})
+    ok = all(r["passed"] for e in entries for r in e["reports"])
+    return entries if every else entries[0], 0 if ok else 1
 
 
 def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
@@ -177,11 +182,21 @@ def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
     return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
 
 
+def _channel_of_unitary(args, m: np.ndarray) -> tuple[dict, int]:
+    u = Unitary(m)
+    if not 0 <= args.anc < u.dim:
+        raise InputError(f"--anc must be in 0..{u.dim - 1} for a {u.dim}-dimensional "
+                         f"unitary, got {args.anc}")
+    if args.env < 1 or u.dim % args.env:
+        raise InputError(f"--env must be a positive divisor of {u.dim}, got {args.env}")
+    return {"channel": pl.unitary_to_channel(u, args.anc, args.env).to_json()}, 0
+
+
 def _roundtrip(args, c: Channel) -> tuple[dict, int]:
     u, anc, env = pl.channel_to_unitary_presentation(c)
     back = pl.unitary_to_channel(u, anc, env)
     residual = float(np.max(np.abs(back.choi - c.choi)))
-    ok = residual <= args.tol
+    ok = residual <= qu.ROUND_ATOL
     return {"residual": residual, "pass": ok,
             "anc_dim": anc, "env_dim": env}, 0 if ok else 1
 
@@ -200,8 +215,7 @@ VERBS = {
     "dilate": ((_CHAN,), _dilate),
     "kraus": ((_CHAN,), lambda args, c: (
         {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0)),
-    "channel-of-unitary": ((_MAT,), lambda args, m: (
-        {"channel": pl.unitary_to_channel(Unitary(m), args.anc, args.env).to_json()}, 0)),
+    "channel-of-unitary": ((_MAT,), _channel_of_unitary),
     "extract-unitary": ((_CHAN,), lambda args, c: (
         {"unitary": qu.matrix_to_json(qu.extract_unitary(c).mat)}, 0)),
     "inv": ((_CHAN_OR_MOR,), _inv),

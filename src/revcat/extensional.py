@@ -59,11 +59,12 @@ def tomographic_family(d: int) -> list[np.ndarray]:
     return states
 
 
-def channels_agree_on_family(a: qu.Channel, b: qu.Channel, atol: float = qu.ROUND_ATOL) -> bool:
+def channels_agree_on_family(a: qu.Channel, b: qu.Channel) -> bool:
+    """Equal dimensions and outputs within ROUND_ATOL on every family member."""
     if a.din != b.din or a.dout != b.dout:
         return False
     return all(
-        np.max(np.abs(a.apply(s) - b.apply(s))) <= atol
+        np.max(np.abs(a.apply(s) - b.apply(s))) <= qu.ROUND_ATOL
         for s in tomographic_family(a.din)
     )
 
@@ -99,14 +100,15 @@ def wellpointed_check_cptp(d: int, trials: int, seed: int = 0) -> LawReport:
     return LawReport("cptp_wellpointed", trials, True)
 
 
-def ext_congruence_check(trials: int, seed: int = 0, max_size: int = 4) -> LawReport:
+def ext_congruence_check(trials: int, seed: int = 0) -> LawReport:
     """Composition, tensor, and restriction respect the point-agreement
-    quotient, on random data in both shipped bases."""
+    quotient, on random data in both shipped bases (pinj objects of size
+    1..4)."""
     if trials <= 0:
         raise ConfigurationError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng(seed)
     for t in range(trials):
-        if not _pinj_congruence_trial(rng, max_size):
+        if not _pinj_congruence_trial(rng):
             return LawReport("ext_congruence", trials, False,
                              detail=f"pinj congruence failed at trial {t}")
         if not _iso_congruence_trial(rng):
@@ -124,10 +126,8 @@ def _random_pfn(rng: np.random.Generator, a: int, b: int) -> PartialFn:
     return PartialFn(FinObj.of_size(a), FinObj.of_size(b), graph)
 
 
-def _pinj_congruence_trial(rng: np.random.Generator, max_size: int) -> bool:
-    a = int(rng.integers(1, max_size + 1))
-    b = int(rng.integers(1, max_size + 1))
-    c = int(rng.integers(1, max_size + 1))
+def _pinj_congruence_trial(rng: np.random.Generator) -> bool:
+    a, b, c = (int(rng.integers(1, 5)) for _ in range(3))
     f = _random_pfn(rng, a, b)
     # Two representatives of the same class: minimal garbage and full-copy garbage.
     rep1 = AuxMorphism(PINJ, _distinct_garbage_core(f), f.cod.size, f.dom.size + 1)

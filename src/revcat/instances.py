@@ -53,7 +53,6 @@ def make_pfn_instance(max_size: int = 4, injective: bool = False) -> CategoryIns
 
     return CategoryInstance(
         name="pinj" if injective else "pfn",
-        sample_obj=sample_obj,
         sample_mor=sample_mor,
         dom=lambda f: f.dom,
         cod=lambda f: f.cod,
@@ -90,7 +89,6 @@ def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> Cate
 
     return CategoryInstance(
         name=name,
-        sample_obj=sample_obj,
         sample_mor=sample_mor,
         dom=lambda m: m.mat.shape[1],
         cod=lambda m: m.mat.shape[0],
@@ -129,7 +127,6 @@ def make_cptp_instance(max_dim: int = 3) -> CategoryInstance:
 
     return CategoryInstance(
         name="cptp",
-        sample_obj=sample_obj,
         sample_mor=sample_mor,
         dom=lambda c: c.din,
         cod=lambda c: c.dout,
@@ -184,7 +181,6 @@ def make_aux_pinj_instance(
 
     return CategoryInstance(
         name="ext_aux_pinj" if extensional else "aux_pinj",
-        sample_obj=sample_obj,
         sample_mor=sample_mor,
         dom=lambda f: f.dom_size,
         cod=lambda f: f.cod_size,

@@ -6,7 +6,8 @@ optionally restriction, dagger, tensor) plus samplers and, where feasible,
 enumerators.  Laws are registered declaratively as (name, sampling pattern,
 equation); the engine enumerates exhaustively when the search space is small
 enough and otherwise draws seeded random samples, and returns the first
-counterexample found.
+counterexample found.  An equation is a plain predicate
+check(cat, *morphisms) -> bool on the pattern's morphisms.
 
 Everything here is pure over immutable instance descriptions; trials share no
 mutable state.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -34,12 +36,12 @@ class CategoryInstance:
     """Oracle description of a concrete category.
 
     sample_mor(rng, dom) draws a morphism, from the given object when dom is
-    not None.  enumerate_mors(a, b), when present, yields the whole hom-set
-    and enables exhaustive checking.
+    not None and from an object of the sampler's choosing otherwise.
+    enumerate_mors(a, b), when present, yields the whole hom-set and enables
+    exhaustive checking.
     """
 
     name: str
-    sample_obj: Callable[[np.random.Generator], Any]
     sample_mor: Callable[[np.random.Generator, Any], Any]
     dom: Callable[[Any], Any]
     cod: Callable[[Any], Any]
@@ -84,11 +86,11 @@ class LawReport:
 @dataclass(frozen=True)
 class Law:
     """A checkable equation: a sampling pattern (a key of PATTERNS) plus a
-    predicate on the pattern's morphisms."""
+    predicate check(cat, *morphisms) on the pattern's morphisms."""
 
     name: str
     pattern: str
-    check: Callable[[CategoryInstance], Callable[..., bool]]
+    check: Callable[..., bool]
     needs: frozenset = frozenset()
 
 
@@ -153,19 +155,12 @@ def _enumerate_tuples(
     return count, stream
 
 
-def run_law(
-    cat: CategoryInstance,
-    law: Law,
-    trials: int = 1000,
-    seed: int = 0,
-    exhaustive: Optional[bool] = None,
-) -> LawReport:
-    """Check one law, exhaustively when the tuple space is small enough."""
+def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) -> LawReport:
+    """Check one law: exhaustively when the instance enumerates and the tuple
+    count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples."""
     _require(cat, law.needs)
-    predicate = law.check(cat)
-    space = _enumerate_tuples(cat, law.pattern) if exhaustive in (None, True) else None
-    if exhaustive is True and space is None:
-        raise ConfigurationError(f"instance {cat.name!r} cannot be enumerated")
+    predicate = partial(law.check, cat)
+    space = _enumerate_tuples(cat, law.pattern)
     if space is not None:
         count, tuples = space
         for t in tuples:
@@ -187,141 +182,114 @@ def run_law(
 
 
 # -- law registry -------------------------------------------------------------
+# Each predicate takes the instance and the pattern's morphisms, in slot order.
 
-def _restriction_i(cat: CategoryInstance):
-    return lambda f: cat.eq(cat.compose(f, cat.restrict(f)), f)
-
-
-def _restriction_ii(cat: CategoryInstance):
-    def check(f, g):
-        rf, rg = cat.restrict(f), cat.restrict(g)
-        return cat.eq(cat.compose(rf, rg), cat.compose(rg, rf))
-    return check
+def _restriction_i(cat, f):
+    return cat.eq(cat.compose(f, cat.restrict(f)), f)
 
 
-def _restriction_iii(cat: CategoryInstance):
-    def check(f, g):
-        rf, rg = cat.restrict(f), cat.restrict(g)
-        return cat.eq(cat.restrict(cat.compose(g, rf)), cat.compose(rg, rf))
-    return check
+def _restriction_ii(cat, f, g):
+    rf, rg = cat.restrict(f), cat.restrict(g)
+    return cat.eq(cat.compose(rf, rg), cat.compose(rg, rf))
 
 
-def _restriction_iv(cat: CategoryInstance):
-    def check(f, g):
-        rg = cat.restrict(g)
-        lhs = cat.compose(rg, f)
-        rhs = cat.compose(f, cat.restrict(cat.compose(g, f)))
-        return cat.eq(lhs, rhs)
-    return check
+def _restriction_iii(cat, f, g):
+    rf, rg = cat.restrict(f), cat.restrict(g)
+    return cat.eq(cat.restrict(cat.compose(g, rf)), cat.compose(rg, rf))
 
 
-def _lemma_i(cat: CategoryInstance):
-    def check(f, g):
-        lhs = cat.restrict(cat.compose(g, f))
-        rhs = cat.restrict(cat.compose(cat.restrict(g), f))
-        return cat.eq(lhs, rhs)
-    return check
+def _restriction_iv(cat, f, g):
+    rg = cat.restrict(g)
+    lhs = cat.compose(rg, f)
+    rhs = cat.compose(f, cat.restrict(cat.compose(g, f)))
+    return cat.eq(lhs, rhs)
 
 
-def _lemma_ii(cat: CategoryInstance):
-    def check(f, g):
-        if not cat.eq(cat.restrict(g), cat.identity(cat.dom(g))):
-            return True  # only constrains total g
-        return cat.eq(cat.restrict(cat.compose(g, f)), cat.restrict(f))
-    return check
+def _lemma_i(cat, f, g):
+    lhs = cat.restrict(cat.compose(g, f))
+    rhs = cat.restrict(cat.compose(cat.restrict(g), f))
+    return cat.eq(lhs, rhs)
 
 
-def _lemma_iii(cat: CategoryInstance):
-    def check(f):
-        if cat.dagger is None:
-            return True
-        fd = cat.dagger(f)
-        invertible = cat.eq(
-            cat.compose(fd, f), cat.identity(cat.dom(f))
-        ) and cat.eq(cat.compose(f, fd), cat.identity(cat.cod(f)))
-        if not invertible:
-            return True
-        return cat.eq(cat.restrict(f), cat.identity(cat.dom(f)))
-    return check
+def _lemma_ii(cat, f, g):
+    if not cat.eq(cat.restrict(g), cat.identity(cat.dom(g))):
+        return True  # only constrains total g
+    return cat.eq(cat.restrict(cat.compose(g, f)), cat.restrict(f))
 
 
-def _dagger_involution(cat: CategoryInstance):
-    return lambda f: cat.eq(cat.dagger(cat.dagger(f)), f)
+def _lemma_iii(cat, f):
+    if cat.dagger is None:
+        return True
+    fd = cat.dagger(f)
+    invertible = cat.eq(
+        cat.compose(fd, f), cat.identity(cat.dom(f))
+    ) and cat.eq(cat.compose(f, fd), cat.identity(cat.cod(f)))
+    if not invertible:
+        return True
+    return cat.eq(cat.restrict(f), cat.identity(cat.dom(f)))
 
 
-def _dagger_identity(cat: CategoryInstance):
-    def check(f):
-        i = cat.identity(cat.dom(f))
-        return cat.eq(cat.dagger(i), i)
-    return check
+def _dagger_involution(cat, f):
+    return cat.eq(cat.dagger(cat.dagger(f)), f)
 
 
-def _dagger_contravariant(cat: CategoryInstance):
-    def check(f, g):
-        lhs = cat.dagger(cat.compose(g, f))
-        rhs = cat.compose(cat.dagger(f), cat.dagger(g))
-        return cat.eq(lhs, rhs)
-    return check
+def _dagger_identity(cat, f):
+    i = cat.identity(cat.dom(f))
+    return cat.eq(cat.dagger(i), i)
 
 
-def _inverse_regular(cat: CategoryInstance):
-    return lambda f: cat.eq(cat.compose(cat.compose(f, cat.dagger(f)), f), f)
+def _dagger_contravariant(cat, f, g):
+    lhs = cat.dagger(cat.compose(g, f))
+    rhs = cat.compose(cat.dagger(f), cat.dagger(g))
+    return cat.eq(lhs, rhs)
 
 
-def _inverse_idempotents_commute(cat: CategoryInstance):
-    def check(f, g):
-        ef = cat.compose(cat.dagger(f), f)
-        eg = cat.compose(cat.dagger(g), g)
-        return cat.eq(cat.compose(ef, eg), cat.compose(eg, ef))
-    return check
+def _inverse_regular(cat, f):
+    return cat.eq(cat.compose(cat.compose(f, cat.dagger(f)), f), f)
 
 
-def _monoidal_restriction(cat: CategoryInstance):
-    def check(f, g):
-        lhs = cat.restrict(cat.tensor_mor(f, g))
-        rhs = cat.tensor_mor(cat.restrict(f), cat.restrict(g))
-        return cat.eq(lhs, rhs)
-    return check
+def _inverse_idempotents_commute(cat, f, g):
+    ef = cat.compose(cat.dagger(f), f)
+    eg = cat.compose(cat.dagger(g), g)
+    return cat.eq(cat.compose(ef, eg), cat.compose(eg, ef))
 
 
-def _monoidal_bifunctor(cat: CategoryInstance):
-    def check(f, g):
-        # Interchange on two independently sampled composable chains is
-        # approximated with f;g against identities on matching objects.
-        idc = cat.identity(cat.cod(f))
-        idd = cat.identity(cat.cod(g))
-        lhs = cat.compose(cat.tensor_mor(idc, idd), cat.tensor_mor(f, g))
-        rhs = cat.tensor_mor(cat.compose(idc, f), cat.compose(idd, g))
-        return cat.eq(lhs, rhs)
-    return check
+def _monoidal_restriction(cat, f, g):
+    lhs = cat.restrict(cat.tensor_mor(f, g))
+    rhs = cat.tensor_mor(cat.restrict(f), cat.restrict(g))
+    return cat.eq(lhs, rhs)
 
 
-def _monoidal_interchange(cat: CategoryInstance):
-    def check(f, g, h):
-        # (g o f) (x) h  =  (g (x) h) o (f (x) id) for endo h; checked via the
-        # general identity (g (x) h) o (f (x) id_dom(h)) with h : C -> D.
-        lhs = cat.tensor_mor(cat.compose(g, f), h)
-        rhs = cat.compose(
-            cat.tensor_mor(g, h),
-            cat.tensor_mor(f, cat.identity(cat.dom(h))),
-        )
-        return cat.eq(lhs, rhs)
-    return check
+def _monoidal_bifunctor(cat, f, g):
+    # Interchange on two independently sampled composable chains is
+    # approximated with f;g against identities on matching objects.
+    idc = cat.identity(cat.cod(f))
+    idd = cat.identity(cat.cod(g))
+    lhs = cat.compose(cat.tensor_mor(idc, idd), cat.tensor_mor(f, g))
+    rhs = cat.tensor_mor(cat.compose(idc, f), cat.compose(idd, g))
+    return cat.eq(lhs, rhs)
 
 
-def _monoidal_unit(cat: CategoryInstance):
-    def check(f):
-        iu = cat.identity(cat.unit)
-        return cat.eq(cat.tensor_mor(f, iu), f) and cat.eq(cat.tensor_mor(iu, f), f)
-    return check
+def _monoidal_interchange(cat, f, g, h):
+    # (g o f) (x) h  =  (g (x) h) o (f (x) id) for endo h; checked via the
+    # general identity (g (x) h) o (f (x) id_dom(h)) with h : C -> D.
+    lhs = cat.tensor_mor(cat.compose(g, f), h)
+    rhs = cat.compose(
+        cat.tensor_mor(g, h),
+        cat.tensor_mor(f, cat.identity(cat.dom(h))),
+    )
+    return cat.eq(lhs, rhs)
 
 
-def _monoidal_assoc(cat: CategoryInstance):
-    def check(f, g):
-        lhs = cat.tensor_mor(cat.tensor_mor(f, g), f)
-        rhs = cat.tensor_mor(f, cat.tensor_mor(g, f))
-        return cat.eq(lhs, rhs)
-    return check
+def _monoidal_unit(cat, f):
+    iu = cat.identity(cat.unit)
+    return cat.eq(cat.tensor_mor(f, iu), f) and cat.eq(cat.tensor_mor(iu, f), f)
+
+
+def _monoidal_assoc(cat, f, g):
+    lhs = cat.tensor_mor(cat.tensor_mor(f, g), f)
+    rhs = cat.tensor_mor(f, cat.tensor_mor(g, f))
+    return cat.eq(lhs, rhs)
 
 
 RESTRICTION_LAWS = [

@@ -54,9 +54,10 @@ class UnitaryPhaseClass:
     def of(cls, u: Unitary) -> "UnitaryPhaseClass":
         return cls(Unitary(qu.phase_fix(u.mat)))
 
-    def close_to(self, other: "UnitaryPhaseClass", atol: float = qu.ROUND_ATOL) -> bool:
+    def close_to(self, other: "UnitaryPhaseClass") -> bool:
+        """Entrywise within ROUND_ATOL, representatives being phase-fixed."""
         return self.rep.dim == other.rep.dim and bool(
-            np.max(np.abs(self.rep.mat - other.rep.mat)) <= atol
+            np.max(np.abs(self.rep.mat - other.rep.mat)) <= qu.ROUND_ATOL
         )
 
 

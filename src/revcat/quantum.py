@@ -187,19 +187,19 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
     return Channel(din, dout, _hermitian_part(v @ _dag(v)))
 
 
-def kraus_of_choi(c: Channel, cutoff: float = RANK_CUTOFF) -> list[np.ndarray]:
-    """Kraus operators from the eigenpairs of the Choi matrix."""
+def kraus_of_choi(c: Channel) -> list[np.ndarray]:
+    """Kraus operators from the eigenpairs of the Choi matrix above RANK_CUTOFF."""
     w, vecs = np.linalg.eigh(c.choi)
     ks = []
     for i in range(len(w) - 1, -1, -1):  # largest eigenvalue first
-        if w[i] > cutoff:
+        if w[i] > RANK_CUTOFF:
             v = vecs[:, i] * np.sqrt(w[i])
             ks.append(v.reshape(c.din, c.dout).T)
     return ks
 
 
-def choi_rank(c: Channel, cutoff: float = RANK_CUTOFF) -> int:
-    return int(np.sum(np.linalg.eigvalsh(c.choi) > cutoff))
+def choi_rank(c: Channel) -> int:
+    return int(np.sum(np.linalg.eigvalsh(c.choi) > RANK_CUTOFF))
 
 
 def channel_of_isometry(v: Isometry, env_dim: int) -> Channel:
@@ -224,11 +224,12 @@ def minimal_stinespring(c: Channel) -> tuple[Isometry, int]:
     return Isometry(v), r
 
 
-def is_pure_choi(c: Channel, tol: float = ROUND_ATOL) -> bool:
-    """True iff the normalized Choi matrix is a rank-one projector."""
+def is_pure_choi(c: Channel) -> bool:
+    """True iff the normalized Choi matrix is a rank-one projector, within
+    ROUND_ATOL on the purity."""
     tr = np.trace(c.choi).real
     purity = np.trace(c.choi @ c.choi).real / tr**2
-    return purity >= 1 - tol
+    return purity >= 1 - ROUND_ATOL
 
 
 def phase_fix(m: np.ndarray) -> np.ndarray:

@@ -235,6 +235,19 @@ class TestJson:
         with pytest.raises(ValueError, match=f"{side} shape entry"):
             PartialFn.from_json(data)
 
+    @pytest.mark.parametrize("graph", [[[0, 1, 1]], [[0]], [7], {"0": 1}, "ab"])
+    def test_malformed_graph_rejected(self, graph):
+        data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": graph}
+        with pytest.raises(ValueError, match=r"graph must be a list of \[x, y\] pairs"):
+            PartialFn.from_json(data)
+
+    @pytest.mark.parametrize("side", ["dom", "cod"])
+    def test_non_list_shape_rejected(self, side):
+        data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": []}
+        data[side]["shape"] = 2
+        with pytest.raises(ValueError, match=f"{side} shape 2 is not a list"):
+            PartialFn.from_json(data)
+
     def test_sorted_no_duplicates(self):
         f = PartialFn(FinObj.of_size(3), FinObj.of_size(3), ((2, 0), (0, 1)))
         assert f.to_json()["graph"] == [[0, 1], [2, 0]]

@@ -1,11 +1,12 @@
 """Command-line interface: every verb, exit codes, and byte-level determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from revcat import cli, quantum as qu
+from revcat import classical as cl, cli, instances as inst, pipeline as pl, quantum as qu
 from revcat.classical import FinObj, PartialFn, PartialInj
 from revcat.garbage import PINJ, AuxMorphism
 
@@ -137,6 +138,26 @@ class TestVerbs:
         assert code == 0
         assert all(r["passed"] for r in rep["result"]["reports"])
 
+    def test_lawcheck_all_instances(self, tmp_path):
+        argv = ["lawcheck", "--law", "restriction_i", "--trials", "10"]
+        code, rep = run_to(tmp_path, argv + ["--instance", "all"])
+        assert code == 0
+        singles = [run_to(tmp_path, argv + ["--instance", name])[1]["result"]
+                   for name in sorted(inst.INSTANCES)]
+        assert len(singles) == 9 and rep["result"] == singles
+
+    def test_lawcheck_all_fails_on_broken_instance(self, tmp_path, monkeypatch):
+        broken = lambda: dataclasses.replace(
+            inst.make_pfn_instance(2), restrict=lambda f: cl.empty_map(f.dom, f.dom))
+        monkeypatch.setitem(inst.INSTANCES, "broken", broken)
+        code, rep = run_to(tmp_path, ["lawcheck", "--instance", "all", "--law",
+                                      "restriction_i", "--trials", "10"])
+        assert code == 1
+        assert [e["instance"] for e in rep["result"]] == sorted(inst.INSTANCES)
+        failed = [e["instance"] for e in rep["result"]
+                  if not all(r["passed"] for r in e["reports"])]
+        assert failed == ["broken"]
+
     def test_lawcheck_single_law(self, tmp_path):
         code, rep = run_to(
             tmp_path,
@@ -162,11 +183,13 @@ class TestExitCodes:
         g = write(tmp_path, "g.json", pfn_json(3, 3, []))
         assert cli.run(["compose", f, g, "--out", str(tmp_path / "o.json")]) == 2
 
-    def test_failed_roundtrip_is_1(self, tmp_path):
+    def test_failed_roundtrip_is_1(self, tmp_path, monkeypatch):
+        # A rebuild that returns another valid channel must fail the round trip.
         c = qu.random_channel(2, 2, 2, np.random.default_rng(4))
         p = write(tmp_path, "c.json", channel_json(c))
-        code = cli.run(["roundtrip", p, "--tol", "1e-30",
-                        "--out", str(tmp_path / "o.json")])
+        monkeypatch.setattr(pl, "unitary_to_channel",
+                            lambda u, anc, env: qu.identity_channel(c.din))
+        code = cli.run(["roundtrip", p, "--out", str(tmp_path / "o.json")])
         assert code == 1
 
     def test_lawcheck_without_instance_is_2(self):
@@ -227,11 +250,31 @@ class TestExitCodes:
                  "choi": {"rows": 1, "cols": 1, "entries": [[1, 0]]}},
          "bad channel: din True is not an integer"),
         ("inv", 5, "bad morphism"),
+        *[("bennett-of", {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": graph},
+           "bad morphism: graph must be a list of [x, y] pairs")
+          for graph in ([[0, 1, 1]], [[0]], [7], {"0": 1}, "ab")],
+        ("bennett-of", {"dom": {"shape": 2}, "cod": {"shape": [2]}, "graph": []},
+         "bad morphism: dom shape 2 is not a list"),
+        ("bennett-of", {"dom": {"shape": [2]}, "cod": {"shape": 2}, "graph": []},
+         "bad morphism: cod shape 2 is not a list"),
     ], ids=["float-graph-entry", "negative-shape", "float-rows", "float-din",
-            "float-shape", "float-garbage-shape", "bool-din", "number-for-inv"])
+            "float-shape", "float-garbage-shape", "bool-din", "number-for-inv",
+            "graph-triple", "graph-single", "graph-number", "graph-object", "graph-string",
+            "dom-shape-number", "cod-shape-number"])
     def test_bad_json_field_is_2(self, tmp_path, capsys, verb, data, message):
         p = write(tmp_path, "in.json", data)
         assert cli.run([verb, p]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--env", "0", "--env must be a positive divisor of 2, got 0"),
+        ("--env", "-2", "--env must be a positive divisor of 2, got -2"),
+        ("--anc", "-1", "--anc must be in 0..1 for a 2-dimensional unitary, got -1"),
+        ("--anc", "2", "--anc must be in 0..1 for a 2-dimensional unitary, got 2"),
+    ], ids=["env-0", "env-negative", "anc-negative", "anc-whole-dimension"])
+    def test_bad_pipeline_flag_is_2(self, tmp_path, capsys, flag, value, message):
+        p = write(tmp_path, "u.json", qu.matrix_to_json(np.eye(2, dtype=complex)))
+        assert cli.run(["channel-of-unitary", p, flag, value]) == 2
         assert message in capsys.readouterr().err
 
     def test_non_finite_matrix_is_2(self, tmp_path, capsys):

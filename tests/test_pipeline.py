@@ -117,13 +117,13 @@ class TestInvCptp:
             u = qu.haar_unitary(d, rng)
             pc = pl.inv_cptp(qu.channel_of_unitary(u))
             assert pc is not None
-            assert pc.close_to(pl.UnitaryPhaseClass.of(u), 1e-8)
+            assert pc.close_to(pl.UnitaryPhaseClass.of(u))
 
     def test_phase_irrelevant(self, rng):
         u = qu.haar_unitary(3, rng)
         c = qu.choi_of_kraus([np.exp(0.3j) * u.mat])
         pc = pl.inv_cptp(c)
-        assert pc is not None and pc.close_to(pl.UnitaryPhaseClass.of(u), 1e-8)
+        assert pc is not None and pc.close_to(pl.UnitaryPhaseClass.of(u))
 
     def test_rejects_dephasing(self):
         assert pl.inv_cptp(qu.dephasing_channel(2)) is None
@@ -152,7 +152,7 @@ class TestPipelineEndToEnd:
             u = qu.haar_unitary(3, rng)
             c = pl.unitary_to_channel(u, 0, 1)
             pc = pl.inv_cptp(c)
-            assert pc is not None and pc.close_to(pl.UnitaryPhaseClass.of(u), 1e-8)
+            assert pc is not None and pc.close_to(pl.UnitaryPhaseClass.of(u))
 
     def test_pinj_pfn_pinj(self):
         # Partial injection -> partial function -> reversible view again.
