@@ -9,13 +9,23 @@ Two monoidal structures are provided: the cartesian-style product ``tensor``
 empty set).  Associators and unitors are identity permutations under the flat
 indexing convention; the symmetry and the middle-factor interchange remain
 genuine permutations and are produced by :func:`coherence`.
+
+Every constructor validates, the results of the closed operations included:
+a graph is accepted only when each pair is in range and the graph is
+functional (and injective, for ``PartialInj``).  One pass over the sorted
+graph checks the ranges against the stored object sizes and finds a repeated
+input next to its first occurrence; injectivity is a set-size test.  Pure
+derived values are computed once: ``FinObj.size`` is stored at construction,
+and ``coherence`` is memoised on its arguments (its results are immutable).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
+from operator import itemgetter
 from typing import Iterator, Optional
 
 
@@ -24,14 +34,13 @@ class FinObj:
     """A finite set of size prod(shape), with factor structure for tensors."""
 
     shape: tuple[int, ...] = (1,)
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if any(n < 0 for n in self.shape):
-            raise ValueError(f"negative factor in shape {self.shape}")
-
-    @property
-    def size(self) -> int:
-        return prod(self.shape)
+        for n in self.shape:
+            if n < 0:
+                raise ValueError(f"negative factor in shape {self.shape}")
+        object.__setattr__(self, "size", prod(self.shape))
 
     def tensor(self, other: "FinObj") -> "FinObj":
         return FinObj(self.shape + other.shape)
@@ -48,12 +57,25 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_field(data, key: str, where: str):
+    """The value under key in the JSON object data, or a ValueError naming
+    the field (where is the name of data itself)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r} field")
+    return data[key]
+
+
 UNIT = FinObj(())  # one-element set, unit of the tensor product
 ZERO = FinObj((0,))  # empty set, unit of the disjoint sum
 
 
 class CompositionError(ValueError):
     """Raised when objects of composed or constructed morphisms do not match."""
+
+
+_output = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -65,16 +87,18 @@ class PartialFn:
     graph: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "graph", tuple(sorted(self.graph)))
-        seen = set()
-        for x, y in self.graph:
-            if not (0 <= x < self.dom.size):
-                raise ValueError(f"input {x} out of range for dom of size {self.dom.size}")
-            if not (0 <= y < self.cod.size):
-                raise ValueError(f"output {y} out of range for cod of size {self.cod.size}")
-            if x in seen:
+        graph = tuple(sorted(self.graph))
+        object.__setattr__(self, "graph", graph)
+        n, m = self.dom.size, self.cod.size
+        previous = None  # sorted, so a repeated input follows its first occurrence
+        for x, y in graph:
+            if not (0 <= x < n):
+                raise ValueError(f"input {x} out of range for dom of size {n}")
+            if not (0 <= y < m):
+                raise ValueError(f"output {y} out of range for cod of size {m}")
+            if x == previous:
                 raise ValueError(f"graph not functional: input {x} repeated")
-            seen.add(x)
+            previous = x
 
     def __call__(self, x: int) -> Optional[int]:
         for a, b in self.graph:
@@ -90,8 +114,7 @@ class PartialFn:
         return len(self.graph) == self.dom.size
 
     def is_injective(self) -> bool:
-        outs = [y for _, y in self.graph]
-        return len(outs) == len(set(outs))
+        return len(set(map(_output, self.graph))) == len(self.graph)
 
     def same_table(self, other: "PartialFn") -> bool:
         """Equality disregarding factor shapes (flat sizes and graphs match)."""
@@ -110,21 +133,22 @@ class PartialFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialFn":
-        pairs = data["graph"]
+        pairs = json_field(data, "graph", "morphism")
         try:
             if not isinstance(pairs, list):
                 raise TypeError
             graph = tuple((x, y) for x, y in pairs)
         except (TypeError, ValueError):
             raise ValueError("graph must be a list of [x, y] pairs") from None
-        dom, cod = data["dom"]["shape"], data["cod"]["shape"]
+        dom, cod = (json_field(json_field(data, end, "morphism"), "shape", end)
+                    for end in ("dom", "cod"))
         for end, shape in (("dom", dom), ("cod", cod)):
             if not isinstance(shape, list):
                 raise ValueError(f"{end} shape {shape!r} is not a list")
-        for field, values in (("graph entry", itertools.chain.from_iterable(graph)),
-                              ("dom shape entry", dom), ("cod shape entry", cod)):
+        for name, values in (("graph entry", itertools.chain.from_iterable(graph)),
+                             ("dom shape entry", dom), ("cod shape entry", cod)):
             for v in values:
-                json_int(v, field)
+                json_int(v, name)
         return cls(FinObj(tuple(dom)), FinObj(tuple(cod)), graph)
 
 
@@ -197,8 +221,10 @@ def direct_sum(f: PartialFn, g: PartialFn) -> PartialFn:
     return cls(dom, cod, graph)
 
 
+@functools.cache
 def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
-    """Structural permutation of flat indices for the tensor product.
+    """Structural permutation of flat indices for the tensor product,
+    memoised on (kind, shapes).
 
     Associators and unitors are identities under flat indexing, so only two
     kinds are genuine permutations:

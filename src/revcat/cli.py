@@ -2,7 +2,9 @@
 
 Every report carries the verb, a digest of the inputs, the seed and the
 tolerances in effect, so identical invocations are byte-identical.  Exit
-status: 0 on success, 1 on a law violation, 2 on malformed input.
+status: 0 on success, 1 on a law violation, 2 on malformed input, 3 on an
+internal numerical failure (numpy's LinAlgError, which is not an input error
+although it subclasses ValueError).
 
 Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
 (partial function), a garbage-carrying morphism, a channel or a matrix; inv
@@ -110,6 +112,9 @@ def run(argv: Optional[list[str]] = None) -> int:
             wanted = "one input" if len(kinds) == 1 else f"{len(kinds)} inputs"
             raise InputError(f"{args.verb} takes {wanted}, got {len(raws)}")
         result, status = action(args, *(_load(kind, *raw) for kind, raw in zip(kinds, raws)))
+    except np.linalg.LinAlgError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

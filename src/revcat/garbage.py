@@ -13,11 +13,19 @@ characterization is validated against a brute-force zigzag search in the test
 suite before anything relies on it.  For the isometry base the induced channel
 (trace out the garbage) is a complete invariant, so equivalence is Choi
 equality.
+
+The normal form and the collapsed morphism are pure, so each morphism computes
+them once, on first use, and keeps them (``AuxMorphism.normal_form`` and
+``AuxMorphism.collapsed``); ``aux_equal`` decides the equivalence from the
+normal forms, and ``aux_equiv`` adds a mediator witness to a positive decision.
+Every constructor still validates: the cached value is derived from a core
+that has passed its own checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Optional, Union
 
@@ -68,6 +76,22 @@ class AuxMorphism:
     def dom_size(self) -> int:
         return self.core.dom.size if self.base == PINJ else self.core.cols
 
+    @cached_property
+    def collapsed(self) -> Union[PartialFn, Channel]:
+        """The visible partial function, or the channel with the garbage
+        traced out; computed on first use."""
+        if self.base == PINJ:
+            return visible_fn(self)
+        return qu.channel_of_isometry(self.core, self.garbage_size)
+
+    @cached_property
+    def normal_form(self) -> Union["PInjAuxNormal", Channel]:
+        """The class invariant, computed on first use: the collapsed
+        morphism, with the garbage partition for the pinj base."""
+        if self.base == PINJ:
+            return PInjAuxNormal(self.collapsed, garbage_partition(self))
+        return self.collapsed
+
     def to_json(self) -> dict:
         if self.base == PINJ:
             core = self.core.to_json()
@@ -81,13 +105,17 @@ class AuxMorphism:
 
     @classmethod
     def from_json(cls, data: dict) -> "AuxMorphism":
-        base = data["base"]
-        shape = [cl.json_int(n, "garbage_shape entry") for n in data["garbage_shape"]]
+        where = "garbage-carrying morphism"
+        base = cl.json_field(data, "base", where)
+        shape = cl.json_field(data, "garbage_shape", where)
+        if not isinstance(shape, list):
+            raise ValueError(f"garbage_shape {shape!r} is not a list")
+        shape = [cl.json_int(n, "garbage_shape entry") for n in shape]
         if min(shape, default=0) < 0:
             raise ValueError(f"garbage_shape {shape} has a negative entry")
         e = prod(shape)
         if base == PINJ:
-            core = PartialInj.from_json(data["core"])
+            core = PartialInj.from_json(cl.json_field(data, "core", where))
             if e == 0:
                 # Only the empty morphism has garbage size 0; its core codomain
                 # has shape (B, 0), which keeps B.
@@ -100,7 +128,7 @@ class AuxMorphism:
         if base == ISO:
             if e == 0:
                 raise ValueError("garbage size 0 exists only over the pinj base")
-            core = Isometry(qu.matrix_from_json(data["core"]))
+            core = Isometry(qu.matrix_from_json(cl.json_field(data, "core", where)))
             return cls(ISO, core, core.rows // e, e)
         raise ValueError(f"unknown base {base!r}")
 
@@ -227,10 +255,8 @@ def factorize(f: AuxMorphism) -> tuple[AuxMorphism, AuxMorphism]:
 
 def collapse(f: AuxMorphism) -> Union[PartialFn, Channel]:
     """Forget the garbage: the visible partial function, or the channel that
-    traces out the environment."""
-    if f.base == PINJ:
-        return visible_fn(f)
-    return qu.channel_of_isometry(f.core, f.garbage_size)
+    traces out the environment (cached on f)."""
+    return f.collapsed
 
 
 def collapsed_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
@@ -269,9 +295,8 @@ def garbage_partition(f: AuxMorphism) -> tuple[tuple[int, ...], ...]:
 
 
 def normal_form(f: AuxMorphism) -> Union[PInjAuxNormal, Channel]:
-    if f.base == PINJ:
-        return PInjAuxNormal(visible_fn(f), garbage_partition(f))
-    return collapse(f)
+    """The class invariant of f, cached on f."""
+    return f.normal_form
 
 
 def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
@@ -287,18 +312,23 @@ def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
     )
 
 
-def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[MediatorWitness]:
-    """Decide the garbage-mediated equivalence.
-
-    Returns a witness (empty zigzag allowed only on syntactic identity) when
-    equivalent, None otherwise.  For the isometry base the decision is Choi
-    equality within 1e-9 and no witness mediator is produced.
-    """
-    if f.base == ISO:
-        return MediatorWitness(()) if collapsed_equal(f, g) else None
+def aux_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
+    """Decide the garbage-mediated equivalence: equal normal forms, or for
+    the isometry base Choi equality within 1e-9."""
     _same_endpoints(f, g)
-    if normal_form(f) != normal_form(g):
+    if f.base == ISO:
+        return normal_form(f).close_to(normal_form(g), qu.ATOL)
+    return normal_form(f) == normal_form(g)
+
+
+def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[MediatorWitness]:
+    """The equivalence of aux_equal with a witness: a one-step mediator
+    zigzag when equivalent, None otherwise.  For the isometry base no
+    mediator is produced and the zigzag is empty."""
+    if not aux_equal(f, g):
         return None
+    if f.base == ISO:
+        return MediatorWitness(())
     return MediatorWitness(((True, direct_mediator(f, g)),))
 
 

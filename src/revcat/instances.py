@@ -172,7 +172,7 @@ def make_aux_pinj_instance(
     if extensional:
         eq = lambda f, g: ex.ext_equiv(f, g)
     else:
-        eq = lambda f, g: gb.aux_equiv(f, g) is not None
+        eq = lambda f, g: gb.aux_equal(f, g)
 
     enum_objs = enum_mors = None
     if max_size <= 3:

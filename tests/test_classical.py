@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from revcat import classical as cl
+from revcat import garbage as gb
 from revcat.classical import FinObj, PartialFn, PartialInj
 
 import oracles
@@ -141,7 +142,61 @@ class TestDirectSum:
                     assert isinstance(cl.direct_sum(f, g), PartialInj)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("cls, graph, message", [
+        (PartialFn, [(2, 0)], "input 2 out of range for dom of size 2"),
+        (PartialFn, [(-1, 0)], "input -1 out of range for dom of size 2"),
+        (PartialFn, [(0, 3)], "output 3 out of range for cod of size 3"),
+        (PartialFn, [(0, -1)], "output -1 out of range for cod of size 3"),
+        (PartialFn, [(1, 0), (0, 1), (1, 2)], "graph not functional: input 1 repeated"),
+        # The first bad pair in sorted order is the one named.
+        (PartialFn, [(1, 7), (0, 5), (5, 0)], "output 5 out of range for cod of size 3"),
+        (PartialInj, [(2, 0)], "input 2 out of range for dom of size 2"),
+        (PartialInj, [(0, 3)], "output 3 out of range for cod of size 3"),
+        (PartialInj, [(1, 0), (1, 1)], "graph not functional: input 1 repeated"),
+        (PartialInj, [(0, 2), (1, 2)], "graph is not injective"),
+    ], ids=["input-high", "input-negative", "output-high", "output-negative",
+            "repeated-input", "first-bad-pair", "inj-input-high", "inj-output-high",
+            "inj-repeated-input", "inj-repeated-output"])
+    def test_malformed_graph_message(self, cls, graph, message):
+        with pytest.raises(ValueError) as exc:
+            cls(FinObj.of_size(2), FinObj.of_size(3), tuple(graph))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("injective", [False, True])
+    def test_closed_operation_results_are_validated(self, monkeypatch, injective):
+        # A compose that emits a repeated input: the result's constructor
+        # rejects it, including when compose is reached through the garbage
+        # layer, so no closed operation bypasses validation.
+        def broken_compose(g, f):
+            gm = g.mapping
+            graph = [(x, gm[y]) for x, y in f.graph if y in gm]
+            return type(f)(f.dom, g.cod, tuple(graph + graph[:1]))
+
+        monkeypatch.setattr(cl, "compose", broken_compose)
+        make = pinj if injective else pfn
+        f = make(2, 2, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="graph not functional: input 0 repeated"):
+            cl.compose(f, f)
+        with pytest.raises(ValueError, match="graph not functional: input 0 repeated"):
+            gb.aux_compose(gb.aux_id(2), gb.aux_id(2))
+
+    def test_stored_size_is_not_part_of_equality_repr_or_hash(self):
+        a = FinObj((2, 3))
+        assert a.size == 6 and FinObj.of_size(0).size == 0 and cl.UNIT.size == 1
+        assert repr(a) == "FinObj(shape=(2, 3))"
+        assert a == FinObj((2, 3)) and hash(a) == hash(FinObj((2, 3)))
+        assert a != FinObj((6,))
+
+
 class TestCoherence:
+    def test_memoised(self):
+        assert cl.coherence("symm", (2, 3)) is cl.coherence("symm", (2, 3))
+        assert cl.coherence("interchange", (1, 2, 2, 1)) is not cl.coherence(
+            "interchange", (2, 1, 1, 2))
+        with pytest.raises(ValueError, match="unknown coherence kind"):
+            cl.coherence("assoc", (1, 1, 1))
+
     def test_symm_2x3(self):
         p = cl.coherence("symm", (2, 3))
         for x in range(2):
@@ -247,6 +302,23 @@ class TestJson:
         data[side]["shape"] = 2
         with pytest.raises(ValueError, match=f"{side} shape 2 is not a list"):
             PartialFn.from_json(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "morphism must be an object, got list"),
+        (5, "morphism must be an object, got int"),
+        ({"dom": {"shape": [2]}, "cod": {"shape": [2]}}, "morphism has no 'graph' field"),
+        ({"cod": {"shape": [2]}, "graph": []}, "morphism has no 'dom' field"),
+        ({"dom": {"shape": [2]}, "graph": []}, "morphism has no 'cod' field"),
+        ({"dom": 5, "cod": {"shape": [2]}, "graph": []}, "dom must be an object, got int"),
+        ({"dom": {"shape": [2]}, "cod": [2], "graph": []}, "cod must be an object, got list"),
+        ({"dom": {}, "cod": {"shape": [2]}, "graph": []}, "dom has no 'shape' field"),
+        ({"dom": {"shape": [2]}, "cod": {"size": 2}, "graph": []}, "cod has no 'shape' field"),
+    ], ids=["list-morphism", "number-morphism", "no-graph", "no-dom", "no-cod",
+            "number-dom", "list-cod", "no-dom-shape", "no-cod-shape"])
+    def test_missing_or_non_object_field_named(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            PartialFn.from_json(data)
+        assert str(exc.value) == message
 
     def test_sorted_no_duplicates(self):
         f = PartialFn(FinObj.of_size(3), FinObj.of_size(3), ((2, 0), (0, 1)))

@@ -249,7 +249,7 @@ class TestExitCodes:
         ("inv", {"din": True, "dout": 1,
                  "choi": {"rows": 1, "cols": 1, "entries": [[1, 0]]}},
          "bad channel: din True is not an integer"),
-        ("inv", 5, "bad morphism"),
+        ("inv", 5, "bad morphism: morphism must be an object, got int"),
         *[("bennett-of", {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": graph},
            "bad morphism: graph must be a list of [x, y] pairs")
           for graph in ([[0, 1, 1]], [[0]], [7], {"0": 1}, "ab")],
@@ -257,10 +257,30 @@ class TestExitCodes:
          "bad morphism: dom shape 2 is not a list"),
         ("bennett-of", {"dom": {"shape": [2]}, "cod": {"shape": 2}, "graph": []},
          "bad morphism: cod shape 2 is not a list"),
+        ("bennett-of", [1, 2], "bad morphism: morphism must be an object, got list"),
+        ("bennett-of", {"dom": 5, "cod": {"shape": [2]}, "graph": []},
+         "bad morphism: dom must be an object, got int"),
+        ("bennett-of", {"dom": {"shape": [2]}, "cod": [2], "graph": []},
+         "bad morphism: cod must be an object, got list"),
+        ("bennett-of", {"dom": {"shape": [2]}, "cod": {"shape": [2]}},
+         "bad morphism: morphism has no 'graph' field"),
+        ("bennett-of", {"cod": {"shape": [2]}, "graph": []},
+         "bad morphism: morphism has no 'dom' field"),
+        ("bennett-of", {"dom": {"shape": [2]}, "graph": []},
+         "bad morphism: morphism has no 'cod' field"),
+        ("bennett-of", {"dom": {}, "cod": {"shape": [2]}, "graph": []},
+         "bad morphism: dom has no 'shape' field"),
+        ("pfn-of", [1, 2], "bad garbage-carrying morphism: garbage-carrying morphism "
+                           "must be an object, got list"),
+        ("pfn-of", {"base": "pinj", "garbage_shape": [1]},
+         "bad garbage-carrying morphism: garbage-carrying morphism has no 'core' field"),
+        ("pfn-of", {"base": "pinj", "garbage_shape": 1, "core": {}},
+         "bad garbage-carrying morphism: garbage_shape 1 is not a list"),
     ], ids=["float-graph-entry", "negative-shape", "float-rows", "float-din",
             "float-shape", "float-garbage-shape", "bool-din", "number-for-inv",
             "graph-triple", "graph-single", "graph-number", "graph-object", "graph-string",
-            "dom-shape-number", "cod-shape-number"])
+            "dom-shape-number", "cod-shape-number", "list-morphism", "number-dom", "list-cod", "no-graph", "no-dom", "no-cod", "no-dom-shape",
+            "list-aux", "aux-no-core", "aux-garbage-shape-number"])
     def test_bad_json_field_is_2(self, tmp_path, capsys, verb, data, message):
         p = write(tmp_path, "in.json", data)
         assert cli.run([verb, p]) == 2
@@ -276,6 +296,17 @@ class TestExitCodes:
         p = write(tmp_path, "u.json", qu.matrix_to_json(np.eye(2, dtype=complex)))
         assert cli.run(["channel-of-unitary", p, flag, value]) == 2
         assert message in capsys.readouterr().err
+
+    def test_internal_numerical_failure_is_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError, but it is no input error.
+        def failing(args, c):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setitem(cli.VERBS, "dilate", (cli.VERBS["dilate"][0], failing))
+        c = write(tmp_path, "c.json", channel_json(qu.identity_channel(2)))
+        assert cli.run(["dilate", c]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: Eigenvalues did not converge\n"
 
     def test_non_finite_matrix_is_2(self, tmp_path, capsys):
         m = qu.matrix_to_json(np.eye(2, dtype=complex))

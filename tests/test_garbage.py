@@ -126,6 +126,45 @@ class TestDecider:
         assert gb.aux_equiv(m1, m2) is None
 
 
+class TestDeciderAndCache:
+    def test_decider_agrees_with_witness_path(self):
+        for a, b in itertools.product(range(3), repeat=2):
+            ms = enumerate_aux_pinj(a, b, 2)
+            for f in ms:
+                for g in ms:
+                    assert gb.aux_equal(f, g) == (gb.aux_equiv(f, g) is not None), (f, g)
+
+    def test_cached_normal_form_matches_fresh(self):
+        for a, b in itertools.product(range(3), repeat=2):
+            for f in enumerate_aux_pinj(a, b, 2):
+                fresh = gb.PInjAuxNormal(gb.visible_fn(f), gb.garbage_partition(f))
+                assert gb.normal_form(f) == fresh
+                assert gb.normal_form(f) is gb.normal_form(f)
+                assert gb.collapse(f).same_table(gb.visible_fn(f))
+
+    def test_isometry_base(self):
+        rng = np.random.default_rng(11)
+        for d, r in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+            v = qu.haar_isometry(d * r, d, rng)
+            f = AuxMorphism(ISO, v, d, r)
+            # The same channel through a rotated environment.
+            u = np.kron(np.eye(d), qu.haar_unitary(r, rng).mat)
+            g = AuxMorphism(ISO, qu.Isometry(u @ v.mat), d, r)
+            other = AuxMorphism(ISO, qu.haar_isometry(d * r, d, rng), d, r)
+            for x, y, same in [(f, g, True), (g, f, True), (f, other, d == 1)]:
+                assert gb.aux_equal(x, y) == same
+                assert (gb.aux_equiv(x, y) is not None) == same
+            assert gb.normal_form(f) is gb.collapse(f)
+            assert gb.normal_form(f).close_to(
+                qu.channel_of_isometry(v, r), qu.ATOL)
+
+    def test_mismatches_raise_in_the_decider(self):
+        with pytest.raises(gb.EndpointMismatchError):
+            gb.aux_equal(gb.aux_id(2), gb.aux_id(3))
+        with pytest.raises(gb.BaseMismatchError):
+            gb.aux_equal(gb.aux_id(2), gb.aux_id(2, ISO))
+
+
 class TestStructure:
     def test_identity_neutral(self):
         _, f2 = successor_pair()
@@ -329,6 +368,27 @@ class TestJson:
         data = dict(f2.to_json(), garbage_shape=shape)
         with pytest.raises(ValueError, match="garbage_shape entry .* is not an integer"):
             AuxMorphism.from_json(data)
+
+    @pytest.mark.parametrize("drop, replace, message", [
+        (None, [1, 2], "garbage-carrying morphism must be an object, got list"),
+        ("base", None, "garbage-carrying morphism has no 'base' field"),
+        ("garbage_shape", None, "garbage-carrying morphism has no 'garbage_shape' field"),
+        ("core", None, "garbage-carrying morphism has no 'core' field"),
+        (None, {"garbage_shape": 3}, "garbage_shape 3 is not a list"),
+        (None, {"core": 7}, "morphism must be an object, got int"),
+    ], ids=["list", "no-base", "no-garbage-shape", "no-core", "number-shape", "number-core"])
+    def test_missing_or_non_object_field_named(self, drop, replace, message):
+        _, f2 = successor_pair()
+        data = f2.to_json()
+        if drop:
+            del data[drop]
+        if isinstance(replace, dict):
+            data.update(replace)
+        elif replace is not None:
+            data = replace
+        with pytest.raises(ValueError) as exc:
+            AuxMorphism.from_json(data)
+        assert str(exc.value) == message
 
     def test_rejects_negative_garbage_shape(self):
         _, f2 = successor_pair()
