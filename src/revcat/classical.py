@@ -16,7 +16,10 @@ functional (and injective, for ``PartialInj``).  One pass over the sorted
 graph checks the ranges against the stored object sizes and finds a repeated
 input next to its first occurrence; injectivity is a set-size test.  Pure
 derived values are computed once: ``FinObj.size`` is stored at construction,
-and ``coherence`` is memoised on its arguments (its results are immutable).
+and ``FinObj.of_size``, ``identity`` and ``coherence`` are memoised on their
+arguments (their results are immutable).  A memoised value was validated when
+it was first built.  A shape factor must be an ``int``: a cache key is found
+by equality, under which ``True``, ``1.0`` and ``1`` coincide.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class FinObj:
 
     def __post_init__(self) -> None:
         for n in self.shape:
+            if type(n) is not int:
+                raise ValueError(f"factor {n!r} in shape {self.shape} is not an integer")
             if n < 0:
                 raise ValueError(f"negative factor in shape {self.shape}")
         object.__setattr__(self, "size", prod(self.shape))
@@ -46,6 +51,7 @@ class FinObj:
         return FinObj(self.shape + other.shape)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None, typed=True)
     def of_size(n: int) -> "FinObj":
         return FinObj((n,))
 
@@ -57,12 +63,17 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_object(value, where: str) -> dict:
+    """value when it is a JSON object, or a ValueError naming it as where."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
 def json_field(data, key: str, where: str):
     """The value under key in the JSON object data, or a ValueError naming
     the field (where is the name of data itself)."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be an object, got {type(data).__name__}")
-    if key not in data:
+    if key not in json_object(data, where):
         raise ValueError(f"{where} has no {key!r} field")
     return data[key]
 
@@ -166,7 +177,9 @@ class PartialInj(PartialFn):
         return cls(f.dom, f.cod, f.graph)
 
 
+@functools.cache
 def identity(a: FinObj) -> PartialInj:
+    """The identity on a, memoised on a (shapes of equal size are distinct keys)."""
     return PartialInj(a, a, tuple((x, x) for x in range(a.size)))
 
 

@@ -14,12 +14,15 @@ suite before anything relies on it.  For the isometry base the induced channel
 (trace out the garbage) is a complete invariant, so equivalence is Choi
 equality.
 
-The normal form and the collapsed morphism are pure, so each morphism computes
-them once, on first use, and keeps them (``AuxMorphism.normal_form`` and
-``AuxMorphism.collapsed``); ``aux_equal`` decides the equivalence from the
+The normal form, the collapsed morphism and the restriction are pure, so each
+morphism computes them once, on first use, and keeps them
+(``AuxMorphism.normal_form``, ``AuxMorphism.collapsed`` and
+``AuxMorphism.restricted``); ``aux_equal`` decides the equivalence from the
 normal forms, and ``aux_equiv`` adds a mediator witness to a positive decision.
-Every constructor still validates: the cached value is derived from a core
-that has passed its own checks.
+The pinj tensor maps each pair of core pairs straight to its interchanged
+index and builds its core in one ``PartialInj``.  Every constructor still
+validates: a cached value is derived from a core that has passed its own
+checks, and each result core passes them once.
 """
 
 from __future__ import annotations
@@ -92,6 +95,14 @@ class AuxMorphism:
             return PInjAuxNormal(self.collapsed, garbage_partition(self))
         return self.collapsed
 
+    @cached_property
+    def restricted(self) -> "AuxMorphism":
+        """r(f), the partial identity where f is defined with trivial
+        garbage, computed on first use."""
+        if self.base == PINJ:
+            return embed(cl.ridm(self.core))
+        return aux_id(self.dom_size, ISO)  # isometries are total
+
     def to_json(self) -> dict:
         if self.base == PINJ:
             core = self.core.to_json()
@@ -114,8 +125,9 @@ class AuxMorphism:
         if min(shape, default=0) < 0:
             raise ValueError(f"garbage_shape {shape} has a negative entry")
         e = prod(shape)
+        core = cl.json_object(cl.json_field(data, "core", where), "core")
         if base == PINJ:
-            core = PartialInj.from_json(cl.json_field(data, "core", where))
+            core = PartialInj.from_json(core)
             if e == 0:
                 # Only the empty morphism has garbage size 0; its core codomain
                 # has shape (B, 0), which keeps B.
@@ -128,7 +140,7 @@ class AuxMorphism:
         if base == ISO:
             if e == 0:
                 raise ValueError("garbage size 0 exists only over the pinj base")
-            core = Isometry(qu.matrix_from_json(cl.json_field(data, "core", where)))
+            core = Isometry(qu.matrix_from_json(core, "core"))
             return cls(ISO, core, core.rows // e, e)
         raise ValueError(f"unknown base {base!r}")
 
@@ -223,22 +235,34 @@ def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
 
 
 def aux_ridm(f: AuxMorphism) -> AuxMorphism:
-    """The partial identity where f is defined, with trivial garbage."""
-    if f.base == PINJ:
-        return embed(cl.ridm(f.core))
-    return aux_id(f.dom_size, ISO)  # isometries are total
+    """The partial identity where f is defined, with trivial garbage (cached
+    on f)."""
+    return f.restricted
 
 
 def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
     """Tensor with garbage E (x) E'; the middle-factor interchange moves both
-    garbage factors to the right."""
+    garbage factors to the right.  For the pinj base the core is
+    theta o (f (x) g) with theta the interchange, built in one pass: theta is
+    a total permutation with a sorted graph, so its pair at index i is (i,
+    theta(i))."""
     if f.base != g.base:
         raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
     theta = cl.coherence(
         "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size)
     )
     if f.base == PINJ:
-        core = cl.compose(theta, cl.tensor_prod(f.core, g.core))
+        fc, gc, moved = f.core, g.core, theta.graph
+        n, m = gc.dom.size, gc.cod.size
+        core = PartialInj(
+            fc.dom.tensor(gc.dom),
+            theta.cod,
+            tuple(
+                (x * n + y, moved[fx * m + gy][1])
+                for x, fx in fc.graph
+                for y, gy in gc.graph
+            ),
+        )
     else:
         core = Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
     return AuxMorphism(

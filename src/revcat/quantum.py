@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classical import json_int
+from .classical import json_field, json_int
 
 ATOL = 1e-9
 ROUND_ATOL = 1e-8
@@ -66,11 +66,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(data: dict) -> np.ndarray:
-    r, c = json_int(data["rows"], "rows"), json_int(data["cols"], "cols")
+def matrix_from_json(data: dict, where: str = "matrix") -> np.ndarray:
+    """The matrix in the JSON object data; a ValueError names a bad field
+    (where is the name of data itself)."""
+    r, c = (json_int(json_field(data, key, where), key) for key in ("rows", "cols"))
     if r < 0 or c < 0:
         raise ValueError(f"rows and cols must be nonnegative, got rows={r}, cols={c}")
-    flat = np.array([complex(re, im) for re, im in data["entries"]], dtype=complex)
+    pairs = json_field(data, "entries", where)
+    try:
+        if not isinstance(pairs, list):
+            raise TypeError
+        flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError("entries must be a list of [re, im] pairs") from None
     if flat.size != r * c:
         raise ValueError(f"expected {r * c} entries, got {flat.size}")
     return flat.reshape(r, c)
@@ -163,8 +171,8 @@ class Channel:
 
     @classmethod
     def from_json(cls, data: dict) -> "Channel":
-        return cls(json_int(data["din"], "din"), json_int(data["dout"], "dout"),
-                   matrix_from_json(data["choi"]))
+        din, dout = (json_int(json_field(data, k, "channel"), k) for k in ("din", "dout"))
+        return cls(din, dout, matrix_from_json(json_field(data, "choi", "channel"), "choi"))
 
 
 # -- constructors -------------------------------------------------------------

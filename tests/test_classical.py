@@ -189,6 +189,27 @@ class TestValidation:
         assert a != FinObj((6,))
 
 
+class TestMemoised:
+    def test_identity_and_of_size_are_shared(self):
+        a = FinObj((2, 2))
+        assert cl.identity(a) is cl.identity(FinObj((2, 2)))
+        assert FinObj.of_size(3) is FinObj.of_size(3)
+
+    def test_identity_keeps_its_shape(self):
+        grid, flat = cl.identity(FinObj((2, 3))), cl.identity(FinObj((6,)))
+        assert grid.dom.shape == grid.cod.shape == (2, 3)
+        assert flat.dom.shape == flat.cod.shape == (6,)
+        assert grid.graph == flat.graph and grid != flat
+
+    @pytest.mark.parametrize("factor", [True, 2.0, "2"])
+    def test_non_integer_factor_rejected(self, factor):
+        # Cache keys compare by equality, and True == 1 == 1.0.
+        with pytest.raises(ValueError, match="is not an integer"):
+            FinObj((2, factor))
+        with pytest.raises(ValueError, match="is not an integer"):
+            FinObj.of_size(factor)
+
+
 class TestCoherence:
     def test_memoised(self):
         assert cl.coherence("symm", (2, 3)) is cl.coherence("symm", (2, 3))

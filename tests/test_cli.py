@@ -30,6 +30,10 @@ def channel_json(c):
     return c.to_json()
 
 
+MATRIX_1 = {"rows": 1, "cols": 1, "entries": [[1, 0]]}
+CHANNEL_1 = {"din": 1, "dout": 1, "choi": MATRIX_1}  # the identity on C
+
+
 def run_to(tmp_path, argv):
     out = tmp_path / "report.json"
     code = cli.run(argv + ["--out", str(out)])
@@ -276,11 +280,30 @@ class TestExitCodes:
          "bad garbage-carrying morphism: garbage-carrying morphism has no 'core' field"),
         ("pfn-of", {"base": "pinj", "garbage_shape": 1, "core": {}},
          "bad garbage-carrying morphism: garbage_shape 1 is not a list"),
+        ("pfn-of", {"base": "pinj", "garbage_shape": [1], "core": 7},
+         "bad garbage-carrying morphism: core must be an object, got int"),
+        *[("dilate", {k: v for k, v in CHANNEL_1.items() if k != drop},
+           f"bad channel: channel has no '{drop}' field") for drop in ("din", "dout", "choi")],
+        ("dilate", [1, 2], "bad channel: channel must be an object, got list"),
+        ("dilate", dict(CHANNEL_1, choi=5), "bad channel: choi must be an object, got int"),
+        *[("dilate", dict(CHANNEL_1, choi={k: v for k, v in MATRIX_1.items() if k != drop}),
+           f"bad channel: choi has no '{drop}' field") for drop in ("rows", "cols", "entries")],
+        ("dilate", dict(CHANNEL_1, choi=dict(MATRIX_1, entries=[5])),
+         "bad channel: entries must be a list of [re, im] pairs"),
+        *[("channel-of-unitary", {k: v for k, v in MATRIX_1.items() if k != drop},
+           f"bad matrix: matrix has no '{drop}' field") for drop in ("rows", "cols", "entries")],
+        ("channel-of-unitary", 5, "bad matrix: matrix must be an object, got int"),
+        ("channel-of-unitary", dict(MATRIX_1, entries=[5]),
+         "bad matrix: entries must be a list of [re, im] pairs"),
     ], ids=["float-graph-entry", "negative-shape", "float-rows", "float-din",
             "float-shape", "float-garbage-shape", "bool-din", "number-for-inv",
             "graph-triple", "graph-single", "graph-number", "graph-object", "graph-string",
             "dom-shape-number", "cod-shape-number", "list-morphism", "number-dom", "list-cod", "no-graph", "no-dom", "no-cod", "no-dom-shape",
-            "list-aux", "aux-no-core", "aux-garbage-shape-number"])
+            "list-aux", "aux-no-core", "aux-garbage-shape-number", "aux-number-core",
+            "no-din", "no-dout", "no-choi", "list-channel", "number-choi",
+            "choi-no-rows", "choi-no-cols", "choi-no-entries", "choi-number-entry",
+            "matrix-no-rows", "matrix-no-cols", "matrix-no-entries", "number-matrix",
+            "matrix-number-entry"])
     def test_bad_json_field_is_2(self, tmp_path, capsys, verb, data, message):
         p = write(tmp_path, "in.json", data)
         assert cli.run([verb, p]) == 2

@@ -164,6 +164,52 @@ class TestDeciderAndCache:
         with pytest.raises(gb.BaseMismatchError):
             gb.aux_equal(gb.aux_id(2), gb.aux_id(2, ISO))
 
+    def test_cached_restriction_matches_fresh(self):
+        for a, b in itertools.product(range(3), repeat=2):
+            for f in enumerate_aux_pinj(a, b, 2):
+                r = gb.aux_ridm(f)
+                assert r is gb.aux_ridm(f)
+                fresh = gb.embed(cl.ridm(f.core))
+                assert (r.base, r.cod_size, r.garbage_size) == (
+                    fresh.base, fresh.cod_size, fresh.garbage_size)
+                assert r.core == fresh.core
+
+    def test_cached_restriction_over_isometries_is_identity(self):
+        rng = np.random.default_rng(12)
+        for d, e in [(1, 2), (2, 2), (3, 1)]:
+            f = AuxMorphism(ISO, qu.haar_isometry(d * e, d, rng), d, e)
+            r = gb.aux_ridm(f)
+            assert r is gb.aux_ridm(f)
+            assert (r.base, r.cod_size, r.garbage_size) == (ISO, d, 1)
+            assert np.array_equal(r.core.mat, np.eye(d))
+
+
+class TestOnePassTensor:
+    def test_matches_interchange_after_tensor_prod(self):
+        # The reference route: validate f (x) g, then compose with the interchange.
+        ms = [f for a in range(3) for b in range(3) for f in enumerate_aux_pinj(a, b, 2)]
+        for f in ms:
+            for g in ms:
+                theta = cl.coherence(
+                    "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size))
+                ref = cl.compose(theta, cl.tensor_prod(f.core, g.core))
+                got = gb.aux_tensor(f, g).core
+                assert isinstance(got, PartialInj)
+                assert (got.dom.shape, got.cod.shape, got.graph) == (
+                    ref.dom.shape, ref.cod.shape, ref.graph), (f, g)
+
+    def test_result_is_validated(self, monkeypatch):
+        # An "interchange" that sends every index to 0: the one-pass core
+        # is still checked by its constructor.
+        def collapsing(kind, shapes):
+            b, e, b2, e2 = shapes
+            return cl.PartialFn(FinObj(shapes), FinObj((b, b2, e, e2)),
+                                tuple((i, 0) for i in range(b * e * b2 * e2)))
+
+        monkeypatch.setattr(cl, "coherence", collapsing)
+        with pytest.raises(ValueError, match="graph is not injective"):
+            gb.aux_tensor(gb.aux_id(2), gb.aux_id(1))
+
 
 class TestStructure:
     def test_identity_neutral(self):
@@ -375,8 +421,12 @@ class TestJson:
         ("garbage_shape", None, "garbage-carrying morphism has no 'garbage_shape' field"),
         ("core", None, "garbage-carrying morphism has no 'core' field"),
         (None, {"garbage_shape": 3}, "garbage_shape 3 is not a list"),
-        (None, {"core": 7}, "morphism must be an object, got int"),
-    ], ids=["list", "no-base", "no-garbage-shape", "no-core", "number-shape", "number-core"])
+        (None, {"core": 7}, "core must be an object, got int"),
+        (None, {"core": [1, 2]}, "core must be an object, got list"),
+        (None, {"base": ISO, "core": 7}, "core must be an object, got int"),
+        (None, {"base": ISO, "core": {"rows": 3, "cols": 3}}, "core has no 'entries' field"),
+    ], ids=["list", "no-base", "no-garbage-shape", "no-core", "number-shape", "number-core",
+            "list-core", "iso-number-core", "iso-core-no-entries"])
     def test_missing_or_non_object_field_named(self, drop, replace, message):
         _, f2 = successor_pair()
         data = f2.to_json()

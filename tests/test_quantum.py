@@ -375,3 +375,9 @@ class TestJson:
     def test_channel_roundtrip(self, rng):
         c = qu.random_channel(2, 2, 2, rng)
         assert Channel.from_json(c.to_json()).close_to(c, 0.0)
+
+    @pytest.mark.parametrize("entries", [[5], 5, [[1, 0, 0]], [["1", 0]], [[None, 0]]])
+    def test_bad_matrix_entries_named(self, entries):
+        data = {"rows": 1, "cols": 1, "entries": entries}
+        with pytest.raises(ValueError, match=r"^entries must be a list of \[re, im\] pairs$"):
+            qu.matrix_from_json(data)
