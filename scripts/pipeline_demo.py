@@ -18,7 +18,7 @@ from revcat import garbage as gb
 from revcat import pipeline as pl
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialInj
-from revcat.garbage import PINJ, AuxMorphism
+from revcat.garbage import AuxMorphism
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,11 @@ class DemoConfig:
 def classical_demo() -> None:
     print("== classical: two garbage disciplines for x -> x+1 on {0,1,2} ==")
     blank = AuxMorphism(
-        PINJ,
         PartialInj(FinObj.of_size(3), FinObj((4, 1)),
                    tuple((x, x + 1) for x in range(3))),
         4, 1,
     )
     keep_input = AuxMorphism(
-        PINJ,
         PartialInj(FinObj.of_size(3), FinObj((4, 3)),
                    tuple((x, (x + 1) * 3 + x) for x in range(3))),
         4, 3,

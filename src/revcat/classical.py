@@ -16,10 +16,11 @@ functional (and injective, for ``PartialInj``).  One pass over the sorted
 graph checks the ranges against the stored object sizes and finds a repeated
 input next to its first occurrence; injectivity is a set-size test.  Pure
 derived values are computed once: ``FinObj.size`` is stored at construction,
-and ``FinObj.of_size``, ``identity`` and ``coherence`` are memoised on their
-arguments (their results are immutable).  A memoised value was validated when
-it was first built.  A shape factor must be an ``int``: a cache key is found
-by equality, under which ``True``, ``1.0`` and ``1`` coincide.
+and ``FinObj.of_size``, ``FinObj.tensor``, ``identity`` and ``coherence`` are
+memoised on their arguments (their results are immutable).  A memoised value
+was validated when it was first built.  A shape factor must be an ``int``: a
+cache key is found by equality, under which ``True``, ``1.0`` and ``1``
+coincide.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class FinObj:
                 raise ValueError(f"negative factor in shape {self.shape}")
         object.__setattr__(self, "size", prod(self.shape))
 
+    @functools.cache
     def tensor(self, other: "FinObj") -> "FinObj":
         return FinObj(self.shape + other.shape)
 

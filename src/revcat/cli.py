@@ -165,8 +165,8 @@ def _lawcheck(args) -> tuple[dict | list, int]:
 def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
     w = gb.aux_equiv(f, g)
     res = {"equal": w is not None}
-    if w is not None and f.base == gb.PINJ:
-        res["mediator"] = [{"forward": fwd, "map": h.to_json()} for fwd, h in w.steps]
+    if w is not None and w.mediator is not None:
+        res["mediator"] = [{"forward": True, "map": w.mediator.to_json()}]
     return res, 0
 
 

@@ -4,7 +4,10 @@ A morphism A -> B here is an equivalence class of base morphisms
 f : A -> B (x) E for a garbage object E, where two such are identified when a
 zigzag of mediators h : E -> E' relates them without changing where they are
 defined.  The two shipped bases are partial injections ("pinj") and
-isometries ("isometry").
+isometries ("isometry").  A morphism's base follows from its core's type
+(``PartialInj`` or ``Isometry``; a ``Unitary`` is an ``Isometry``).  A base
+is named only where no core exists yet: in the JSON form and for the
+structural morphisms, which one builder makes from a structural permutation.
 
 For the pinj base the class has a decidable canonical form: the underlying
 partial function plus the partition of its domain by garbage equality.  Any
@@ -27,7 +30,7 @@ checks, and each result core passes them once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 from typing import Optional, Union
@@ -55,29 +58,31 @@ class EndpointMismatchError(ValueError):
 class AuxMorphism:
     """A garbage-carrying morphism: core f : A -> B (x) E in the base.
 
-    For the pinj base, core is a PartialInj with cod size b * e (flat, B
-    major).  For the isometry base, core is an Isometry with b * e rows.
-    Garbage is tracked by its size e; dom/cod report flat sizes.
+    The base follows from the core's type: a PartialInj core (cod size b * e,
+    flat, B major) is over "pinj", an Isometry core (b * e rows) is over
+    "isometry"; a Unitary is an Isometry.  Garbage is tracked by its size e;
+    dom/cod report flat sizes.
     """
 
-    base: str
     core: Union[PartialInj, Isometry]
     cod_size: int
     garbage_size: int
+    base: str = field(init=False)
+    dom_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.base == PINJ:
-            if self.core.cod.size != self.cod_size * self.garbage_size:
-                raise ValueError("core codomain does not factor as B x E")
-        elif self.base == ISO:
-            if self.core.rows != self.cod_size * self.garbage_size:
-                raise ValueError("core rows do not factor as B x E")
+        core = self.core
+        if isinstance(core, PartialInj):
+            base, dom, flat, what = PINJ, core.dom.size, core.cod.size, "core codomain does"
+        elif isinstance(core, Isometry):
+            base, dom, flat, what = ISO, core.cols, core.rows, "core rows do"
         else:
-            raise ValueError(f"unknown base {self.base!r}")
-
-    @property
-    def dom_size(self) -> int:
-        return self.core.dom.size if self.base == PINJ else self.core.cols
+            kind = type(core).__name__
+            raise ValueError(f"core must be a PartialInj or an Isometry, got {kind}")
+        if flat != self.cod_size * self.garbage_size:
+            raise ValueError(f"{what} not factor as B x E")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "dom_size", dom)
 
     @cached_property
     def collapsed(self) -> Union[PartialFn, Channel]:
@@ -104,10 +109,7 @@ class AuxMorphism:
         return aux_id(self.dom_size, ISO)  # isometries are total
 
     def to_json(self) -> dict:
-        if self.base == PINJ:
-            core = self.core.to_json()
-        else:
-            core = qu.matrix_to_json(self.core.mat)
+        core = self.core.to_json() if self.base == PINJ else qu.matrix_to_json(self.core.mat)
         return {
             "base": self.base,
             "garbage_shape": [self.garbage_size],
@@ -133,15 +135,15 @@ class AuxMorphism:
                 # has shape (B, 0), which keeps B.
                 if core.cod.shape[1:] != (0,):
                     raise ValueError("garbage size 0 needs a core codomain of shape [B, 0]")
-                return cls(PINJ, core, core.cod.shape[0], 0)
+                return cls(core, core.cod.shape[0], 0)
             if core.cod.size % e != 0:
                 raise ValueError("core codomain does not factor by the garbage size")
-            return cls(PINJ, core, core.cod.size // e, e)
+            return cls(core, core.cod.size // e, e)
         if base == ISO:
             if e == 0:
                 raise ValueError("garbage size 0 exists only over the pinj base")
             core = Isometry(qu.matrix_from_json(core, "core"))
-            return cls(ISO, core, core.rows // e, e)
+            return cls(core, core.rows // e, e)
         raise ValueError(f"unknown base {base!r}")
 
 
@@ -156,14 +158,19 @@ class PInjAuxNormal:
 
 @dataclass(frozen=True)
 class MediatorWitness:
-    """A zigzag of base mediators; direction True means left-to-right."""
+    """The one mediator h : E_f -> E_g with (id_B (x) h) o f = g, or None over
+    the isometry base, where Choi equality is the witness."""
 
-    steps: tuple[tuple[bool, PartialInj], ...]
+    mediator: Optional[PartialInj]
+
+
+def _same_base(f: AuxMorphism, g: AuxMorphism) -> None:
+    if f.base != g.base:
+        raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
 
 
 def _same_endpoints(f: AuxMorphism, g: AuxMorphism) -> None:
-    if f.base != g.base:
-        raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
+    _same_base(f, g)
     if f.dom_size != g.dom_size or f.cod_size != g.cod_size:
         raise EndpointMismatchError(
             f"endpoints differ: {f.dom_size}->{f.cod_size} vs {g.dom_size}->{g.cod_size}"
@@ -181,47 +188,44 @@ def _permute_rows(p: PartialInj, mat: np.ndarray) -> np.ndarray:
 
 def embed(f: Union[PartialInj, Isometry]) -> AuxMorphism:
     """The base morphism with trivial garbage (the embedding functor)."""
-    if isinstance(f, PartialInj):
-        return AuxMorphism(PINJ, f, f.cod.size, 1)
-    return AuxMorphism(ISO, f, f.rows, 1)
+    return AuxMorphism(f, f.cod.size if isinstance(f, PartialInj) else f.rows, 1)
+
+
+def _structural(perm: PartialInj, cod_size: int, garbage_size: int, base: str) -> AuxMorphism:
+    """The total morphism whose core is the structural permutation perm: perm
+    itself over pinj, its permutation matrix over isometries."""
+    if base == PINJ:
+        return AuxMorphism(perm, cod_size, garbage_size)
+    if base == ISO:
+        mat = _permute_rows(perm, np.eye(perm.dom.size, dtype=complex))
+        return AuxMorphism(Isometry(mat), cod_size, garbage_size)
+    raise ValueError(f"unknown base {base!r}")
 
 
 def aux_id(size: int, base: str = PINJ) -> AuxMorphism:
-    if base == PINJ:
-        return embed(cl.identity(FinObj.of_size(size)))
-    return embed(Isometry(np.eye(size, dtype=complex)))
+    return _structural(cl.identity(FinObj.of_size(size)), size, 1, base)
 
 
 def bang(size: int, base: str = PINJ) -> AuxMorphism:
     """The unique total morphism A -> I: keep everything as garbage."""
-    if base == PINJ:
-        core = cl.identity(FinObj.of_size(size))
-        return AuxMorphism(PINJ, core, 1, size)
-    return AuxMorphism(ISO, Isometry(np.eye(size, dtype=complex)), 1, size)
+    return _structural(cl.identity(FinObj.of_size(size)), 1, size, base)
 
 
 def proj1(a: int, b: int, base: str = PINJ) -> AuxMorphism:
     """Total projection A (x) B -> A with garbage B."""
-    if base == PINJ:
-        core = cl.identity(FinObj((a, b)))
-        return AuxMorphism(PINJ, core, a, b)
-    return AuxMorphism(ISO, Isometry(np.eye(a * b, dtype=complex)), a, b)
+    return _structural(cl.identity(FinObj((a, b))), a, b, base)
 
 
 def proj2(a: int, b: int, base: str = PINJ) -> AuxMorphism:
     """Total projection A (x) B -> B with garbage A."""
-    swap = cl.coherence("symm", (a, b))
-    if base == PINJ:
-        return AuxMorphism(PINJ, swap, b, a)
-    return AuxMorphism(ISO, Isometry(_permute_rows(swap, np.eye(a * b, dtype=complex))), b, a)
+    return _structural(cl.coherence("symm", (a, b)), b, a, base)
 
 
 # -- structure ----------------------------------------------------------------
 
 def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
     """Composite with garbage E' (x) E, core (g (x) id_E) o f (reassociated)."""
-    if f.base != g.base:
-        raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
+    _same_base(f, g)
     if f.cod_size != g.dom_size:
         raise EndpointMismatchError(f"cod {f.cod_size} != dom {g.dom_size}")
     if f.base == PINJ:
@@ -229,9 +233,9 @@ def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
             cl.tensor_prod(g.core, cl.identity(FinObj.of_size(f.garbage_size))),
             f.core,
         )
-        return AuxMorphism(PINJ, core, g.cod_size, g.garbage_size * f.garbage_size)
-    mat = np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat
-    return AuxMorphism(ISO, Isometry(mat), g.cod_size, g.garbage_size * f.garbage_size)
+    else:
+        core = Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)
+    return AuxMorphism(core, g.cod_size, g.garbage_size * f.garbage_size)
 
 
 def aux_ridm(f: AuxMorphism) -> AuxMorphism:
@@ -246,8 +250,7 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
     theta o (f (x) g) with theta the interchange, built in one pass: theta is
     a total permutation with a sorted graph, so its pair at index i is (i,
     theta(i))."""
-    if f.base != g.base:
-        raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
+    _same_base(f, g)
     theta = cl.coherence(
         "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size)
     )
@@ -265,9 +268,7 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
         )
     else:
         core = Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
-    return AuxMorphism(
-        f.base, core, f.cod_size * g.cod_size, f.garbage_size * g.garbage_size
-    )
+    return AuxMorphism(core, f.cod_size * g.cod_size, f.garbage_size * g.garbage_size)
 
 
 def factorize(f: AuxMorphism) -> tuple[AuxMorphism, AuxMorphism]:
@@ -339,42 +340,33 @@ def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
 def aux_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     """Decide the garbage-mediated equivalence: equal normal forms, or for
     the isometry base Choi equality within 1e-9."""
-    _same_endpoints(f, g)
     if f.base == ISO:
-        return normal_form(f).close_to(normal_form(g), qu.ATOL)
+        return collapsed_equal(f, g)
+    _same_endpoints(f, g)
     return normal_form(f) == normal_form(g)
 
 
 def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[MediatorWitness]:
-    """The equivalence of aux_equal with a witness: a one-step mediator
-    zigzag when equivalent, None otherwise.  For the isometry base no
-    mediator is produced and the zigzag is empty."""
+    """The equivalence of aux_equal with a witness: the direct mediator when
+    equivalent, None otherwise.  For the isometry base no mediator is
+    produced."""
     if not aux_equal(f, g):
         return None
-    if f.base == ISO:
-        return MediatorWitness(())
-    return MediatorWitness(((True, direct_mediator(f, g)),))
+    return MediatorWitness(direct_mediator(f, g) if f.base == PINJ else None)
 
 
 def replay_witness(f: AuxMorphism, g: AuxMorphism, w: MediatorWitness) -> bool:
-    """Check that the witness zigzag really relates f to g in the base."""
+    """Check that the witness mediator really relates f to g in the base: it
+    keeps where f is defined and carries f's core to g's."""
     if f.base != PINJ:
         return aux_equiv(f, g) is not None
-    current = f
-    for forward, h in w.steps:
-        ident = cl.identity(FinObj.of_size(current.cod_size))
-        if forward:
-            core = cl.compose(cl.tensor_prod(ident, h), current.core)
-            if cl.ridm(core).graph != cl.ridm(current.core).graph:
-                return False
-            current = AuxMorphism(PINJ, core, current.cod_size, h.cod.size)
-        else:
-            raise ValueError("replay only supports forward mediator steps")
+    h = w.mediator
+    ident = cl.identity(FinObj.of_size(f.cod_size))
+    core = cl.compose(cl.tensor_prod(ident, h), f.core)
     return (
-        current.cod_size == g.cod_size
-        and current.garbage_size == g.garbage_size
-        and current.core.graph == g.core.graph
-        and current.dom_size == g.dom_size
+        cl.ridm(core).graph == cl.ridm(f.core).graph
+        and (f.dom_size, f.cod_size, h.cod.size) == (g.dom_size, g.cod_size, g.garbage_size)
+        and core.graph == g.core.graph
     )
 
 
@@ -388,8 +380,8 @@ def points_of(size: int) -> list[AuxMorphism]:
     a = FinObj.of_size(size)
     for val in range(size):
         core = PartialInj(one, a, ((0, val),))
-        pts.append(AuxMorphism(PINJ, core, size, 1))
-    pts.append(AuxMorphism(PINJ, PartialInj(one, a, ()), size, 1))
+        pts.append(AuxMorphism(core, size, 1))
+    pts.append(AuxMorphism(PartialInj(one, a, ()), size, 1))
     return pts
 
 

@@ -14,7 +14,7 @@ from . import extensional as ex
 from . import garbage as gb
 from . import quantum as qu
 from .classical import FinObj, PartialFn, PartialInj
-from .garbage import AuxMorphism, PINJ
+from .garbage import AuxMorphism
 from .lawcheck import CategoryInstance
 
 
@@ -148,7 +148,7 @@ def enumerate_aux_pinj(a: int, b: int, max_garbage: int = 2) -> list[AuxMorphism
     for e in range(max_garbage + 1):
         cod = FinObj((b, e))
         for core in cl.all_partial_injections(dom, cod):
-            out.append(AuxMorphism(PINJ, core, b, e))
+            out.append(AuxMorphism(core, b, e))
     return out
 
 
@@ -167,7 +167,7 @@ def make_aux_pinj_instance(
         core = PartialInj(
             FinObj.of_size(a), FinObj((b, e)), _random_graph(rng, a, b * e, True)
         )
-        return AuxMorphism(PINJ, core, b, e)
+        return AuxMorphism(core, b, e)
 
     if extensional:
         eq = lambda f, g: ex.ext_equiv(f, g)
@@ -185,7 +185,7 @@ def make_aux_pinj_instance(
         dom=lambda f: f.dom_size,
         cod=lambda f: f.cod_size,
         compose=gb.aux_compose,
-        identity=lambda n: gb.aux_id(n, PINJ),
+        identity=gb.aux_id,
         eq=eq,
         restrict=gb.aux_ridm,
         tensor_mor=gb.aux_tensor,

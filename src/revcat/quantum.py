@@ -89,14 +89,15 @@ class Isometry:
     """V with V^dag V = I; rows may carry a (dout, env) factorization."""
 
     mat: np.ndarray
+    _noun, _letter = "isometry", "V"  # how the validation errors name the class
 
     def __post_init__(self) -> None:
         r, c = self.mat.shape
         if r < c:
             raise NotAnIsometryError(f"isometry needs rows >= cols, got {r}x{c}")
-        _require_finite(self.mat, "isometry matrix", NotAnIsometryError)
+        _require_finite(self.mat, f"{self._noun} matrix", NotAnIsometryError)
         if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), rtol=0, atol=ATOL):
-            raise NotAnIsometryError("V^dag V != I within 1e-9")
+            raise NotAnIsometryError(f"{self._letter}^dag {self._letter} != I within 1e-9")
 
     @property
     def rows(self) -> int:
@@ -108,16 +109,16 @@ class Isometry:
 
 
 @dataclass(frozen=True, eq=False)
-class Unitary:
-    mat: np.ndarray
+class Unitary(Isometry):
+    """A square isometry U, so U^dag U = I = U U^dag."""
+
+    _noun, _letter = "unitary", "U"
 
     def __post_init__(self) -> None:
         r, c = self.mat.shape
         if r != c:
             raise NotAnIsometryError(f"unitary must be square, got {r}x{c}")
-        _require_finite(self.mat, "unitary matrix", NotAnIsometryError)
-        if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), rtol=0, atol=ATOL):
-            raise NotAnIsometryError("U^dag U != I within 1e-9")
+        super().__post_init__()
 
     @property
     def dim(self) -> int:

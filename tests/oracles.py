@@ -12,7 +12,7 @@ import numpy as np
 
 from revcat import classical as cl
 from revcat.classical import FinObj, PartialFn
-from revcat.garbage import AuxMorphism, PINJ
+from revcat.garbage import AuxMorphism
 
 
 def relational_compose(g: PartialFn, f: PartialFn) -> set[tuple[int, int]]:
@@ -58,7 +58,7 @@ def enumerate_cores(a: int, b: int, max_garbage: int) -> list[AuxMorphism]:
     out = []
     for e in range(max_garbage + 1):
         for core in cl.all_partial_injections(FinObj.of_size(a), FinObj((b, e))):
-            out.append(AuxMorphism(PINJ, core, b, e))
+            out.append(AuxMorphism(core, b, e))
     return out
 
 
@@ -75,7 +75,7 @@ def one_step_successors(m: AuxMorphism, max_garbage: int) -> list[AuxMorphism]:
             core2 = cl.compose(cl.tensor_prod(ident, h), m.core)
             if cl.ridm(core2).graph != rid:
                 continue
-            out.append(AuxMorphism(PINJ, core2, m.cod_size, e2))
+            out.append(AuxMorphism(core2, m.cod_size, e2))
     return out
 
 

@@ -18,7 +18,7 @@ from revcat import lawcheck as lc
 from revcat import pipeline as pl
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialFn, PartialInj
-from revcat.garbage import ISO, PINJ, AuxMorphism
+from revcat.garbage import ISO, AuxMorphism
 
 import oracles
 
@@ -93,7 +93,7 @@ def test_04_factorization():
         cod = int(rng.integers(1, 4))
         e = int(rng.integers(1, 4))
         cols = int(rng.integers(1, cod * e + 1))
-        m = AuxMorphism(ISO, qu.haar_isometry(cod * e, cols, rng), cod, e)
+        m = AuxMorphism(qu.haar_isometry(cod * e, cols, rng), cod, e)
         embedded, projection = gb.factorize(m)
         back = gb.aux_compose(projection, embedded)
         if not gb.collapse(back).close_to(gb.collapse(m), 1e-8):
@@ -128,10 +128,10 @@ def test_06_extensional_quotient_equals_pfn():
         for m in oracles.enumerate_cores(a, b, 2):
             if not ex.ext_equiv(ex.pfn_functor(ex.pfn_normalize(m)), m):
                 ok = False
-    f1 = AuxMorphism(PINJ, PartialInj(FinObj.of_size(3), FinObj((4, 1)),
-                                      tuple((x, x + 1) for x in range(3))), 4, 1)
-    f2 = AuxMorphism(PINJ, PartialInj(FinObj.of_size(3), FinObj((4, 3)),
-                                      tuple((x, (x + 1) * 3 + x) for x in range(3))), 4, 3)
+    f1 = AuxMorphism(PartialInj(FinObj.of_size(3), FinObj((4, 1)),
+                                tuple((x, x + 1) for x in range(3))), 4, 1)
+    f2 = AuxMorphism(PartialInj(FinObj.of_size(3), FinObj((4, 3)),
+                                tuple((x, (x + 1) * 3 + x) for x in range(3))), 4, 3)
     ok = ok and gb.aux_equiv(f1, f2) is None and ex.ext_equiv(f1, f2)
     report(6, "extensional quotient equivalent to partial functions", ok)
 
@@ -217,10 +217,10 @@ def test_11_cli_determinism(tmp_path):
     g = write("g.json", PartialFn(FinObj.of_size(2), FinObj.of_size(2),
                                   ((1, 0),)).to_json())
     aux1 = write("a1.json", AuxMorphism(
-        PINJ, PartialInj(FinObj.of_size(2), FinObj((2, 2)), ((0, 0),)), 2, 2
+        PartialInj(FinObj.of_size(2), FinObj((2, 2)), ((0, 0),)), 2, 2
     ).to_json())
     aux2 = write("a2.json", AuxMorphism(
-        PINJ, PartialInj(FinObj.of_size(2), FinObj((2, 2)), ((0, 1),)), 2, 2
+        PartialInj(FinObj.of_size(2), FinObj((2, 2)), ((0, 1),)), 2, 2
     ).to_json())
     chan = write("c.json", qu.random_channel(2, 2, 2, rng).to_json())
     uni = write("u.json", qu.matrix_to_json(qu.haar_unitary(2, rng).mat))

@@ -195,6 +195,11 @@ class TestMemoised:
         assert cl.identity(a) is cl.identity(FinObj((2, 2)))
         assert FinObj.of_size(3) is FinObj.of_size(3)
 
+    def test_tensor_is_shared_and_keeps_the_factors(self):
+        a, b = FinObj((2, 3)), FinObj.of_size(4)
+        assert a.tensor(b) is FinObj((2, 3)).tensor(FinObj((4,)))
+        assert a.tensor(b).shape == (2, 3, 4) and b.tensor(a).shape == (4, 2, 3)
+
     def test_identity_keeps_its_shape(self):
         grid, flat = cl.identity(FinObj((2, 3))), cl.identity(FinObj((6,)))
         assert grid.dom.shape == grid.cod.shape == (2, 3)

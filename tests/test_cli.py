@@ -8,7 +8,7 @@ import pytest
 
 from revcat import classical as cl, cli, instances as inst, pipeline as pl, quantum as qu
 from revcat.classical import FinObj, PartialFn, PartialInj
-from revcat.garbage import PINJ, AuxMorphism
+from revcat.garbage import AuxMorphism
 
 
 def write(tmp_path, name, data):
@@ -23,7 +23,7 @@ def pfn_json(a, b, graph):
 
 def aux_json(a, cod, e, graph):
     core = PartialInj(FinObj.of_size(a), FinObj((cod, e)), tuple(graph))
-    return AuxMorphism(PINJ, core, cod, e).to_json()
+    return AuxMorphism(core, cod, e).to_json()
 
 
 def channel_json(c):
@@ -83,6 +83,8 @@ class TestVerbs:
         code, rep = run_to(tmp_path, ["aux-equal", m1, m2])
         assert code == 0 and rep["result"]["equal"] is True
         assert rep["result"]["mediator"][0]["forward"] is True
+        h = PartialInj(FinObj.of_size(2), FinObj.of_size(2), ((0, 1),))
+        assert rep["result"]["mediator"] == [{"forward": True, "map": h.to_json()}]
 
     def test_dilate_kraus_extract(self, tmp_path):
         c = write(tmp_path, "c.json", channel_json(qu.dephasing_channel(2)))

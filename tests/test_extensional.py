@@ -11,7 +11,7 @@ from revcat import garbage as gb
 from revcat import lawcheck as lc
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialFn
-from revcat.garbage import ISO, PINJ, AuxMorphism
+from revcat.garbage import ISO, AuxMorphism
 
 from test_garbage import pinj, successor_pair
 
@@ -46,7 +46,7 @@ class TestExtEquiv:
     def test_iso_base_is_choi_equality(self):
         rng = np.random.default_rng(2)
         v = qu.haar_isometry(4, 2, rng)
-        m = AuxMorphism(ISO, v, 2, 2)
+        m = AuxMorphism(v, 2, 2)
         assert ex.ext_equiv(m, m)
         assert not ex.ext_equiv(m, gb.aux_id(2, ISO))
 
@@ -101,7 +101,7 @@ class TestCongruence:
         import oracles
 
         ms = oracles.enumerate_cores(2, 2, 1)
-        g = AuxMorphism(PINJ, pinj(2, 4, [(0, 2), (1, 1)]), 2, 2)
+        g = AuxMorphism(pinj(2, 4, [(0, 2), (1, 1)]), 2, 2)
         for m1 in ms:
             for m2 in ms:
                 if not ex.ext_equiv(m1, m2):

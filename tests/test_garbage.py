@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from revcat import classical as cl
 from revcat import garbage as gb
 from revcat import quantum as qu
-from revcat.classical import FinObj, PartialInj
+from revcat.classical import FinObj, PartialFn, PartialInj
 from revcat.garbage import ISO, PINJ, AuxMorphism
 from revcat.instances import enumerate_aux_pinj
 
@@ -23,10 +24,8 @@ def pinj(a, b, graph):
 def successor_pair():
     """x -> x+1 on {0,1,2}, once with blank garbage and once keeping the
     input as garbage."""
-    f1 = AuxMorphism(PINJ, pinj(3, 4, [(x, x + 1) for x in range(3)]), 4, 1)
-    f2 = AuxMorphism(
-        PINJ, pinj(3, 12, [(x, (x + 1) * 3 + x) for x in range(3)]), 4, 3
-    )
+    f1 = AuxMorphism(pinj(3, 4, [(x, x + 1) for x in range(3)]), 4, 1)
+    f2 = AuxMorphism(pinj(3, 12, [(x, (x + 1) * 3 + x) for x in range(3)]), 4, 3)
     return f1, f2
 
 
@@ -46,8 +45,8 @@ class TestNormalForm:
     def test_partition_ignores_unused_garbage_values(self):
         # Two morphisms with garbage 2 whose used garbage values differ but
         # induce the same partition.
-        m1 = AuxMorphism(PINJ, pinj(2, 4, [(0, 0), (1, 2)]), 2, 2)
-        m2 = AuxMorphism(PINJ, pinj(2, 4, [(0, 1), (1, 3)]), 2, 2)
+        m1 = AuxMorphism(pinj(2, 4, [(0, 0), (1, 2)]), 2, 2)
+        m2 = AuxMorphism(pinj(2, 4, [(0, 1), (1, 3)]), 2, 2)
         assert gb.normal_form(m1) == gb.normal_form(m2)
 
     def test_invariant_under_mediator_steps(self):
@@ -67,7 +66,7 @@ class TestDecider:
         # id with blank garbage vs x -> (x, x): extensionally equal but the
         # copy leaks the input, so they are not identified here.
         i = gb.aux_id(2)
-        copy = AuxMorphism(PINJ, pinj(2, 4, [(0, 0), (1, 3)]), 2, 2)
+        copy = AuxMorphism(pinj(2, 4, [(0, 0), (1, 3)]), 2, 2)
         assert gb.aux_equiv(i, copy) is None
 
     def test_endpoint_mismatch_raises(self):
@@ -104,7 +103,7 @@ class TestDecider:
     def test_replay_rejects_wrong_witness(self):
         f1, _ = successor_pair()
         w = gb.aux_equiv(f1, f1)
-        shifted = AuxMorphism(PINJ, pinj(3, 4, [(x, x) for x in range(3)]), 4, 1)
+        shifted = AuxMorphism(pinj(3, 4, [(x, x) for x in range(3)]), 4, 1)
         assert not gb.replay_witness(f1, shifted, w)
 
     def test_iso_base_choi_equality(self):
@@ -112,18 +111,83 @@ class TestDecider:
         # environment dimension: same channel, hence identified.
         rng = np.random.default_rng(5)
         v = qu.haar_isometry(4, 2, rng)
-        m1 = AuxMorphism(ISO, v, 2, 2)
+        m1 = AuxMorphism(v, 2, 2)
         padded = np.zeros((6, 2), dtype=complex)
         padded.reshape(2, 3, 2)[:, :2, :] = v.mat.reshape(2, 2, 2)
-        m2 = AuxMorphism(ISO, qu.Isometry(padded), 2, 3)
+        m2 = AuxMorphism(qu.Isometry(padded), 2, 3)
         assert gb.aux_equiv(m1, m2) is not None
 
     def test_iso_base_distinct_channels(self):
         m1 = gb.aux_id(2, ISO)
-        m2 = AuxMorphism(
-            ISO, qu.minimal_stinespring(qu.dephasing_channel(2))[0], 2, 2
-        )
+        m2 = AuxMorphism(qu.minimal_stinespring(qu.dephasing_channel(2))[0], 2, 2)
         assert gb.aux_equiv(m1, m2) is None
+
+
+class TestBaseFromCore:
+    def test_base_follows_the_core(self):
+        assert AuxMorphism(pinj(2, 4, [(0, 1)]), 2, 2).base == PINJ
+        iso = AuxMorphism(qu.Isometry(np.eye(4, 2, dtype=complex)), 2, 2)
+        assert (iso.base, iso.dom_size) == (ISO, 2)
+
+    @pytest.mark.parametrize("core", [
+        PartialFn(FinObj.of_size(2), FinObj.of_size(2), ((0, 0), (1, 0))),
+        np.eye(2, dtype=complex),
+        "pinj",
+    ], ids=["partial-fn", "ndarray", "str"])
+    def test_non_core_rejected(self, core):
+        with pytest.raises(ValueError, match=f"got {type(core).__name__}$"):
+            AuxMorphism(core, 2, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda base: gb.aux_id(2, base),
+        lambda base: gb.bang(2, base),
+        lambda base: gb.proj1(2, 3, base),
+        lambda base: gb.proj2(2, 3, base),
+    ], ids=["aux_id", "bang", "proj1", "proj2"])
+    def test_unknown_base_name_rejected(self, build):
+        with pytest.raises(ValueError, match="unknown base 'bogus'"):
+            build("bogus")
+
+    def test_unitary_is_an_isometry_core(self):
+        u = qu.haar_unitary(3, np.random.default_rng(7))
+        c = qu.channel_of_isometry(u, 1)
+        assert c.close_to(qu.channel_of_unitary(u))
+        m = gb.embed(u)
+        assert (m.base, m.dom_size, m.cod_size, m.garbage_size) == (ISO, 3, 3, 1)
+        assert gb.collapse(m).close_to(c)
+        assert gb.aux_equal(m, gb.embed(qu.Isometry(u.mat)))
+
+    @pytest.mark.parametrize("a, b", list(itertools.product(range(4), repeat=2)))
+    def test_structural_cores(self, a, b):
+        # Over pinj the core is the identity or the symmetry
+        # x * b + y -> y * a + x; over isometries it is that permutation's
+        # matrix, exactly.
+        ident = lambda n: tuple((i, i) for i in range(n))
+        symm = tuple(sorted((x * b + y, y * a + x) for x in range(a) for y in range(b)))
+        cases = [
+            (lambda base: gb.aux_id(a, base), (a,), (a,), ident(a), a, 1),
+            (lambda base: gb.bang(a, base), (a,), (a,), ident(a), 1, a),
+            (lambda base: gb.proj1(a, b, base), (a, b), (a, b), ident(a * b), a, b),
+            (lambda base: gb.proj2(a, b, base), (a, b), (b, a), symm, b, a),
+        ]
+        for build, dom, cod, graph, cod_size, e in cases:
+            p = build(PINJ)
+            assert (p.core.dom.shape, p.core.cod.shape, p.core.graph) == (dom, cod, graph)
+            assert (p.cod_size, p.garbage_size) == (cod_size, e)
+            expected = np.zeros((prod(dom), prod(dom)), dtype=complex)
+            for x, y in graph:
+                expected[y, x] = 1
+            m = build(ISO)
+            assert m.core.mat.dtype == complex and np.array_equal(m.core.mat, expected)
+            assert (m.cod_size, m.garbage_size) == (cod_size, e)
+
+    def test_witness_is_the_direct_mediator(self):
+        m1 = AuxMorphism(pinj(2, 4, [(0, 0), (1, 2)]), 2, 2)
+        m2 = AuxMorphism(pinj(2, 4, [(0, 1), (1, 3)]), 2, 2)
+        w = gb.aux_equiv(m1, m2)
+        assert (w.mediator.dom.size, w.mediator.cod.size, w.mediator.graph) == (2, 2, ((0, 1),))
+        iso = gb.aux_id(2, ISO)
+        assert gb.aux_equiv(iso, iso) == gb.MediatorWitness(None)
 
 
 class TestDeciderAndCache:
@@ -146,11 +210,11 @@ class TestDeciderAndCache:
         rng = np.random.default_rng(11)
         for d, r in [(1, 2), (2, 2), (2, 3), (3, 2)]:
             v = qu.haar_isometry(d * r, d, rng)
-            f = AuxMorphism(ISO, v, d, r)
+            f = AuxMorphism(v, d, r)
             # The same channel through a rotated environment.
             u = np.kron(np.eye(d), qu.haar_unitary(r, rng).mat)
-            g = AuxMorphism(ISO, qu.Isometry(u @ v.mat), d, r)
-            other = AuxMorphism(ISO, qu.haar_isometry(d * r, d, rng), d, r)
+            g = AuxMorphism(qu.Isometry(u @ v.mat), d, r)
+            other = AuxMorphism(qu.haar_isometry(d * r, d, rng), d, r)
             for x, y, same in [(f, g, True), (g, f, True), (f, other, d == 1)]:
                 assert gb.aux_equal(x, y) == same
                 assert (gb.aux_equiv(x, y) is not None) == same
@@ -177,7 +241,7 @@ class TestDeciderAndCache:
     def test_cached_restriction_over_isometries_is_identity(self):
         rng = np.random.default_rng(12)
         for d, e in [(1, 2), (2, 2), (3, 1)]:
-            f = AuxMorphism(ISO, qu.haar_isometry(d * e, d, rng), d, e)
+            f = AuxMorphism(qu.haar_isometry(d * e, d, rng), d, e)
             r = gb.aux_ridm(f)
             assert r is gb.aux_ridm(f)
             assert (r.base, r.cod_size, r.garbage_size) == (ISO, d, 1)
@@ -240,7 +304,7 @@ class TestStructure:
         reps = {}
         for i, m in enumerate(morphisms):
             reps.setdefault(roots[i], []).append(m)
-        g = AuxMorphism(PINJ, pinj(2, 4, [(0, 2), (1, 1)]), 2, 2)
+        g = AuxMorphism(pinj(2, 4, [(0, 2), (1, 1)]), 2, 2)
         for group in reps.values():
             if len(group) < 2:
                 continue
@@ -278,7 +342,7 @@ class TestStructure:
         rng = np.random.default_rng(11)
         v1 = qu.haar_isometry(4, 2, rng)
         v2 = qu.haar_isometry(6, 2, rng)
-        m = gb.aux_tensor(AuxMorphism(ISO, v1, 2, 2), AuxMorphism(ISO, v2, 2, 3))
+        m = gb.aux_tensor(AuxMorphism(v1, 2, 2), AuxMorphism(v2, 2, 3))
         lhs = gb.collapse(m)
         rhs = qu.channel_tensor(
             qu.channel_of_isometry(v1, 2), qu.channel_of_isometry(v2, 3)
@@ -289,7 +353,7 @@ class TestStructure:
         rng = np.random.default_rng(12)
         v1 = qu.haar_isometry(4, 2, rng)
         v2 = qu.haar_isometry(6, 2, rng)
-        m = gb.aux_compose(AuxMorphism(ISO, v2, 2, 3), AuxMorphism(ISO, v1, 2, 2))
+        m = gb.aux_compose(AuxMorphism(v2, 2, 3), AuxMorphism(v1, 2, 2))
         lhs = gb.collapse(m)
         rhs = qu.channel_compose(
             qu.channel_of_isometry(v2, 3), qu.channel_of_isometry(v1, 2)
@@ -308,7 +372,7 @@ class TestFactorization:
         rng = np.random.default_rng(21)
         for _ in range(25):
             v = qu.haar_isometry(6, 2, rng)
-            m = AuxMorphism(ISO, v, 3, 2)
+            m = AuxMorphism(v, 3, 2)
             embedded, projection = gb.factorize(m)
             back = gb.aux_compose(projection, embedded)
             assert gb.collapse(back).close_to(gb.collapse(m), qu.ROUND_ATOL)
@@ -355,7 +419,7 @@ class TestPoints:
 
     def test_garbage_on_points_normalizes(self):
         # A point that also emits garbage denotes the same element.
-        p = AuxMorphism(PINJ, pinj(1, 6, [(0, 2 * 2 + 1)]), 3, 2)
+        p = AuxMorphism(pinj(1, 6, [(0, 2 * 2 + 1)]), 3, 2)
         assert gb.point_value(p) == 2
 
     def test_composition_with_point_evaluates(self):
@@ -377,7 +441,7 @@ class TestJson:
 
     def test_iso_roundtrip(self):
         rng = np.random.default_rng(3)
-        m = AuxMorphism(ISO, qu.haar_isometry(4, 2, rng), 2, 2)
+        m = AuxMorphism(qu.haar_isometry(4, 2, rng), 2, 2)
         back = AuxMorphism.from_json(m.to_json())
         assert np.array_equal(back.core.mat, m.core.mat)
         assert back.cod_size == 2 and back.garbage_size == 2
