@@ -15,12 +15,14 @@ a graph is accepted only when each pair is in range and the graph is
 functional (and injective, for ``PartialInj``).  One pass over the sorted
 graph checks the ranges against the stored object sizes and finds a repeated
 input next to its first occurrence; injectivity is a set-size test.  Pure
-derived values are computed once: ``FinObj.size`` is stored at construction,
-and ``FinObj.of_size``, ``FinObj.tensor``, ``identity`` and ``coherence`` are
-memoised on their arguments (their results are immutable).  A memoised value
-was validated when it was first built.  A shape factor must be an ``int``: a
-cache key is found by equality, under which ``True``, ``1.0`` and ``1``
-coincide.
+derived values are computed once: ``FinObj.size`` is stored at construction;
+``FinObj.of_size``, ``FinObj.tensor``, ``identity`` and ``coherence`` are
+memoised on their arguments (their results are immutable); and a morphism's
+``mapping`` (its graph as a dict) and ``restricted`` (r(f), which ``ridm``
+returns) are kept on the morphism by the lockless memo :class:`once`.  A
+memoised value was validated when it was first built.  A graph entry must be
+an ``int``, and so must a shape factor: a cache key is found by equality,
+under which ``True``, ``1.0`` and ``1`` coincide.
 """
 
 from __future__ import annotations
@@ -31,6 +33,26 @@ from dataclasses import dataclass, field
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Optional
+
+
+class once:
+    """A lockless memo for a pure, argument-free method: the first read
+    computes the value and stores it in the instance ``__dict__``, which later
+    reads find first, since this descriptor defines no ``__set__``.  Unlike
+    ``functools.cached_property`` it takes no lock.  The library is
+    single-threaded, and a race could only compute the same pure value twice.
+    The stored value is shared by every reader; do not mutate it."""
+
+    def __init__(self, method) -> None:
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -105,6 +127,9 @@ class PartialFn:
         n, m = self.dom.size, self.cod.size
         previous = None  # sorted, so a repeated input follows its first occurrence
         for x, y in graph:
+            if type(x) is not int or type(y) is not int:
+                bad = y if type(x) is int else x
+                raise ValueError(f"graph entry {bad!r} is not an integer")
             if not (0 <= x < n):
                 raise ValueError(f"input {x} out of range for dom of size {n}")
             if not (0 <= y < m):
@@ -119,9 +144,16 @@ class PartialFn:
                 return b
         return None
 
-    @property
+    @once
     def mapping(self) -> dict[int, int]:
+        """The graph as a dict from input to output, built once."""
         return dict(self.graph)
+
+    @once
+    def restricted(self) -> "PartialFn":
+        """r(f), the partial identity on dom(f) defined exactly where f is,
+        built once and of f's own class."""
+        return type(self)(self.dom, self.dom, tuple((x, x) for x, _ in self.graph))
 
     def is_total(self) -> bool:
         return len(self.graph) == self.dom.size
@@ -202,9 +234,8 @@ def compose(g: PartialFn, f: PartialFn) -> PartialFn:
 
 
 def ridm(f: PartialFn) -> PartialFn:
-    """The partial identity on dom(f) defined exactly where f is."""
-    cls = PartialInj if isinstance(f, PartialInj) else PartialFn
-    return cls(f.dom, f.dom, tuple((x, x) for x, _ in f.graph))
+    """The partial identity on dom(f) defined exactly where f is (kept on f)."""
+    return f.restricted
 
 
 def dagger(f: PartialInj) -> PartialInj:

@@ -18,20 +18,21 @@ suite before anything relies on it.  For the isometry base the induced channel
 equality.
 
 The normal form, the collapsed morphism and the restriction are pure, so each
-morphism computes them once, on first use, and keeps them
-(``AuxMorphism.normal_form``, ``AuxMorphism.collapsed`` and
-``AuxMorphism.restricted``); ``aux_equal`` decides the equivalence from the
-normal forms, and ``aux_equiv`` adds a mediator witness to a positive decision.
-The pinj tensor maps each pair of core pairs straight to its interchanged
-index and builds its core in one ``PartialInj``.  Every constructor still
-validates: a cached value is derived from a core that has passed its own
-checks, and each result core passes them once.
+morphism computes them once, on first use, and keeps them through the
+lockless memo ``classical.once`` (``AuxMorphism.normal_form``,
+``AuxMorphism.collapsed`` and ``AuxMorphism.restricted``); ``aux_equal``
+decides the equivalence from the normal forms, and ``aux_equiv`` adds a
+mediator witness to a positive decision.  The pinj composite and tensor each
+build their core in one pass and one ``PartialInj``: the composite sends each
+pair (x, (b, e)) of f's core through g's memoised mapping, and the tensor maps
+each pair of core pairs straight to its interchanged index.  Every
+constructor still validates: a cached value is derived from a core that has
+passed its own checks, and each result core passes them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import prod
 from typing import Optional, Union
 
@@ -79,12 +80,16 @@ class AuxMorphism:
         else:
             kind = type(core).__name__
             raise ValueError(f"core must be a PartialInj or an Isometry, got {kind}")
+        for name in ("cod_size", "garbage_size"):
+            size = getattr(self, name)
+            if type(size) is not int or size < 0:
+                raise ValueError(f"{name} {size!r} is not a nonnegative integer")
         if flat != self.cod_size * self.garbage_size:
             raise ValueError(f"{what} not factor as B x E")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dom_size", dom)
 
-    @cached_property
+    @cl.once
     def collapsed(self) -> Union[PartialFn, Channel]:
         """The visible partial function, or the channel with the garbage
         traced out; computed on first use."""
@@ -92,7 +97,7 @@ class AuxMorphism:
             return visible_fn(self)
         return qu.channel_of_isometry(self.core, self.garbage_size)
 
-    @cached_property
+    @cl.once
     def normal_form(self) -> Union["PInjAuxNormal", Channel]:
         """The class invariant, computed on first use: the collapsed
         morphism, with the garbage partition for the pinj base."""
@@ -100,7 +105,7 @@ class AuxMorphism:
             return PInjAuxNormal(self.collapsed, garbage_partition(self))
         return self.collapsed
 
-    @cached_property
+    @cl.once
     def restricted(self) -> "AuxMorphism":
         """r(f), the partial identity where f is defined with trivial
         garbage, computed on first use."""
@@ -224,14 +229,18 @@ def proj2(a: int, b: int, base: str = PINJ) -> AuxMorphism:
 # -- structure ----------------------------------------------------------------
 
 def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
-    """Composite with garbage E' (x) E, core (g (x) id_E) o f (reassociated)."""
+    """Composite with garbage E' (x) E, core (g (x) id_E) o f (reassociated).
+    For the pinj base the core is built in one pass: f's pair (x, y) with
+    y = (b, e) becomes (x, (g(b), e)) when g is defined at b."""
     _same_base(f, g)
     if f.cod_size != g.dom_size:
         raise EndpointMismatchError(f"cod {f.cod_size} != dom {g.dom_size}")
     if f.base == PINJ:
-        core = cl.compose(
-            cl.tensor_prod(g.core, cl.identity(FinObj.of_size(f.garbage_size))),
-            f.core,
+        e, gm = f.garbage_size, g.core.mapping
+        core = PartialInj(
+            f.core.dom,
+            g.core.cod.tensor(FinObj.of_size(e)),
+            tuple((x, gm[y // e] * e + y % e) for x, y in f.core.graph if y // e in gm),
         )
     else:
         core = Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)

@@ -163,11 +163,21 @@ class TestValidation:
             cls(FinObj.of_size(2), FinObj.of_size(3), tuple(graph))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("cls", [PartialFn, PartialInj])
+    @pytest.mark.parametrize("graph, bad", [
+        (((0, 1.0), (1, 2.5)), "1.0"),
+        (((0, 1), (1.0, 2)), "1.0"),
+        (((0, True),), "True"),
+    ], ids=["float-output", "float-input", "bool-output"])
+    def test_non_integer_graph_entry_rejected(self, cls, graph, bad):
+        with pytest.raises(ValueError) as exc:
+            cls(FinObj.of_size(2), FinObj.of_size(4), graph)
+        assert str(exc.value) == f"graph entry {bad} is not an integer"
+
     @pytest.mark.parametrize("injective", [False, True])
     def test_closed_operation_results_are_validated(self, monkeypatch, injective):
         # A compose that emits a repeated input: the result's constructor
-        # rejects it, including when compose is reached through the garbage
-        # layer, so no closed operation bypasses validation.
+        # rejects it, so no closed operation bypasses validation.
         def broken_compose(g, f):
             gm = g.mapping
             graph = [(x, gm[y]) for x, y in f.graph if y in gm]
@@ -178,8 +188,13 @@ class TestValidation:
         f = make(2, 2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="graph not functional: input 0 repeated"):
             cl.compose(f, f)
-        with pytest.raises(ValueError, match="graph not functional: input 0 repeated"):
-            gb.aux_compose(gb.aux_id(2), gb.aux_id(2))
+        # The garbage composite reads g's memoised mapping in its one pass; a
+        # corrupted, non-injective mapping reaches the result's constructor,
+        # which rejects it.
+        g = gb.embed(pinj(2, 2, [(0, 1), (1, 0)]))
+        g.core.mapping[1] = g.core.mapping[0]
+        with pytest.raises(ValueError, match="graph is not injective"):
+            gb.aux_compose(g, gb.aux_id(2))
 
     def test_stored_size_is_not_part_of_equality_repr_or_hash(self):
         a = FinObj((2, 3))
@@ -213,6 +228,26 @@ class TestMemoised:
             FinObj((2, factor))
         with pytest.raises(ValueError, match="is not an integer"):
             FinObj.of_size(factor)
+
+
+class TestMorphismMemo:
+    @pytest.mark.parametrize("make", [pfn, pinj])
+    def test_mapping_and_restriction_are_built_once(self, make):
+        f = make(3, 3, [(0, 2), (2, 1)])
+        assert f.mapping is f.mapping and f.mapping == {0: 2, 2: 1}
+        r = cl.ridm(f)
+        assert r is cl.ridm(f) and r is f.restricted
+        assert type(r) is type(f) and r.graph == ((0, 0), (2, 2))
+        assert (r.dom, r.cod) == (f.dom, f.dom)
+
+    def test_memo_leaves_repr_equality_and_hash_alone(self):
+        f, g = pinj(3, 3, [(0, 2), (2, 1)]), pinj(3, 3, [(0, 2), (2, 1)])
+        before = (repr(f), hash(f))
+        f.mapping
+        cl.ridm(f)
+        assert "mapping" in vars(f) and "restricted" in vars(f)
+        assert (repr(f), hash(f)) == before == (repr(g), hash(g))
+        assert f == g and g == f
 
 
 class TestCoherence:

@@ -138,6 +138,16 @@ class TestBaseFromCore:
         with pytest.raises(ValueError, match=f"got {type(core).__name__}$"):
             AuxMorphism(core, 2, 1)
 
+    @pytest.mark.parametrize("cod_size, garbage_size, message", [
+        (-2, -2, "cod_size -2 is not a nonnegative integer"),
+        (4, 1.0, "garbage_size 1.0 is not a nonnegative integer"),
+        (True, 4, "cod_size True is not a nonnegative integer"),
+    ], ids=["negative", "float", "bool"])
+    def test_bad_sizes_rejected(self, cod_size, garbage_size, message):
+        with pytest.raises(ValueError) as exc:
+            AuxMorphism(pinj(2, 4, [(0, 1)]), cod_size, garbage_size)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("build", [
         lambda base: gb.aux_id(2, base),
         lambda base: gb.bang(2, base),
@@ -273,6 +283,21 @@ class TestOnePassTensor:
         monkeypatch.setattr(cl, "coherence", collapsing)
         with pytest.raises(ValueError, match="graph is not injective"):
             gb.aux_tensor(gb.aux_id(2), gb.aux_id(1))
+
+
+class TestOnePassCompose:
+    def test_matches_compose_after_tensor_prod(self):
+        # The reference route: validate g (x) id_E, then compose with f.
+        # Every composable pair of sizes up to 2, garbage 0 included.
+        ms = {(a, b): enumerate_aux_pinj(a, b, 2) for a in range(3) for b in range(3)}
+        for a, b, c in itertools.product(range(3), repeat=3):
+            for f, g in itertools.product(ms[a, b], ms[b, c]):
+                ident = cl.identity(FinObj.of_size(f.garbage_size))
+                ref = cl.compose(cl.tensor_prod(g.core, ident), f.core)
+                got = gb.aux_compose(g, f).core
+                assert isinstance(got, PartialInj)
+                assert (got.dom.shape, got.cod.shape, got.graph) == (
+                    ref.dom.shape, ref.cod.shape, ref.graph), (f, g)
 
 
 class TestStructure:
