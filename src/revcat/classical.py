@@ -122,7 +122,12 @@ class PartialFn:
     graph: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        graph = tuple(sorted(self.graph))
+        try:
+            graph = tuple(sorted(self.graph))
+        except TypeError:  # unorderable entries: name the first one that is no int
+            for v in itertools.chain.from_iterable(self.graph):
+                json_int(v, "graph entry")
+            raise
         object.__setattr__(self, "graph", graph)
         n, m = self.dom.size, self.cod.size
         previous = None  # sorted, so a repeated input follows its first occurrence
@@ -190,10 +195,9 @@ class PartialFn:
         for end, shape in (("dom", dom), ("cod", cod)):
             if not isinstance(shape, list):
                 raise ValueError(f"{end} shape {shape!r} is not a list")
-        for name, values in (("graph entry", itertools.chain.from_iterable(graph)),
-                             ("dom shape entry", dom), ("cod shape entry", cod)):
-            for v in values:
-                json_int(v, name)
+            for n in shape:
+                json_int(n, f"{end} shape entry")
+        # The constructor names a graph entry that is no int.
         return cls(FinObj(tuple(dom)), FinObj(tuple(cod)), graph)
 
 
@@ -204,11 +208,6 @@ class PartialInj(PartialFn):
         super().__post_init__()
         if not self.is_injective():
             raise ValueError("graph is not injective")
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PartialInj":
-        f = PartialFn.from_json(data)
-        return cls(f.dom, f.cod, f.graph)
 
 
 @functools.cache

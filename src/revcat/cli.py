@@ -1,10 +1,11 @@
 """Command-line front end: JSON in, JSON report out.
 
 Every report carries the verb, a digest of the inputs, the seed and the
-tolerances in effect, so identical invocations are byte-identical.  Exit
-status: 0 on success, 1 on a law violation, 2 on malformed input, 3 on an
-internal numerical failure (numpy's LinAlgError, which is not an input error
-although it subclasses ValueError).
+tolerances in effect, and its text is exactly
+``json.dumps(report, sort_keys=True, indent=2) + "\n"``, so identical
+invocations are byte-identical.  Exit status: 0 on success, 1 on a law
+violation, 2 on malformed input, 3 on an internal numerical failure (numpy's
+LinAlgError, which is not an input error although it subclasses ValueError).
 
 Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
 (partial function), a garbage-carrying morphism, a channel or a matrix; inv
@@ -15,6 +16,7 @@ its input kinds and its action.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -39,10 +41,8 @@ class InputError(ValueError):
 
 
 def _read_inputs(paths: list[str]) -> list[tuple[str, bytes]]:
-    if not paths:
-        return [("<stdin>", sys.stdin.buffer.read())]
     out = []
-    for p in paths:
+    for p in paths or ["-"]:
         if p == "-":
             out.append(("<stdin>", sys.stdin.buffer.read()))
         else:
@@ -52,13 +52,6 @@ def _read_inputs(paths: list[str]) -> list[tuple[str, bytes]]:
             except OSError as e:
                 raise InputError(f"cannot read {p}: {e}") from e
     return out
-
-
-def _parse_json(name: str, raw: bytes) -> dict:
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise InputError(f"{name}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
 
 
 def _digest(raws: list[tuple[str, bytes]]) -> str:
@@ -82,7 +75,10 @@ _PARSERS = {
 
 def _load(kind: str, name: str, raw: bytes):
     """Parse one input as a value of the given kind."""
-    data = _parse_json(name, raw)
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{name}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     if kind == _CHAN_OR_MOR:
         kind = _CHAN if isinstance(data, dict) and "din" in data else _MOR
     try:
@@ -91,7 +87,31 @@ def _load(kind: str, name: str, raw: bytes):
         raise InputError(f"{name}: bad {kind}: {e}") from e
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _write(value, pad: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) at indent pad.  The C encoder
+    writes lists of non-empty rows of non-string scalars; with no '"', each "["
+    opens a list and each "],[" joins two siblings, so the counts admit just those."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_write(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if not isinstance(value, (list, tuple)) or not value:
+        return _compact(value)
+    enc = _compact(value) if isinstance(value[0], (list, tuple)) else ""
+    if '"' in enc or "[]" in enc or not enc.count("[") == len(value) + 1 == enc.count("],[") + 2:
+        return "[\n" + inner + f",\n{inner}".join(_write(v, inner) for v in value) + f"\n{pad}]"
+    deep = inner + "  "
+    rows = enc[2:-2].replace(",", ",\n" + deep)
+    rows = rows.replace(f"],\n{deep}[", f"\n{inner}],\n{inner}[\n{deep}")
+    return f"[\n{inner}[\n{deep}{rows}\n{inner}]\n{pad}]"
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="revcat", description=__doc__)
     parser.add_argument("verb", choices=VERBS)
     parser.add_argument("inputs", nargs="*", help="input JSON files ('-' for stdin)")
@@ -103,7 +123,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--anc", type=int, default=0, help="ancilla input dimension")
     parser.add_argument("--env", type=int, default=1, help="environment split of the output")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     kinds, action = VERBS[args.verb]
     try:
@@ -126,7 +150,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         "tolerances": {"structural": qu.ATOL, "roundtrip": qu.ROUND_ATOL},
         "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _write(report) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -168,7 +168,8 @@ class TestValidation:
         (((0, 1.0), (1, 2.5)), "1.0"),
         (((0, 1), (1.0, 2)), "1.0"),
         (((0, True),), "True"),
-    ], ids=["float-output", "float-input", "bool-output"])
+        (((0, "a"), (0, 1)), "'a'"),  # unorderable: sorting fails before the scan
+    ], ids=["float-output", "float-input", "bool-output", "unorderable-output"])
     def test_non_integer_graph_entry_rejected(self, cls, graph, bad):
         with pytest.raises(ValueError) as exc:
             cls(FinObj.of_size(2), FinObj.of_size(4), graph)
@@ -343,6 +344,12 @@ class TestJson:
         with pytest.raises(ValueError, match="graph entry"):
             PartialFn.from_json(data)
 
+    def test_unorderable_graph_entry_named(self):
+        data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": [[1, 0], [0, 1], [0, "a"]]}
+        with pytest.raises(ValueError) as exc:
+            PartialFn.from_json(data)
+        assert str(exc.value) == "graph entry 'a' is not an integer"
+
     @pytest.mark.parametrize("side", ["dom", "cod"])
     @pytest.mark.parametrize("entry", [2.5, 2.0, "2", True, None])
     def test_non_integer_shape_entry_rejected(self, side, entry):
@@ -380,6 +387,18 @@ class TestJson:
         with pytest.raises(ValueError) as exc:
             PartialFn.from_json(data)
         assert str(exc.value) == message
+
+    def test_partial_inj_validated_once(self, monkeypatch):
+        calls = []
+        check = PartialFn.__post_init__
+        monkeypatch.setattr(PartialFn, "__post_init__", lambda f: calls.append(f) or check(f))
+        data = {"dom": {"shape": [2]}, "cod": {"shape": [2]}, "graph": [[0, 1], [1, 0]]}
+        f = PartialInj.from_json(data)
+        assert type(f) is PartialInj and len(calls) == 1
+        data["graph"] = [[0, 1], [1, 1]]
+        with pytest.raises(ValueError) as exc:
+            PartialInj.from_json(data)
+        assert str(exc.value) == "graph is not injective"
 
     def test_sorted_no_duplicates(self):
         f = PartialFn(FinObj.of_size(3), FinObj.of_size(3), ((2, 0), (0, 1)))

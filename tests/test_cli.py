@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -365,3 +366,118 @@ class TestDeterminism:
         assert rep["verb"] == "compose" and rep["seed"] == 42
         assert len(rep["inputs_digest"]) == 16
         assert rep["tolerances"]["structural"] == qu.ATOL
+
+
+def every_verb(tmp_path):
+    """The invocation of each verb that acceptance criterion 11 runs."""
+    rng = np.random.default_rng(0)
+    f = write(tmp_path, "f.json", pfn_json(2, 2, [(0, 1)]))
+    g = write(tmp_path, "g.json", pfn_json(2, 2, [(1, 0)]))
+    aux1 = write(tmp_path, "a1.json", aux_json(2, 2, 2, [(0, 0)]))
+    aux2 = write(tmp_path, "a2.json", aux_json(2, 2, 2, [(0, 1)]))
+    chan = write(tmp_path, "c.json", channel_json(qu.random_channel(2, 2, 2, rng)))
+    uni = write(tmp_path, "u.json", qu.matrix_to_json(qu.haar_unitary(2, rng).mat))
+    pure = write(tmp_path, "p.json", channel_json(qu.channel_of_unitary(qu.haar_unitary(2, rng))))
+    return {
+        "lawcheck": ["lawcheck", "--instance", "pinj", "--trials", "10", "--seed", "1"],
+        "compose": ["compose", f, g], "tensor": ["tensor", f, g], "bennett-of": ["bennett-of", f],
+        "pfn-of": ["pfn-of", aux1], "aux-equal": ["aux-equal", aux1, aux2],
+        "ext-equal": ["ext-equal", aux1, aux2], "dilate": ["dilate", chan],
+        "kraus": ["kraus", chan], "channel-of-unitary": ["channel-of-unitary", uni],
+        "extract-unitary": ["extract-unitary", pure], "inv": ["inv", pure],
+        "roundtrip": ["roundtrip", chan],
+    }
+
+
+def random_json(rng, depth=0):
+    """A random JSON value heavy in row-like lists and in strings that look like them."""
+    pick = rng.random()
+    if depth > 3 or pick < 0.35:
+        return rng.choice([0, -1, 7, 1.5, -0.0, 1e-09, float("nan"), float("inf"), True,
+                           False, None, "", ",", "[", "],[", '"', "\u00e9", "a\nb", {}, []])
+    if pick < 0.7:
+        return [random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if pick < 0.85:
+        return [[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 4))]
+    return {rng.choice("abc,[\""): random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+class TestReportWriter:
+    """The report is exactly json.dumps(report, sort_keys=True, indent=2) + "\\n"."""
+
+    def test_every_verb_report_matches_json_dumps(self, tmp_path, monkeypatch):
+        reports = []
+        write_report = cli._write
+
+        def spy(value, pad=""):
+            text = write_report(value, pad)
+            if not pad:
+                reports.append((value, text))
+            return text
+
+        monkeypatch.setattr(cli, "_write", spy)
+        invocations = every_verb(tmp_path)
+        assert set(invocations) == set(cli.VERBS)
+        for argv in invocations.values():
+            out = tmp_path / "o.json"
+            assert cli.run(argv + ["--out", str(out)]) in (0, 1)
+            (report, text), = reports
+            reports.clear()
+            assert out.read_text() == text + "\n"
+            assert text == json.dumps(report, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {"s": ["a,b", "[x]", "],[", 'say "hi"', "line\nbreak", "caf\u00e9 \u4e2d"]},
+        [["a,b", "c"], ["]", "[", '"']],
+        [], {}, (), [[]], [[], [1]], [[1], []], [{}], [[{}]], [[[]]],
+        [[1, 2, 3], [4], [5, 6]],
+        [[[1, 2]], [[3]]], [[1, [2]], [3]], [[[1]], [2]],
+        [1, [2, 3]], [[1], 2, [[3]]], [[1, 2], 3], [[1, 2], "x"],
+        [[True, None, -1, 1e-09, float("nan"), float("inf"), -float("inf"), -0.0]],
+        {"b": [[0, 1]], "a": {"d": [[2.5, -3]], "c": True, "e": None}},
+        ((0, 1), (2, 3)), [(0, 1), [2, 3]],
+        True, None, -7, 1e-09, float("nan"), "x\u00e9",
+    ], ids=repr)
+    def test_matches_json_dumps(self, value):
+        assert cli._write(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_matches_json_dumps_on_random_values(self):
+        rng = random.Random(0)
+        for _ in range(3000):
+            value = random_json(rng)
+            assert cli._write(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_non_string_key_is_refused(self):
+        # json.dumps would write the key 1 as "1"; the writer refuses it.
+        with pytest.raises(TypeError):
+            cli._write({1: 2})
+
+
+class TestParser:
+    def test_reuse_leaks_no_state(self, tmp_path, monkeypatch):
+        seen = []
+        kinds, compose = cli.VERBS["compose"]
+
+        def spy(args, f, g):
+            seen.append(vars(args))
+            return compose(args, f, g)
+
+        monkeypatch.setitem(cli.VERBS, "compose", (kinds, spy))
+        f = write(tmp_path, "f.json", pfn_json(2, 2, [(0, 1)]))
+        code, rep = run_to(tmp_path, ["lawcheck", "--instance", "pinj", "--law", "restriction_i",
+                                      "--trials", "5", "--seed", "3", "--anc", "1", "--env", "2"])
+        assert code == 0 and len(rep["result"]["reports"]) == 1
+        code, rep = run_to(tmp_path, ["compose", f, f])
+        assert code == 0 and rep["seed"] == 0
+        assert seen == [{"verb": "compose", "inputs": [f, f], "instance": None, "law": "all",
+                         "trials": 200, "seed": 0, "anc": 0, "env": 1,
+                         "out": str(tmp_path / "report.json")}]
+        assert cli._parser() is cli._parser()
+
+    def test_unknown_verb_exits_2_through_argparse(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["nope"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'nope'" in capsys.readouterr().err
