@@ -213,6 +213,8 @@ def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
 
 def _channel_of_unitary(args, m: np.ndarray) -> tuple[dict, int]:
     u = Unitary(m)
+    if u.dim == 0:
+        raise InputError("a 0x0 unitary has no channel; the unitary must be at least 1x1")
     if not 0 <= args.anc < u.dim:
         raise InputError(f"--anc must be in 0..{u.dim - 1} for a {u.dim}-dimensional "
                          f"unitary, got {args.anc}")

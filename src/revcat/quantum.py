@@ -15,12 +15,18 @@ still validated in full by the Channel constructor.
 
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
-cutoff on Choi eigenvalues.
+cutoff on Choi eigenvalues; a structural check bounds the largest entrywise
+deviation.  A Channel's Choi matrix must be finite, Hermitian within 1e-9,
+PSD (min eigenvalue >= -1e-9) and TP within 1e-9.  PSD is certified by a
+Cholesky factorisation of C + (ATOL / 2) I, whose backward error O(n eps |C|)
+(Higham, "Accuracy and Stability of Numerical Algorithms", ch. 10) is far
+below ATOL / 2; when it fails, eigvalsh decides as the rule states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -52,6 +58,11 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + _dag(m)) / 2
 
 
+def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """max |a - b| <= atol, and True on empty arrays."""
+    return a.size == 0 or bool(np.max(np.abs(a - b)) <= atol)
+
+
 def _require_finite(m: np.ndarray, field: str, error: type) -> None:
     if not np.all(np.isfinite(m)):
         raise error(f"{field} has a non-finite entry (NaN or inf)")
@@ -77,6 +88,8 @@ def matrix_from_json(data: dict, where: str = "matrix") -> np.ndarray:
         if not isinstance(pairs, list):
             raise TypeError
         flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        if bool in map(type, chain.from_iterable(pairs)):
+            raise TypeError  # complex() reads true as 1
     except (TypeError, ValueError):
         raise ValueError("entries must be a list of [re, im] pairs") from None
     if flat.size != r * c:
@@ -92,11 +105,13 @@ class Isometry:
     _noun, _letter = "isometry", "V"  # how the validation errors name the class
 
     def __post_init__(self) -> None:
+        if self.mat.ndim != 2:
+            raise NotAnIsometryError(f"{self._noun} matrix must be 2-D, got shape {self.mat.shape}")
         r, c = self.mat.shape
         if r < c:
             raise NotAnIsometryError(f"isometry needs rows >= cols, got {r}x{c}")
         _require_finite(self.mat, f"{self._noun} matrix", NotAnIsometryError)
-        if not np.allclose(_dag(self.mat) @ self.mat, np.eye(c), rtol=0, atol=ATOL):
+        if not _close(_dag(self.mat) @ self.mat, np.eye(c), ATOL):
             raise NotAnIsometryError(f"{self._letter}^dag {self._letter} != I within 1e-9")
 
     @property
@@ -115,9 +130,8 @@ class Unitary(Isometry):
     _noun, _letter = "unitary", "U"
 
     def __post_init__(self) -> None:
-        r, c = self.mat.shape
-        if r != c:
-            raise NotAnIsometryError(f"unitary must be square, got {r}x{c}")
+        if self.mat.ndim == 2 and self.mat.shape[0] != self.mat.shape[1]:
+            raise NotAnIsometryError("unitary must be square, got {}x{}".format(*self.mat.shape))
         super().__post_init__()
 
     @property
@@ -142,13 +156,16 @@ class Channel:
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
         _require_finite(self.choi, "choi", NotAChannelError)
-        if not np.allclose(self.choi, _dag(self.choi), rtol=0, atol=ATOL):
+        if not _close(self.choi, _dag(self.choi), ATOL):
             raise NotAChannelError("choi not Hermitian within 1e-9")
-        evals = np.linalg.eigvalsh(self.choi)
-        if evals.min() < -ATOL:
-            raise NotAChannelError(f"choi not PSD: min eigenvalue {evals.min():.2e}")
+        try:  # succeeds only if the min eigenvalue is above -ATOL
+            np.linalg.cholesky(self.choi + (ATOL / 2) * np.eye(n))
+        except np.linalg.LinAlgError:
+            evals = np.linalg.eigvalsh(self.choi)
+            if evals.min() < -ATOL:
+                raise NotAChannelError(f"choi not PSD: min eigenvalue {evals.min():.2e}") from None
         tr_out = np.einsum("imjm->ij", self.blocks())
-        if not np.allclose(tr_out, np.eye(self.din), rtol=0, atol=ATOL):
+        if not _close(tr_out, np.eye(self.din), ATOL):
             raise NotAChannelError("partial trace over output != identity within 1e-9")
 
     def blocks(self) -> np.ndarray:
@@ -164,7 +181,7 @@ class Channel:
         return (
             self.din == other.din
             and self.dout == other.dout
-            and bool(np.max(np.abs(self.choi - other.choi)) <= atol)
+            and _close(self.choi, other.choi, atol)
         )
 
     def to_json(self) -> dict:
@@ -189,7 +206,7 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
     stacked = np.asarray(ks, dtype=complex)  # stacked[k, m, i] = K_k[m, i]
     column = stacked.reshape(len(ks) * dout, din)  # the K_k one above the other
     s = _dag(column) @ column
-    if not np.allclose(s, np.eye(din), rtol=0, atol=ROUND_ATOL):
+    if not _close(s, np.eye(din), ROUND_ATOL):
         raise NotAChannelError("sum K^dag K != I within 1e-8")
     # C = V V^dag, where column k of V is vec(K_k)[i*dout + m] = K_k[m, i].
     v = stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T
@@ -267,7 +284,7 @@ def reversible_core(c: Channel) -> Unitary | str:
         return "choi impure"
     w, vecs = np.linalg.eigh(c.choi)
     k = (vecs[:, -1] * np.sqrt(w[-1])).reshape(c.din, c.dout).T
-    if np.max(np.abs(_dag(k) @ k - np.eye(c.din))) > ROUND_ATOL:
+    if not _close(_dag(k) @ k, np.eye(c.din), ROUND_ATOL):
         return "not unitary"
     u = Unitary(phase_fix(nearest_unitary(k)))
     if not channel_of_unitary(u).close_to(c, ROUND_ATOL):
@@ -340,23 +357,13 @@ def identity_channel(d: int) -> Channel:
 
 def dephasing_channel(d: int = 2) -> Channel:
     """The completely dephasing channel in the standard basis."""
-    ks = [np.zeros((d, d), dtype=complex) for _ in range(d)]
-    for i in range(d):
-        ks[i][i, i] = 1.0
-    return choi_of_kraus(ks)
+    return choi_of_kraus([np.diag(row) for row in np.eye(d, dtype=complex)])
 
 
 def depolarizing_channel(d: int = 2, p: float = 0.5) -> Channel:
     """rho -> (1-p) rho + p Tr(rho) I/d."""
-    ident = identity_channel(d)
-    n = d * d
-    # Choi of the trace-and-replace channel rho -> Tr(rho) I/d.
-    rep = np.zeros((n, n), dtype=complex)
-    for i in range(d):
-        for m in range(d):
-            rep[i * d + m, i * d + m] = 1.0 / d
-    choi = (1 - p) * ident.choi + p * rep
-    return Channel(d, d, choi)
+    rep = np.eye(d * d, dtype=complex) / d  # Choi of rho -> Tr(rho) I/d
+    return Channel(d, d, (1 - p) * identity_channel(d).choi + p * rep)
 
 
 # -- random sampling ----------------------------------------------------------

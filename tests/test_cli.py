@@ -298,6 +298,13 @@ class TestExitCodes:
         ("channel-of-unitary", 5, "bad matrix: matrix must be an object, got int"),
         ("channel-of-unitary", dict(MATRIX_1, entries=[5]),
          "bad matrix: entries must be a list of [re, im] pairs"),
+        ("channel-of-unitary", dict(MATRIX_1, entries=[[True, False]]),
+         "bad matrix: entries must be a list of [re, im] pairs"),
+        ("extract-unitary", dict(CHANNEL_1, choi=dict(MATRIX_1, entries=[[True, False]])),
+         "bad channel: entries must be a list of [re, im] pairs"),
+        ("dilate", {"din": 2, "dout": 2,
+                    "choi": qu.matrix_to_json(np.diag([1 + 2e-9, -2e-9, 1 + 2e-9, -2e-9]))},
+         "bad channel: choi not PSD: min eigenvalue -2.00e-09"),
     ], ids=["float-graph-entry", "negative-shape", "float-rows", "float-din",
             "float-shape", "float-garbage-shape", "bool-din", "number-for-inv",
             "graph-triple", "graph-single", "graph-number", "graph-object", "graph-string",
@@ -306,7 +313,7 @@ class TestExitCodes:
             "no-din", "no-dout", "no-choi", "list-channel", "number-choi",
             "choi-no-rows", "choi-no-cols", "choi-no-entries", "choi-number-entry",
             "matrix-no-rows", "matrix-no-cols", "matrix-no-entries", "number-matrix",
-            "matrix-number-entry"])
+            "matrix-number-entry", "matrix-bool-entry", "choi-bool-entry", "choi-not-psd"])
     def test_bad_json_field_is_2(self, tmp_path, capsys, verb, data, message):
         p = write(tmp_path, "in.json", data)
         assert cli.run([verb, p]) == 2
@@ -322,6 +329,13 @@ class TestExitCodes:
         p = write(tmp_path, "u.json", qu.matrix_to_json(np.eye(2, dtype=complex)))
         assert cli.run(["channel-of-unitary", p, flag, value]) == 2
         assert message in capsys.readouterr().err
+
+    def test_zero_dimensional_unitary_is_2(self, tmp_path, capsys):
+        # Not "--anc must be in 0..-1": the unitary itself is refused.
+        p = write(tmp_path, "u.json", {"rows": 0, "cols": 0, "entries": []})
+        assert cli.run(["channel-of-unitary", p]) == 2
+        assert capsys.readouterr().err == (
+            "error: a 0x0 unitary has no channel; the unitary must be at least 1x1\n")
 
     def test_internal_numerical_failure_is_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, but it is no input error.

@@ -89,6 +89,23 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
             qu.matrix_from_json(data)
 
+    @pytest.mark.parametrize("entry", [[True, 0], [1, False], [False, True]])
+    def test_boolean_matrix_entry_rejected(self, entry):
+        # complex(True, 0) is 1+0j, so a boolean must be refused by name.
+        data = {"rows": 1, "cols": 1, "entries": [entry]}
+        with pytest.raises(ValueError, match=r"entries must be a list of \[re, im\] pairs"):
+            qu.matrix_from_json(data)
+
+    def test_empty_isometry_accepted(self):
+        v = Isometry(np.zeros((2, 0), dtype=complex))
+        assert (v.rows, v.cols) == (2, 0)
+
+    @pytest.mark.parametrize("cls, field", [(Unitary, "unitary"), (Isometry, "isometry")])
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 2, 1)])
+    def test_non_2d_matrix_rejected(self, cls, field, shape):
+        with pytest.raises(qu.NotAnIsometryError, match=f"{field} matrix must be 2-D"):
+            cls(np.ones(shape, dtype=complex))
+
     @pytest.mark.parametrize("field", ["din", "dout"])
     @pytest.mark.parametrize("value", [1.9, 2.0, "2", True, None])
     def test_non_integer_channel_dimension_rejected(self, field, value):
@@ -96,6 +113,51 @@ class TestTrustBoundary:
         data[field] = value
         with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
             Channel.from_json(data)
+
+
+def boundary_choi(d, delta, rng):
+    """A trace-preserving Choi matrix with min eigenvalue -delta: for each
+    input i the diagonal entry at output 0 is 1 + delta and at output 1 is
+    -delta, conjugated by I (x) W for a Haar unitary W."""
+    diag = np.zeros((d, d))
+    diag[:, 0], diag[:, 1] = 1 + delta, -delta
+    iw = np.kron(np.eye(d), qu.haar_unitary(d, rng).mat)
+    c = iw @ np.diag(diag.reshape(-1)) @ iw.conj().T
+    return (c + c.conj().T) / 2
+
+
+class TestPsdRule:
+    """A Choi matrix is PSD when its min eigenvalue is at least -1e-9."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("delta, accepted", [
+        (0.0, True), (0.7e-9, True), (0.99e-9, True), (1.01e-9, False), (3e-9, False)])
+    def test_boundary(self, rng, d, delta, accepted):
+        choi = boundary_choi(d, delta, rng)
+        if accepted:
+            assert Channel(d, d, choi).din == d
+        else:
+            with pytest.raises(qu.NotAChannelError, match="choi not PSD"):
+                Channel(d, d, choi)
+
+    def test_message(self, rng):
+        with pytest.raises(qu.NotAChannelError) as e:
+            Channel(2, 2, boundary_choi(2, 2e-9, rng))
+        assert str(e.value) == "choi not PSD: min eigenvalue -2.00e-09"
+
+    @pytest.mark.parametrize("delta, eigensolves", [(0.0, 0), (0.7e-9, 1), (2e-9, 1)])
+    def test_eigensolve_only_when_certificate_fails(self, rng, monkeypatch, delta, eigensolves):
+        # The Cholesky certificate of C + (ATOL / 2) I settles min eigenvalues
+        # above -ATOL / 2; below that the eigenvalues decide.
+        choi = boundary_choi(4, delta, rng)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        try:
+            Channel(4, 4, choi)
+        except qu.NotAChannelError:
+            pass
+        assert len(calls) == eigensolves
 
 
 class TestIsometryChannel:
