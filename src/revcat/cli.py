@@ -240,7 +240,7 @@ VERBS = {
     "compose": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.compose(g, f).to_json()}, 0)),
     "tensor": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.tensor_prod(f, g).to_json()}, 0)),
     "bennett-of": ((_MOR,), lambda args, f: ({"morphism": cl.bennett(f).to_json()}, 0)),
-    "pfn-of": ((_AUX,), lambda args, m: ({"morphism": ex.pfn_normalize(m).to_json()}, 0)),
+    "pfn-of": ((_AUX,), lambda args, m: ({"morphism": gb.visible_fn(m).to_json()}, 0)),
     "aux-equal": ((_AUX, _AUX), _aux_equal),
     "ext-equal": ((_AUX, _AUX), lambda args, f, g: ({"equal": ex.ext_equiv(f, g)}, 0)),
     "dilate": ((_CHAN,), _dilate),

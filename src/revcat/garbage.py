@@ -287,17 +287,11 @@ def factorize(f: AuxMorphism) -> tuple[AuxMorphism, AuxMorphism]:
     return embedded, projection
 
 
-def collapse(f: AuxMorphism) -> Union[PartialFn, Channel]:
-    """Forget the garbage: the visible partial function, or the channel that
-    traces out the environment (cached on f)."""
-    return f.collapsed
-
-
 def collapsed_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     """Whether f and g agree once the garbage is forgotten: the same visible
     partial function, or channels equal within 1e-9."""
     _same_endpoints(f, g)
-    cf, cg = collapse(f), collapse(g)
+    cf, cg = f.collapsed, g.collapsed
     if f.base == PINJ:
         return cf.same_table(cg)
     return cf.close_to(cg, qu.ATOL)

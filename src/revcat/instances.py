@@ -2,7 +2,9 @@
 
 Classical instances enumerate their hom-sets when the object-size bound is
 small (<= 3), enabling exhaustive law checks; larger bounds and the quantum
-instances are sampled randomly.
+instances are sampled randomly.  Two instances list their global points, the
+oracle the well-pointedness laws need: ``cptp`` (the tomographic states, as
+channels 1 -> d) and ``ext-aux-pinj`` (``garbage.points_of``).
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> Cate
         return sample_mat(rng, dom if dom is not None else sample_obj(rng))
 
     def eq(m, n):
-        return m.mat.shape == n.mat.shape and bool(np.max(np.abs(m.mat - n.mat)) <= qu.ATOL)
+        return m.mat.shape == n.mat.shape and qu._close(m.mat, n.mat, qu.ATOL)
 
     return CategoryInstance(
         name=name,
@@ -136,6 +138,7 @@ def make_cptp_instance(max_dim: int = 3) -> CategoryInstance:
         restrict=lambda c: qu.identity_channel(c.din),
         tensor_mor=qu.channel_tensor,
         unit=1,
+        points=lambda d: [qu.Channel(1, d, rho) for rho in ex.tomographic_family(d)],
         describe=lambda c: c.to_json(),
     )
 
@@ -192,6 +195,7 @@ def make_aux_pinj_instance(
         unit=1,
         enumerate_objs=enum_objs,
         enumerate_mors=enum_mors,
+        points=gb.points_of if extensional else None,
         describe=lambda f: f.to_json(),
     )
 

@@ -1,12 +1,13 @@
 """Instance-parametric law checker for restriction, inverse, dagger, and
-monoidal structure on concrete finite categories.
+monoidal structure on concrete finite categories, and for well-pointedness
+and the congruence of a quotient.
 
 A category is described by oracles (composition, identity, equality, and
-optionally restriction, dagger, tensor) plus samplers and, where feasible,
-enumerators.  Laws are registered declaratively as (name, sampling pattern,
-equation); the engine enumerates exhaustively when the search space is small
-enough and otherwise draws seeded random samples, and returns the first
-counterexample found.  An equation is a plain predicate
+optionally restriction, dagger, tensor, global points) plus samplers and,
+where feasible, enumerators.  Laws are registered declaratively as (name,
+sampling pattern, equation); the engine enumerates exhaustively when the
+search space is small enough and otherwise draws seeded random samples, and
+returns the first counterexample found.  An equation is a plain predicate
 check(cat, *morphisms) -> bool on the pattern's morphisms.
 
 Everything here is pure over immutable instance descriptions; trials share no
@@ -38,7 +39,8 @@ class CategoryInstance:
     sample_mor(rng, dom) draws a morphism, from the given object when dom is
     not None and from an object of the sampler's choosing otherwise.
     enumerate_mors(a, b), when present, yields the whole hom-set and enables
-    exhaustive checking.
+    exhaustive checking.  points(a), when present, lists the global points
+    I -> a.
     """
 
     name: str
@@ -54,6 +56,7 @@ class CategoryInstance:
     unit: Any = None
     enumerate_objs: Optional[Callable[[], list]] = None
     enumerate_mors: Optional[Callable[[Any, Any], list]] = None
+    points: Optional[Callable[[Any], list]] = None
     describe: Callable[[Any], Any] = repr
 
 
@@ -108,6 +111,7 @@ PATTERNS: dict[str, tuple[Optional[tuple[str, int]], ...]] = {
     "chain": (None, ("cod", 0)),  # f : A -> B, g : B -> C
     "chain3": (None, ("cod", 0), ("cod", 1)),  # f : A -> B, g : B -> C, h : C -> D
     "pair": (None, None),  # f : A -> B, g : C -> D
+    "fork_chain": (None, ("dom", 0), ("cod", 0)),  # f : A -> B, g : A -> C, h : B -> D
 }
 
 
@@ -292,6 +296,26 @@ def _monoidal_assoc(cat, f, g):
     return cat.eq(lhs, rhs)
 
 
+def _wellpointed(cat, f, g):
+    # f = g exactly when f o p = g o p for every global point p.
+    if cat.cod(f) != cat.cod(g):
+        return True
+    agree = all(cat.eq(cat.compose(f, p), cat.compose(g, p)) for p in cat.points(cat.dom(f)))
+    return cat.eq(f, g) == agree
+
+
+def _quotient_congruence(cat, f, g, h):
+    # Equal parallel f, g stay equal under post-composition, restriction and
+    # tensor; only enumeration yields equal pairs often enough to test this.
+    if cat.cod(f) != cat.cod(g) or not cat.eq(f, g):
+        return True
+    return (
+        cat.eq(cat.compose(h, f), cat.compose(h, g))
+        and cat.eq(cat.restrict(f), cat.restrict(g))
+        and cat.eq(cat.tensor_mor(f, h), cat.tensor_mor(g, h))
+    )
+
+
 RESTRICTION_LAWS = [
     Law("restriction_i", "single", _restriction_i, frozenset({"restrict"})),
     Law("restriction_ii", "same_dom", _restriction_ii, frozenset({"restrict"})),
@@ -324,9 +348,15 @@ MONOIDAL_LAWS = [
     Law("tensor_assoc", "pair", _monoidal_assoc, frozenset({"tensor_mor"})),
 ]
 
+QUOTIENT_LAWS = [
+    Law("wellpointed", "same_dom", _wellpointed, frozenset({"points"})),
+    Law("quotient_congruence", "fork_chain", _quotient_congruence,
+        frozenset({"points", "enumerate_mors", "restrict", "tensor_mor"})),
+]
+
 ALL_LAWS: dict[str, Law] = {
     law.name: law
-    for law in RESTRICTION_LAWS + DERIVED_LAWS + INVERSE_LAWS + MONOIDAL_LAWS
+    for law in RESTRICTION_LAWS + DERIVED_LAWS + INVERSE_LAWS + MONOIDAL_LAWS + QUOTIENT_LAWS
 }
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import classical as cl
 from . import quantum as qu
 from .classical import PartialFn, PartialInj
@@ -39,10 +37,6 @@ class InpUnitary:
                 f"in_dim {self.in_dim} + anc_dim {self.anc_dim} != {self.unitary.dim}"
             )
 
-    @property
-    def out_dim(self) -> int:
-        return self.unitary.dim
-
 
 @dataclass(frozen=True, eq=False)
 class UnitaryPhaseClass:
@@ -56,8 +50,8 @@ class UnitaryPhaseClass:
 
     def close_to(self, other: "UnitaryPhaseClass") -> bool:
         """Entrywise within ROUND_ATOL, representatives being phase-fixed."""
-        return self.rep.dim == other.rep.dim and bool(
-            np.max(np.abs(self.rep.mat - other.rep.mat)) <= qu.ROUND_ATOL
+        return self.rep.dim == other.rep.dim and qu._close(
+            self.rep.mat, other.rep.mat, qu.ROUND_ATOL
         )
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 

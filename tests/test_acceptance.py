@@ -96,7 +96,7 @@ def test_04_factorization():
         m = AuxMorphism(qu.haar_isometry(cod * e, cols, rng), cod, e)
         embedded, projection = gb.factorize(m)
         back = gb.aux_compose(projection, embedded)
-        if not gb.collapse(back).close_to(gb.collapse(m), 1e-8):
+        if not back.collapsed.close_to(m.collapsed, 1e-8):
             ok = False
     report(4, "projection-after-embedding factorization", ok)
 
@@ -122,11 +122,11 @@ def test_06_extensional_quotient_equals_pfn():
     for a in range(6):
         for b in range(6):
             for f in cl.all_partial_fns(FinObj.of_size(a), FinObj.of_size(b)):
-                if not ex.pfn_normalize(ex.pfn_functor(f)).same_table(f):
+                if not gb.visible_fn(ex.pfn_functor(f)).same_table(f):
                     ok = False
     for a, b in itertools.product(range(4), repeat=2):
         for m in oracles.enumerate_cores(a, b, 2):
-            if not ex.ext_equiv(ex.pfn_functor(ex.pfn_normalize(m)), m):
+            if not ex.ext_equiv(ex.pfn_functor(gb.visible_fn(m)), m):
                 ok = False
     f1 = AuxMorphism(PartialInj(FinObj.of_size(3), FinObj((4, 1)),
                                 tuple((x, x + 1) for x in range(3))), 4, 1)
@@ -198,11 +198,8 @@ def test_09_reversible_core_extraction():
 
 
 def test_10_cptp_wellpointed():
-    ok = True
-    for d in (2, 3):
-        rep = ex.wellpointed_check_cptp(d, trials=100, seed=0)
-        ok = ok and rep.passed
-    report(10, "channels determined by the tomographic state family", ok)
+    rep = lc.run_law(inst.make_cptp_instance(3), lc.ALL_LAWS["wellpointed"], trials=300, seed=0)
+    report(10, "channels determined by the tomographic state family", rep.passed)
 
 
 def test_11_cli_determinism(tmp_path):

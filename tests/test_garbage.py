@@ -164,7 +164,7 @@ class TestBaseFromCore:
         assert c.close_to(qu.channel_of_unitary(u))
         m = gb.embed(u)
         assert (m.base, m.dom_size, m.cod_size, m.garbage_size) == (ISO, 3, 3, 1)
-        assert gb.collapse(m).close_to(c)
+        assert m.collapsed.close_to(c)
         assert gb.aux_equal(m, gb.embed(qu.Isometry(u.mat)))
 
     @pytest.mark.parametrize("a, b", list(itertools.product(range(4), repeat=2)))
@@ -214,7 +214,7 @@ class TestDeciderAndCache:
                 fresh = gb.PInjAuxNormal(gb.visible_fn(f), gb.garbage_partition(f))
                 assert gb.normal_form(f) == fresh
                 assert gb.normal_form(f) is gb.normal_form(f)
-                assert gb.collapse(f).same_table(gb.visible_fn(f))
+                assert f.collapsed.same_table(gb.visible_fn(f))
 
     def test_isometry_base(self):
         rng = np.random.default_rng(11)
@@ -228,7 +228,7 @@ class TestDeciderAndCache:
             for x, y, same in [(f, g, True), (g, f, True), (f, other, d == 1)]:
                 assert gb.aux_equal(x, y) == same
                 assert (gb.aux_equiv(x, y) is not None) == same
-            assert gb.normal_form(f) is gb.collapse(f)
+            assert gb.normal_form(f) is f.collapsed
             assert gb.normal_form(f).close_to(
                 qu.channel_of_isometry(v, r), qu.ATOL)
 
@@ -368,7 +368,7 @@ class TestStructure:
         v1 = qu.haar_isometry(4, 2, rng)
         v2 = qu.haar_isometry(6, 2, rng)
         m = gb.aux_tensor(AuxMorphism(v1, 2, 2), AuxMorphism(v2, 2, 3))
-        lhs = gb.collapse(m)
+        lhs = m.collapsed
         rhs = qu.channel_tensor(
             qu.channel_of_isometry(v1, 2), qu.channel_of_isometry(v2, 3)
         )
@@ -379,7 +379,7 @@ class TestStructure:
         v1 = qu.haar_isometry(4, 2, rng)
         v2 = qu.haar_isometry(6, 2, rng)
         m = gb.aux_compose(AuxMorphism(v2, 2, 3), AuxMorphism(v1, 2, 2))
-        lhs = gb.collapse(m)
+        lhs = m.collapsed
         rhs = qu.channel_compose(
             qu.channel_of_isometry(v2, 3), qu.channel_of_isometry(v1, 2)
         )
@@ -400,7 +400,7 @@ class TestFactorization:
             m = AuxMorphism(v, 3, 2)
             embedded, projection = gb.factorize(m)
             back = gb.aux_compose(projection, embedded)
-            assert gb.collapse(back).close_to(gb.collapse(m), qu.ROUND_ATOL)
+            assert back.collapsed.close_to(m.collapsed, qu.ROUND_ATOL)
 
 
 class TestTerminality:

@@ -62,6 +62,12 @@ class TestMatrixInstances:
         assert cat.eq(ident, wrap(np.diag([1, np.exp(5e-10j)])))
         assert not cat.eq(ident, wrap(np.eye(3, dtype=complex)))
 
+    def test_eq_on_empty_matrices(self):
+        cat = inst.make_isometry_instance()
+        empty = lambda: qu.Isometry(np.zeros((2, 0), dtype=complex))
+        assert cat.eq(empty(), empty())
+        assert not cat.eq(empty(), qu.Isometry(np.zeros((3, 0), dtype=complex)))
+
 
 class TestConfiguration:
     def test_missing_oracle_raises(self):
@@ -147,6 +153,7 @@ PATTERN_FILTERS = {
     "chain": lambda cat, f, g: cat.cod(f) == cat.dom(g),
     "chain3": lambda cat, f, g, h: cat.cod(f) == cat.dom(g) and cat.cod(g) == cat.dom(h),
     "pair": lambda cat, f, g: True,
+    "fork_chain": lambda cat, f, g, h: cat.dom(f) == cat.dom(g) and cat.cod(f) == cat.dom(h),
 }
 
 
@@ -174,10 +181,19 @@ class TestEnumeration:
         assert len(got) == count == len(set(got)) == len(want)
         assert set(got) == want
 
+    def test_every_law_runs_on_some_instance(self):
+        # So that `lawcheck --instance all` leaves no registered law unrun.
+        cats = [make() for make in inst.INSTANCES.values()]
+        unrun = [name for name, law in lc.ALL_LAWS.items()
+                 if not any(law in lc.applicable_laws(cat) for cat in cats)]
+        assert unrun == []
+
     def test_over_cap_returns_none(self):
         assert lc._enumerate_tuples(inst.make_pfn_instance(3), "chain3") is None
 
     def test_applicable_laws_follow_oracles(self):
-        assert lc.applicable_laws(inst.make_pinj_instance(2)) == list(lc.ALL_LAWS.values())
+        # pinj has every oracle but the global points.
+        assert lc.applicable_laws(inst.make_pinj_instance(2)) == [
+            law for law in lc.ALL_LAWS.values() if "points" not in law.needs]
         pfn_laws = lc.applicable_laws(inst.make_pfn_instance(2))
         assert pfn_laws and all("dagger" not in law.needs for law in pfn_laws)

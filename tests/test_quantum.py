@@ -232,6 +232,16 @@ class TestKraus:
         with pytest.raises(qu.NotAChannelError):
             qu.choi_of_kraus([0.5 * np.eye(2, dtype=complex)])
 
+    def test_unitary_mixing_keeps_choi(self, rng):
+        # K'_i = sum_j u_ij K_j presents the same channel for any unitary u.
+        for _ in range(100):
+            d = int(rng.integers(2, 4))
+            c = qu.random_channel(d, d, 2, rng)
+            ks = qu.kraus_of_choi(c)
+            u = qu.haar_unitary(len(ks), rng).mat
+            mixed = [sum(u[i, j] * ks[j] for j in range(len(ks))) for i in range(len(ks))]
+            assert qu.choi_of_kraus(mixed).close_to(c, qu.ROUND_ATOL)
+
 
 class TestStinespring:
     def test_identity_minimal(self):
