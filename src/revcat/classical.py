@@ -23,12 +23,23 @@ returns) are kept on the morphism by the lockless memo :class:`once`.  A
 memoised value was validated when it was first built.  A graph entry must be
 an ``int``, and so must a shape factor: a cache key is found by equality,
 under which ``True``, ``1.0`` and ``1`` coincide.
+
+Within a :func:`sharing` scope (``lawcheck.run_law`` opens one per law run)
+equal finite morphisms are one object: the closed operations and the
+enumerators build their results through :func:`make`, which returns the
+morphism already built from equal fields, so it is validated once and its
+``once`` caches serve every later use.  The table is dropped when the
+outermost scope exits.  Only the library's own operations call ``make``,
+never ``from_json``, the public constructors or a sampler, so every key holds
+validated ``int`` entries and no ``1.0`` or ``True`` can alias one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import prod
 from operator import itemgetter
@@ -37,11 +48,16 @@ from typing import Iterator, Optional
 
 class once:
     """A lockless memo for a pure, argument-free method: the first read
-    computes the value and stores it in the instance ``__dict__``, which later
-    reads find first, since this descriptor defines no ``__set__``.  Unlike
-    ``functools.cached_property`` it takes no lock.  The library is
-    single-threaded, and a race could only compute the same pure value twice.
-    The stored value is shared by every reader; do not mutate it."""
+    computes the value and stores it as an instance attribute, which later
+    reads find first, since this descriptor defines no ``__set__``.  It is
+    stored by ``object.__setattr__``, which passes a frozen dataclass's guard
+    and, unlike a write to ``__dict__``, keeps the instance's compact
+    attribute storage.  Unlike ``functools.cached_property`` it takes no
+    lock.  The library is single-threaded, and a race could only compute the
+    same pure value twice.
+    The stored value is shared by every reader; do not mutate it.  Inside a
+    :func:`sharing` scope one object stands for every equal morphism, so its
+    stored values are shared by every use of that value in the scope."""
 
     def __init__(self, method) -> None:
         self.method = method
@@ -51,8 +67,41 @@ class once:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.method(obj)
+        value = self.method(obj)
+        object.__setattr__(obj, self.name, value)
         return value
+
+
+# The sharing table of the open scope (a nested scope uses the outermost
+# one's), or None outside any scope.
+_shared: ContextVar[Optional[dict]] = ContextVar("revcat_shared", default=None)
+
+
+@contextmanager
+def sharing() -> Iterator[None]:
+    """Within this scope :func:`make` returns one object per distinct value;
+    the table lives until the outermost scope exits, by return or exception."""
+    token = _shared.set({}) if _shared.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _shared.reset(token)
+
+
+def make(cls, *fields):
+    """``cls(*fields)``; inside a :func:`sharing` scope, the object already
+    built from equal (cls, *fields) when there is one.  A new object is
+    validated by its constructor before it is recorded.  Callers pass only
+    fields derived from validated morphisms (int entries, hashable)."""
+    table = _shared.get()
+    if table is None:
+        return cls(*fields)
+    key = (cls, *fields)
+    obj = table.get(key)
+    if obj is None:
+        obj = table[key] = cls(*fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -158,7 +207,7 @@ class PartialFn:
     def restricted(self) -> "PartialFn":
         """r(f), the partial identity on dom(f) defined exactly where f is,
         built once and of f's own class."""
-        return type(self)(self.dom, self.dom, tuple((x, x) for x, _ in self.graph))
+        return make(type(self), self.dom, self.dom, tuple((x, x) for x, _ in self.graph))
 
     def is_total(self) -> bool:
         return len(self.graph) == self.dom.size
@@ -229,7 +278,7 @@ def compose(g: PartialFn, f: PartialFn) -> PartialFn:
     gm = g.mapping
     graph = tuple((x, gm[y]) for x, y in f.graph if y in gm)
     cls = PartialInj if isinstance(f, PartialInj) and isinstance(g, PartialInj) else PartialFn
-    return cls(f.dom, g.cod, graph)
+    return make(cls, f.dom, g.cod, graph)
 
 
 def ridm(f: PartialFn) -> PartialFn:
@@ -238,8 +287,9 @@ def ridm(f: PartialFn) -> PartialFn:
 
 
 def dagger(f: PartialInj) -> PartialInj:
-    """The partial inverse: the transposed graph."""
-    return PartialInj(f.cod, f.dom, tuple((y, x) for x, y in f.graph))
+    """The partial inverse: the transposed graph, sorted as the constructor
+    would sort it, so that it meets an equal morphism built elsewhere."""
+    return make(PartialInj, f.cod, f.dom, tuple(sorted((y, x) for x, y in f.graph)))
 
 
 def tensor_prod(f: PartialFn, g: PartialFn) -> PartialFn:
@@ -252,7 +302,7 @@ def tensor_prod(f: PartialFn, g: PartialFn) -> PartialFn:
         for y, gy in g.graph
     )
     cls = PartialInj if isinstance(f, PartialInj) and isinstance(g, PartialInj) else PartialFn
-    return cls(dom, cod, graph)
+    return make(cls, dom, cod, graph)
 
 
 def direct_sum(f: PartialFn, g: PartialFn) -> PartialFn:
@@ -263,7 +313,7 @@ def direct_sum(f: PartialFn, g: PartialFn) -> PartialFn:
         (x + f.dom.size, y + f.cod.size) for x, y in g.graph
     )
     cls = PartialInj if isinstance(f, PartialInj) and isinstance(g, PartialInj) else PartialFn
-    return cls(dom, cod, graph)
+    return make(cls, dom, cod, graph)
 
 
 @functools.cache
@@ -320,7 +370,7 @@ def all_partial_fns(a: FinObj, b: FinObj) -> Iterator[PartialFn]:
     n, m = a.size, b.size
     for choice in itertools.product(range(m + 1), repeat=n):
         graph = tuple((x, y) for x, y in enumerate(choice) if y < m)
-        yield PartialFn(a, b, graph)
+        yield make(PartialFn, a, b, graph)
 
 
 def all_partial_injections(a: FinObj, b: FinObj) -> Iterator[PartialInj]:
@@ -329,4 +379,4 @@ def all_partial_injections(a: FinObj, b: FinObj) -> Iterator[PartialInj]:
     for k in range(min(n, m) + 1):
         for xs in itertools.combinations(range(n), k):
             for ys in itertools.permutations(range(m), k):
-                yield PartialInj(a, b, tuple(zip(xs, ys)))
+                yield make(PartialInj, a, b, tuple(zip(xs, ys)))

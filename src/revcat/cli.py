@@ -167,6 +167,8 @@ def _lawcheck(args) -> tuple[dict | list, int]:
         raise InputError("lawcheck requires --instance")
     if args.trials <= 0:
         raise InputError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be nonnegative, got {args.seed}")
     if args.law != "all" and args.law not in lc.ALL_LAWS:
         raise InputError(f"unknown law {args.law!r}")
     every = args.instance == "all"

@@ -28,6 +28,14 @@ pair (x, (b, e)) of f's core through g's memoised mapping, and the tensor maps
 each pair of core pairs straight to its interchanged index.  Every
 constructor still validates: a cached value is derived from a core that has
 passed its own checks, and each result core passes them once.
+
+Over the pinj base the composite, the tensor, ``embed``, the structural
+morphisms, ``visible_fn`` and ``points_of`` build their cores and morphisms
+through ``classical.make``: inside a ``classical.sharing`` scope (one law
+run) equal values are one object, validated once, whose normal form and
+restriction are computed once.  Keys hold only cores and sizes derived from
+validated morphisms (``int`` entries).  The isometry base never shares: its
+matrices are not hashable.
 """
 
 from __future__ import annotations
@@ -193,14 +201,16 @@ def _permute_rows(p: PartialInj, mat: np.ndarray) -> np.ndarray:
 
 def embed(f: Union[PartialInj, Isometry]) -> AuxMorphism:
     """The base morphism with trivial garbage (the embedding functor)."""
-    return AuxMorphism(f, f.cod.size if isinstance(f, PartialInj) else f.rows, 1)
+    if isinstance(f, PartialInj):
+        return cl.make(AuxMorphism, f, f.cod.size, 1)
+    return AuxMorphism(f, f.rows, 1)
 
 
 def _structural(perm: PartialInj, cod_size: int, garbage_size: int, base: str) -> AuxMorphism:
     """The total morphism whose core is the structural permutation perm: perm
     itself over pinj, its permutation matrix over isometries."""
     if base == PINJ:
-        return AuxMorphism(perm, cod_size, garbage_size)
+        return cl.make(AuxMorphism, perm, cod_size, garbage_size)
     if base == ISO:
         mat = _permute_rows(perm, np.eye(perm.dom.size, dtype=complex))
         return AuxMorphism(Isometry(mat), cod_size, garbage_size)
@@ -237,13 +247,14 @@ def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
         raise EndpointMismatchError(f"cod {f.cod_size} != dom {g.dom_size}")
     if f.base == PINJ:
         e, gm = f.garbage_size, g.core.mapping
-        core = PartialInj(
+        core = cl.make(
+            PartialInj,
             f.core.dom,
             g.core.cod.tensor(FinObj.of_size(e)),
             tuple((x, gm[y // e] * e + y % e) for x, y in f.core.graph if y // e in gm),
         )
-    else:
-        core = Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)
+        return cl.make(AuxMorphism, core, g.cod_size, g.garbage_size * e)
+    core = Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)
     return AuxMorphism(core, g.cod_size, g.garbage_size * f.garbage_size)
 
 
@@ -263,10 +274,12 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
     theta = cl.coherence(
         "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size)
     )
+    cod_size, garbage_size = f.cod_size * g.cod_size, f.garbage_size * g.garbage_size
     if f.base == PINJ:
         fc, gc, moved = f.core, g.core, theta.graph
         n, m = gc.dom.size, gc.cod.size
-        core = PartialInj(
+        core = cl.make(
+            PartialInj,
             fc.dom.tensor(gc.dom),
             theta.cod,
             tuple(
@@ -275,9 +288,9 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
                 for y, gy in gc.graph
             ),
         )
-    else:
-        core = Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
-    return AuxMorphism(core, f.cod_size * g.cod_size, f.garbage_size * g.garbage_size)
+        return cl.make(AuxMorphism, core, cod_size, garbage_size)
+    core = Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
+    return AuxMorphism(core, cod_size, garbage_size)
 
 
 def factorize(f: AuxMorphism) -> tuple[AuxMorphism, AuxMorphism]:
@@ -305,8 +318,8 @@ def visible_fn(f: AuxMorphism) -> PartialFn:
         raise BaseMismatchError("visible_fn requires the pinj base")
     e = f.garbage_size
     graph = tuple((x, y // e) for x, y in f.core.graph) if e > 0 else ()
-    return PartialFn(
-        FinObj.of_size(f.dom_size), FinObj.of_size(f.cod_size), graph
+    return cl.make(
+        PartialFn, FinObj.of_size(f.dom_size), FinObj.of_size(f.cod_size), graph
     )
 
 
@@ -382,9 +395,9 @@ def points_of(size: int) -> list[AuxMorphism]:
     one = FinObj.of_size(1)
     a = FinObj.of_size(size)
     for val in range(size):
-        core = PartialInj(one, a, ((0, val),))
-        pts.append(AuxMorphism(core, size, 1))
-    pts.append(AuxMorphism(PartialInj(one, a, ()), size, 1))
+        core = cl.make(PartialInj, one, a, ((0, val),))
+        pts.append(cl.make(AuxMorphism, core, size, 1))
+    pts.append(cl.make(AuxMorphism, cl.make(PartialInj, one, a, ()), size, 1))
     return pts
 
 

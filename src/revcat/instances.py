@@ -151,7 +151,7 @@ def enumerate_aux_pinj(a: int, b: int, max_garbage: int = 2) -> list[AuxMorphism
     for e in range(max_garbage + 1):
         cod = FinObj((b, e))
         for core in cl.all_partial_injections(dom, cod):
-            out.append(AuxMorphism(core, b, e))
+            out.append(cl.make(AuxMorphism, core, b, e))
     return out
 
 

@@ -8,10 +8,16 @@ where feasible, enumerators.  Laws are registered declaratively as (name,
 sampling pattern, equation); the engine enumerates exhaustively when the
 search space is small enough and otherwise draws seeded random samples, and
 returns the first counterexample found.  An equation is a plain predicate
-check(cat, *morphisms) -> bool on the pattern's morphisms.
+check(cat, *morphisms) -> bool on the pattern's morphisms; one that raises a
+ValueError on a tuple (an oracle producing a morphism it cannot compose, say)
+fails the law with that tuple as its counterexample.
 
-Everything here is pure over immutable instance descriptions; trials share no
-mutable state.
+Everything here is pure over immutable instance descriptions.  The trials of
+one run_law call share one thing: inside a ``classical.sharing`` scope, equal
+finite morphisms built by the library's operations are one immutable object,
+validated once, with its derived values (mapping, restriction, normal form)
+computed once.  The scope ends with the call, so no run keeps another's
+values alive.
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
+from .classical import sharing
+
 EXHAUSTIVE_CAP = 250_000
 
 
 class ConfigurationError(ValueError):
     """A law was requested on an instance lacking the needed oracle, or a
-    random-mode check was asked for no trials."""
+    random-mode check was asked for no trials or a negative seed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,30 +167,52 @@ def _enumerate_tuples(
     return count, stream
 
 
+def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
+    """None when the tuple satisfies the law, else the failure's detail: ""
+    for a false equation, "<ExceptionType>: <message>" for a ValueError the
+    predicate raised.  numpy's LinAlgError is a numerical failure, not a
+    verdict, and propagates."""
+    try:
+        return None if predicate(*t) else ""
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+
+
 def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) -> LawReport:
     """Check one law: exhaustively when the instance enumerates and the tuple
-    count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples."""
+    count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples.  The
+    run shares equal finite morphisms (``classical.sharing``)."""
     _require(cat, law.needs)
     predicate = partial(law.check, cat)
-    space = _enumerate_tuples(cat, law.pattern)
-    if space is not None:
-        count, tuples = space
-        for t in tuples:
-            if not predicate(*t):
-                return LawReport(law.name, count, False, counterexample=t,
-                                 mode="exhaustive")
-        return LawReport(law.name, count, True, mode="exhaustive")
-    if trials <= 0:
-        raise ConfigurationError(
-            f"trials must be positive to check {law.name!r} on {cat.name!r} "
-            f"in random mode, got {trials}"
-        )
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        t = _sample_tuple(cat, law.pattern, rng)
-        if not predicate(*t):
-            return LawReport(law.name, trials, False, counterexample=t)
-    return LawReport(law.name, trials, True)
+    with sharing():
+        space = _enumerate_tuples(cat, law.pattern)
+        if space is not None:
+            count, tuples = space
+            for t in tuples:
+                detail = _violation(predicate, t)
+                if detail is not None:
+                    return LawReport(law.name, count, False, counterexample=t,
+                                     detail=detail, mode="exhaustive")
+            return LawReport(law.name, count, True, mode="exhaustive")
+        if trials <= 0:
+            raise ConfigurationError(
+                f"trials must be positive to check {law.name!r} on {cat.name!r} "
+                f"in random mode, got {trials}"
+            )
+        if seed < 0:
+            raise ConfigurationError(
+                f"seed must be nonnegative to check {law.name!r} on {cat.name!r} "
+                f"in random mode, got {seed}"
+            )
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            t = _sample_tuple(cat, law.pattern, rng)
+            detail = _violation(predicate, t)
+            if detail is not None:
+                return LawReport(law.name, trials, False, counterexample=t, detail=detail)
+        return LawReport(law.name, trials, True)
 
 
 # -- law registry -------------------------------------------------------------

@@ -165,6 +165,16 @@ class TestVerbs:
                   if not all(r["passed"] for r in e["reports"])]
         assert failed == ["broken"]
 
+    def test_lawcheck_raising_oracle_is_exit_1(self, tmp_path, monkeypatch):
+        broken = lambda: dataclasses.replace(inst.make_pinj_instance(2), dagger=lambda f: f)
+        monkeypatch.setitem(inst.INSTANCES, "pinj", broken)
+        code, rep = run_to(tmp_path, ["lawcheck", "--instance", "pinj", "--law",
+                                      "dagger_contravariant"])
+        assert code == 1
+        (report,) = rep["result"]["reports"]
+        assert report["passed"] is False and len(report["counterexample"]) == 2
+        assert report["detail"].startswith("CompositionError: cannot compose: ")
+
     def test_lawcheck_single_law(self, tmp_path):
         code, rep = run_to(
             tmp_path,
@@ -209,6 +219,11 @@ class TestExitCodes:
     def test_nonpositive_trials_is_2(self, capsys, trials):
         assert cli.run(["lawcheck", "--instance", "cptp", "--trials", trials]) == 2
         assert "--trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instance", ["pinj", "pfn-large"])
+    def test_negative_seed_is_2(self, capsys, instance):
+        assert cli.run(["lawcheck", "--instance", instance, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
 
     @pytest.mark.parametrize("verb, count", [
         *[pytest.param(verb, 2, id=verb)

@@ -38,6 +38,11 @@ class TestModes:
         with pytest.raises(lc.ConfigurationError, match="trials must be positive"):
             lc.run_law(cat, lc.ALL_LAWS["restriction_i"], trials=trials)
 
+    def test_random_mode_rejects_a_negative_seed(self):
+        cat = inst.make_pfn_instance(6)
+        with pytest.raises(lc.ConfigurationError, match="seed must be nonnegative.*got -1"):
+            lc.run_law(cat, lc.ALL_LAWS["restriction_i"], trials=5, seed=-1)
+
     def test_exhaustive_ignores_trials(self):
         cat = inst.make_pfn_instance(2)
         rep = lc.run_law(cat, lc.ALL_LAWS["restriction_i"], trials=0)
@@ -104,6 +109,25 @@ class TestCounterexamples:
         data = rep.to_json(cat.describe)
         assert data["passed"] is False
         assert isinstance(data["counterexample"], list)
+
+    @pytest.mark.parametrize("law", ["dagger_contravariant", "inverse_regular"])
+    def test_raising_oracle_is_a_failure(self, law):
+        # dagger = identity yields composites whose ends do not meet; the
+        # CompositionError fails the law at the tuple that raised it.
+        cat = dataclasses.replace(inst.make_pinj_instance(2), dagger=lambda f: f)
+        rep = lc.run_law(cat, lc.ALL_LAWS[law])
+        assert not rep.passed and rep.mode == "exhaustive"
+        assert rep.detail.startswith("CompositionError: cannot compose: ")
+        with pytest.raises(cl.CompositionError):
+            lc.ALL_LAWS[law].check(cat, *rep.counterexample)
+        assert rep.to_json(cat.describe)["detail"] == rep.detail
+
+    def test_configuration_errors_still_raise_before_any_tuple(self):
+        cat = dataclasses.replace(inst.make_pinj_instance(2), dagger=lambda f: f)
+        with pytest.raises(lc.ConfigurationError):
+            lc.run_law(cat, lc.ALL_LAWS["wellpointed"])
+        with pytest.raises(ValueError, match="unknown pattern"):
+            lc.run_law(cat, lc.Law("bad", "nonsense", lambda cat, *a: True))
 
     def test_group_runner_stops_at_failure(self):
         cat = self.broken_instance()
