@@ -193,10 +193,7 @@ class PartialFn:
             previous = x
 
     def __call__(self, x: int) -> Optional[int]:
-        for a, b in self.graph:
-            if a == x:
-                return b
-        return None
+        return self.mapping.get(x)
 
     @once
     def mapping(self) -> dict[int, int]:
@@ -335,16 +332,9 @@ def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
     if kind == "interchange":
         if len(shapes) != 4:
             raise ValueError("interchange takes four factor sizes")
-        b, e, b2, e2 = shapes
-        graph = []
-        for xb in range(b):
-            for xe in range(e):
-                for yb in range(b2):
-                    for ye in range(e2):
-                        src = ((xb * e + xe) * b2 + yb) * e2 + ye
-                        dst = ((xb * b2 + yb) * e + xe) * e2 + ye
-                        graph.append((src, dst))
-        return PartialInj(FinObj((b, e, b2, e2)), FinObj((b, b2, e, e2)), tuple(graph))
+        b, e, b2, e2 = shapes  # id_B (x) symm(E, B') (x) id_E'
+        middle = tensor_prod(identity(FinObj.of_size(b)), coherence("symm", (e, b2)))
+        return tensor_prod(middle, identity(FinObj.of_size(e2)))
     raise ValueError(f"unknown coherence kind {kind!r}")
 
 

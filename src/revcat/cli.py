@@ -189,10 +189,12 @@ def _lawcheck(args) -> tuple[dict | list, int]:
 
 
 def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
-    w = gb.aux_equiv(f, g)
-    res = {"equal": w is not None}
-    if w is not None and w.mediator is not None:
-        res["mediator"] = [{"forward": True, "map": w.mediator.to_json()}]
+    if f.base != gb.PINJ or g.base != gb.PINJ:  # Choi equality has no mediator
+        return {"equal": gb.aux_equal(f, g)}, 0
+    h = gb.aux_equiv(f, g)
+    res = {"equal": h is not None}
+    if h is not None:
+        res["mediator"] = [{"forward": True, "map": h.to_json()}]
     return res, 0
 
 

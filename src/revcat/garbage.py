@@ -9,23 +9,23 @@ isometries ("isometry").  A morphism's base follows from its core's type
 is named only where no core exists yet: in the JSON form and for the
 structural morphisms, which one builder makes from a structural permutation.
 
-For the pinj base the class has a decidable canonical form: the underlying
-partial function plus the partition of its domain by garbage equality.  Any
-equivalence is then witnessed by a single direct mediator; this
+For the pinj base the class has a decidable canonical form, the plain pair
+(visible partial function, partition of its domain by garbage equality).  Any
+equivalence is then witnessed by a single direct mediator ``PartialInj``; this
 characterization is validated against a brute-force zigzag search in the test
 suite before anything relies on it.  For the isometry base the induced channel
 (trace out the garbage) is a complete invariant, so equivalence is Choi
-equality.
+equality and has no other witness.
 
 The normal form, the collapsed morphism and the restriction are pure, so each
 morphism computes them once, on first use, and keeps them through the
 lockless memo ``classical.once`` (``AuxMorphism.normal_form``,
 ``AuxMorphism.collapsed`` and ``AuxMorphism.restricted``); ``aux_equal``
-decides the equivalence from the normal forms, and ``aux_equiv`` adds a
-mediator witness to a positive decision.  The pinj composite and tensor each
-build their core in one pass and one ``PartialInj``: the composite sends each
-pair (x, (b, e)) of f's core through g's memoised mapping, and the tensor maps
-each pair of core pairs straight to its interchanged index.  Every
+decides the equivalence from the normal forms, and over pinj ``aux_equiv``
+returns the mediator of a positive decision.  The pinj composite and tensor
+each build their core in one pass and one ``PartialInj``: the composite sends
+each pair (x, (b, e)) of f's core through g's memoised mapping, and the tensor
+maps each pair of core pairs straight to its interchanged index.  Every
 constructor still validates: a cached value is derived from a core that has
 passed its own checks, and each result core passes them once.
 
@@ -106,11 +106,11 @@ class AuxMorphism:
         return qu.channel_of_isometry(self.core, self.garbage_size)
 
     @cl.once
-    def normal_form(self) -> Union["PInjAuxNormal", Channel]:
+    def normal_form(self) -> Union[tuple[PartialFn, tuple], Channel]:
         """The class invariant, computed on first use: the collapsed
-        morphism, with the garbage partition for the pinj base."""
+        morphism, paired with the garbage partition for the pinj base."""
         if self.base == PINJ:
-            return PInjAuxNormal(self.collapsed, garbage_partition(self))
+            return self.collapsed, garbage_partition(self)
         return self.collapsed
 
     @cl.once
@@ -158,23 +158,6 @@ class AuxMorphism:
             core = Isometry(qu.matrix_from_json(core, "core"))
             return cls(core, core.rows // e, e)
         raise ValueError(f"unknown base {base!r}")
-
-
-@dataclass(frozen=True)
-class PInjAuxNormal:
-    """Canonical class representative for the pinj base: the visible partial
-    function and the garbage-equality partition of its domain."""
-
-    fn: PartialFn
-    partition: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class MediatorWitness:
-    """The one mediator h : E_f -> E_g with (id_B (x) h) o f = g, or None over
-    the isometry base, where Choi equality is the witness."""
-
-    mediator: Optional[PartialInj]
 
 
 def _same_base(f: AuxMorphism, g: AuxMorphism) -> None:
@@ -335,8 +318,9 @@ def garbage_partition(f: AuxMorphism) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def normal_form(f: AuxMorphism) -> Union[PInjAuxNormal, Channel]:
-    """The class invariant of f, cached on f."""
+def normal_form(f: AuxMorphism) -> Union[tuple[PartialFn, tuple], Channel]:
+    """The class invariant of f, cached on f: (visible_fn, garbage_partition)
+    over pinj, the channel over isometries."""
     return f.normal_form
 
 
@@ -345,9 +329,7 @@ def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
     normal forms agree."""
     ef, eg = f.garbage_size, g.garbage_size
     gg = g.core.mapping
-    pairs = {}
-    for x, y in f.core.graph:
-        pairs[y % ef] = gg[x] % eg
+    pairs = {y % ef: gg[x] % eg for x, y in f.core.graph}
     return PartialInj(
         FinObj.of_size(ef), FinObj.of_size(eg), tuple(pairs.items())
     )
@@ -362,21 +344,18 @@ def aux_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     return normal_form(f) == normal_form(g)
 
 
-def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[MediatorWitness]:
-    """The equivalence of aux_equal with a witness: the direct mediator when
-    equivalent, None otherwise.  For the isometry base no mediator is
-    produced."""
-    if not aux_equal(f, g):
-        return None
-    return MediatorWitness(direct_mediator(f, g) if f.base == PINJ else None)
-
-
-def replay_witness(f: AuxMorphism, g: AuxMorphism, w: MediatorWitness) -> bool:
-    """Check that the witness mediator really relates f to g in the base: it
-    keeps where f is defined and carries f's core to g's."""
+def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[PartialInj]:
+    """The pinj equivalence of aux_equal with its witness: the direct mediator
+    when equivalent, None otherwise.  Over isometries Choi equality is the
+    only witness, so ask aux_equal there; this raises BaseMismatchError."""
     if f.base != PINJ:
-        return aux_equiv(f, g) is not None
-    h = w.mediator
+        raise BaseMismatchError("aux_equiv requires the pinj base; use aux_equal")
+    return direct_mediator(f, g) if aux_equal(f, g) else None
+
+
+def replay_witness(f: AuxMorphism, g: AuxMorphism, h: PartialInj) -> bool:
+    """Check that the pinj mediator h really relates f to g in the base: it
+    keeps where f is defined and carries f's core to g's."""
     ident = cl.identity(FinObj.of_size(f.cod_size))
     core = cl.compose(cl.tensor_prod(ident, h), f.core)
     return (
@@ -391,14 +370,10 @@ def replay_witness(f: AuxMorphism, g: AuxMorphism, w: MediatorWitness) -> bool:
 def points_of(size: int) -> list[AuxMorphism]:
     """All global points I -> A for the pinj base: one per element plus the
     nowhere-defined point, in canonical trivial-garbage form."""
-    pts = []
     one = FinObj.of_size(1)
     a = FinObj.of_size(size)
-    for val in range(size):
-        core = cl.make(PartialInj, one, a, ((0, val),))
-        pts.append(cl.make(AuxMorphism, core, size, 1))
-    pts.append(cl.make(AuxMorphism, cl.make(PartialInj, one, a, ()), size, 1))
-    return pts
+    graphs = [((0, val),) for val in range(size)] + [()]
+    return [cl.make(AuxMorphism, cl.make(PartialInj, one, a, graph), size, 1) for graph in graphs]
 
 
 def point_value(p: AuxMorphism) -> Optional[int]:
@@ -406,5 +381,4 @@ def point_value(p: AuxMorphism) -> Optional[int]:
     garbage normalizes away."""
     if p.base != PINJ or p.dom_size != 1:
         raise ValueError("not a pinj point")
-    fn = visible_fn(p)
-    return fn(0)
+    return p.collapsed(0)

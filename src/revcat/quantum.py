@@ -10,8 +10,10 @@ Trace preservation reads Tr_out C = I_din.
 The channel algebra works on Choi matrices directly: composition is the link
 product (Chiribella, D'Ariano and Perinotti, "Theoretical framework for
 quantum networks", PRA 80 022339, 2009), a contraction over the middle
-factor, and the tensor product is an index-permuted kron.  Every result is
-still validated in full by the Channel constructor.
+factor, and the tensor product is an index-permuted kron.  The Channel
+constructor is the one place where a channel's properties are decided: every
+library constructor hands it the raw Choi matrix, unsymmetrised, and it
+validates that matrix in full.
 
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
@@ -51,10 +53,6 @@ class NotAChannelError(ValueError):
 
 def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + _dag(m)) / 2
 
 
 def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -195,7 +193,12 @@ class Channel:
 # -- constructors -------------------------------------------------------------
 
 def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
-    """Assemble the Choi matrix of rho -> sum_k K rho K^dag."""
+    """Assemble the Choi matrix of rho -> sum_k K rho K^dag.
+
+    Tr_out C is the entrywise conjugate of sum_k K^dag K, so the constructor's
+    trace-preservation check is the Kraus completeness check: a list that is
+    not complete within 1e-9 raises NotAChannelError from there.
+    """
     if not ks:
         raise NotAChannelError("empty Kraus list")
     dout, din = ks[0].shape
@@ -203,13 +206,9 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
         if k.shape != (dout, din):
             raise NotAChannelError("Kraus operators must share one shape")
     stacked = np.asarray(ks, dtype=complex)  # stacked[k, m, i] = K_k[m, i]
-    column = stacked.reshape(len(ks) * dout, din)  # the K_k one above the other
-    s = _dag(column) @ column
-    if not _close(s, np.eye(din), ROUND_ATOL):
-        raise NotAChannelError("sum K^dag K != I within 1e-8")
     # C = V V^dag, where column k of V is vec(K_k)[i*dout + m] = K_k[m, i].
     v = stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T
-    return Channel(din, dout, _hermitian_part(v @ _dag(v)))
+    return Channel(din, dout, v @ _dag(v))
 
 
 def kraus_of_choi(c: Channel) -> list[np.ndarray]:
@@ -339,7 +338,7 @@ def channel_compose(g: Channel, f: Channel) -> Channel:
     c = np.tensordot(f.blocks(), g.blocks(), axes=([1, 3], [0, 2]))  # [i, j, n, l]
     n = f.din * g.dout
     choi = c.transpose(0, 2, 1, 3).reshape(n, n)
-    return Channel(f.din, g.dout, _hermitian_part(choi))
+    return Channel(f.din, g.dout, choi)
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:
@@ -347,7 +346,7 @@ def channel_tensor(a: Channel, b: Channel) -> Channel:
     matrices, with input factors before output factors."""
     din, dout = a.din * b.din, a.dout * b.dout
     c = np.einsum("imjn,akbl->iamkjbnl", a.blocks(), b.blocks())
-    return Channel(din, dout, _hermitian_part(c.reshape(din * dout, din * dout)))
+    return Channel(din, dout, c.reshape(din * dout, din * dout))
 
 
 def identity_channel(d: int) -> Channel:

@@ -266,12 +266,16 @@ class TestCoherence:
                 assert p(x * 3 + y) == y * 2 + x
 
     def test_interchange_2222(self):
-        p = cl.coherence("interchange", (2, 2, 2, 2))
-        assert p.is_total() and p.is_injective() and p.dom.size == 16
-        for idx in range(16):
-            xb, xe, yb, ye = oracles.mixed_radix_unrank(idx, (2, 2, 2, 2))
-            expected = oracles.mixed_radix_rank((xb, yb, xe, ye), (2, 2, 2, 2))
-            assert p(idx) == expected
+        # Every shape with factors in 0..3, (2, 2, 2, 2) among them.
+        for shape in itertools.product(range(4), repeat=4):
+            b, e, b2, e2 = shape
+            p = cl.coherence("interchange", shape)
+            assert (p.dom.shape, p.cod.shape) == (shape, (b, b2, e, e2))
+            assert p.is_total() and p.is_injective() and p.dom.size == b * e * b2 * e2
+            for idx in range(p.dom.size):
+                xb, xe, yb, ye = oracles.mixed_radix_unrank(idx, shape)
+                expected = oracles.mixed_radix_rank((xb, yb, xe, ye), (b, b2, e, e2))
+                assert p(idx) == expected
 
     def test_pentagon_hexagon_small_shapes(self):
         # Associators are identities, so the pentagon is trivial; the hexagon

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from revcat import classical as cl, cli, instances as inst, pipeline as pl, quantum as qu
+from revcat import classical as cl, cli, garbage as gb, instances as inst, pipeline as pl, quantum as qu
 from revcat.classical import FinObj, PartialFn, PartialInj
 from revcat.garbage import AuxMorphism
 
@@ -86,6 +86,17 @@ class TestVerbs:
         assert rep["result"]["mediator"][0]["forward"] is True
         h = PartialInj(FinObj.of_size(2), FinObj.of_size(2), ((0, 1),))
         assert rep["result"]["mediator"] == [{"forward": True, "map": h.to_json()}]
+
+    def test_aux_equal_over_isometries_has_no_mediator(self, tmp_path, capsys):
+        iso = write(tmp_path, "i.json", gb.aux_id(2, gb.ISO).to_json())
+        v = qu.minimal_stinespring(qu.dephasing_channel(2))[0]
+        deph = write(tmp_path, "d.json", AuxMorphism(v, 2, 2).to_json())
+        for other, equal in [(iso, True), (deph, False)]:
+            code, rep = run_to(tmp_path, ["aux-equal", iso, other])
+            assert code == 0 and rep["result"] == {"equal": equal}
+        pinj = write(tmp_path, "p.json", gb.aux_id(2).to_json())
+        assert cli.run(["aux-equal", iso, pinj]) == 2
+        assert capsys.readouterr().err == "error: bases differ: isometry vs pinj\n"
 
     def test_dilate_kraus_extract(self, tmp_path):
         c = write(tmp_path, "c.json", channel_json(qu.dephasing_channel(2)))

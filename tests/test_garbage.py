@@ -115,12 +115,18 @@ class TestDecider:
         padded = np.zeros((6, 2), dtype=complex)
         padded.reshape(2, 3, 2)[:, :2, :] = v.mat.reshape(2, 2, 2)
         m2 = AuxMorphism(qu.Isometry(padded), 2, 3)
-        assert gb.aux_equiv(m1, m2) is not None
+        assert gb.aux_equal(m1, m2)
 
     def test_iso_base_distinct_channels(self):
         m1 = gb.aux_id(2, ISO)
         m2 = AuxMorphism(qu.minimal_stinespring(qu.dephasing_channel(2))[0], 2, 2)
-        assert gb.aux_equiv(m1, m2) is None
+        assert not gb.aux_equal(m1, m2)
+
+    def test_iso_base_has_no_mediator(self):
+        # Over isometries Choi equality is the only witness.
+        iso = gb.aux_id(2, ISO)
+        with pytest.raises(gb.BaseMismatchError, match="requires the pinj base"):
+            gb.aux_equiv(iso, iso)
 
 
 class TestBaseFromCore:
@@ -195,9 +201,7 @@ class TestBaseFromCore:
         m1 = AuxMorphism(pinj(2, 4, [(0, 0), (1, 2)]), 2, 2)
         m2 = AuxMorphism(pinj(2, 4, [(0, 1), (1, 3)]), 2, 2)
         w = gb.aux_equiv(m1, m2)
-        assert (w.mediator.dom.size, w.mediator.cod.size, w.mediator.graph) == (2, 2, ((0, 1),))
-        iso = gb.aux_id(2, ISO)
-        assert gb.aux_equiv(iso, iso) == gb.MediatorWitness(None)
+        assert (w.dom.size, w.cod.size, w.graph) == (2, 2, ((0, 1),))
 
 
 class TestDeciderAndCache:
@@ -211,7 +215,7 @@ class TestDeciderAndCache:
     def test_cached_normal_form_matches_fresh(self):
         for a, b in itertools.product(range(3), repeat=2):
             for f in enumerate_aux_pinj(a, b, 2):
-                fresh = gb.PInjAuxNormal(gb.visible_fn(f), gb.garbage_partition(f))
+                fresh = (gb.visible_fn(f), gb.garbage_partition(f))
                 assert gb.normal_form(f) == fresh
                 assert gb.normal_form(f) is gb.normal_form(f)
                 assert f.collapsed.same_table(gb.visible_fn(f))
@@ -227,7 +231,6 @@ class TestDeciderAndCache:
             other = AuxMorphism(qu.haar_isometry(d * r, d, rng), d, r)
             for x, y, same in [(f, g, True), (g, f, True), (f, other, d == 1)]:
                 assert gb.aux_equal(x, y) == same
-                assert (gb.aux_equiv(x, y) is not None) == same
             assert gb.normal_form(f) is f.collapsed
             assert gb.normal_form(f).close_to(
                 qu.channel_of_isometry(v, r), qu.ATOL)

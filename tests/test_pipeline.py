@@ -1,5 +1,10 @@
 """Ancilla-input presentation, channel pipelines, and reversibility tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,3 +164,14 @@ class TestPipelineEndToEnd:
         f = cl.PartialInj(FinObj.of_size(3), FinObj.of_size(3), ((0, 1), (1, 0)))
         g = pl.inv_pfn(PartialFn(f.dom, f.cod, f.graph))
         assert g is not None and g.same_table(f)
+
+    def test_pipeline_demo_script(self):
+        root = Path(__file__).resolve().parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": str(root / "src") + (os.pathsep + path if path else "")}
+        out = subprocess.run([sys.executable, str(root / "scripts" / "pipeline_demo.py")],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert "garbage-sensitive equal: False" in lines
+        assert "dephasing: reversible core exists = False" in lines

@@ -232,6 +232,21 @@ class TestKraus:
         with pytest.raises(qu.NotAChannelError):
             qu.choi_of_kraus([0.5 * np.eye(2, dtype=complex)])
 
+    @pytest.mark.parametrize("delta", [5e-9, 1e-7])
+    def test_incomplete_kraus_list_fails_the_tp_check(self, rng, delta):
+        # Tr_out C is the conjugate of sum K^dag K, so the constructor's TP
+        # check decides Kraus completeness.
+        ks = qu.kraus_of_choi(qu.random_channel(2, 3, 2, rng))
+        with pytest.raises(qu.NotAChannelError,
+                           match="partial trace over output != identity within 1e-9"):
+            qu.choi_of_kraus([np.sqrt(1 + delta) * k for k in ks])
+
+    def test_non_finite_kraus_entry_rejected(self):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = np.nan
+        with pytest.raises(qu.NotAChannelError, match="choi has a non-finite entry"):
+            qu.choi_of_kraus([k])
+
     def test_unitary_mixing_keeps_choi(self, rng):
         # K'_i = sum_j u_ij K_j presents the same channel for any unitary u.
         for _ in range(100):
