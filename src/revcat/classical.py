@@ -57,7 +57,10 @@ class once:
     same pure value twice.
     The stored value is shared by every reader; do not mutate it.  Inside a
     :func:`sharing` scope one object stands for every equal morphism, so its
-    stored values are shared by every use of that value in the scope."""
+    stored values are shared by every use of that value in the scope.
+    A value that is the instance itself (r(r) for a restriction idempotent r)
+    is not stored: that would be a reference cycle, outliving the scope's
+    table until the cyclic collector runs.  The next read recomputes it."""
 
     def __init__(self, method) -> None:
         self.method = method
@@ -68,7 +71,8 @@ class once:
         if obj is None:
             return self
         value = self.method(obj)
-        object.__setattr__(obj, self.name, value)
+        if value is not obj:
+            object.__setattr__(obj, self.name, value)
         return value
 
 
@@ -344,13 +348,6 @@ def bennett(f: PartialFn) -> PartialInj:
     n = f.dom.size
     graph = tuple((x, y * n + x) for x, y in f.graph)
     return PartialInj(f.dom, cod, graph)
-
-
-def is_partial_iso(f: PartialFn) -> Optional[PartialInj]:
-    """The PartialInj view of f, when its graph is injective."""
-    if f.is_injective():
-        return PartialInj(f.dom, f.cod, f.graph)
-    return None
 
 
 # -- enumeration helpers ------------------------------------------------------

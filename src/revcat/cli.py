@@ -4,8 +4,10 @@ Every report carries the verb, a digest of the inputs, the seed and the
 tolerances in effect, and its text is exactly
 ``json.dumps(report, sort_keys=True, indent=2) + "\n"``, so identical
 invocations are byte-identical.  Exit status: 0 on success, 1 on a law
-violation, 2 on malformed input, 3 on an internal numerical failure (numpy's
-LinAlgError, which is not an input error although it subclasses ValueError).
+violation, 2 on malformed input (a parser's ValueError; any other exception
+is a bug and propagates) or an unwritable --out file, 3 on an internal
+numerical failure (numpy's LinAlgError, which is not an input error although
+it subclasses ValueError).
 
 Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
 (partial function), a garbage-carrying morphism, a channel or a matrix; inv
@@ -79,11 +81,13 @@ def _load(kind: str, name: str, raw: bytes):
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"{name}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (UnicodeDecodeError, RecursionError) as e:  # undecodable bytes, or nested too deeply
+        raise InputError(f"{name}: {e}") from e
     if kind == _CHAN_OR_MOR:
         kind = _CHAN if isinstance(data, dict) and "din" in data else _MOR
     try:
         return _PARSERS[kind](data)
-    except (KeyError, ValueError, TypeError) as e:
+    except ValueError as e:
         raise InputError(f"{name}: bad {kind}: {e}") from e
 
 
@@ -152,8 +156,12 @@ def run(argv: Optional[list[str]] = None) -> int:
     }
     text = _write(report) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status
@@ -182,8 +190,7 @@ def _lawcheck(args) -> tuple[dict | list, int]:
                 continue
             laws = [law]
         reports = [lc.run_law(cat, law, args.trials, args.seed) for law in laws]
-        entries.append({"instance": name,
-                        "reports": [r.to_json(cat.describe) for r in reports]})
+        entries.append({"instance": name, "reports": [r.to_json() for r in reports]})
     ok = all(r["passed"] for e in entries for r in e["reports"])
     return entries if every else entries[0], 0 if ok else 1
 
@@ -200,7 +207,7 @@ def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
 
 def _dilate(args, c: Channel) -> tuple[dict, int]:
     v, r = qu.minimal_stinespring(c)
-    return {"isometry": qu.matrix_to_json(v.mat), "env_dim": r}, 0
+    return {"isometry": v.to_json(), "env_dim": r}, 0
 
 
 def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
@@ -208,7 +215,7 @@ def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
         core = qu.reversible_core(x)
         if isinstance(core, str):
             return {"reversible": False, "reason": core}, 0
-        return {"reversible": True, "unitary": qu.matrix_to_json(core.mat)}, 0
+        return {"reversible": True, "unitary": core.to_json()}, 0
     inj = pl.inv_pfn(x)
     if inj is None:
         return {"reversible": False, "reason": "not injective"}, 0
@@ -252,7 +259,7 @@ VERBS = {
         {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0)),
     "channel-of-unitary": ((_MAT,), _channel_of_unitary),
     "extract-unitary": ((_CHAN,), lambda args, c: (
-        {"unitary": qu.matrix_to_json(qu.extract_unitary(c).mat)}, 0)),
+        {"unitary": qu.extract_unitary(c).to_json()}, 0)),
     "inv": ((_CHAN_OR_MOR,), _inv),
     "roundtrip": ((_CHAN,), _roundtrip),
 }

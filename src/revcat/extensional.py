@@ -36,19 +36,12 @@ def pfn_functor(f: PartialFn) -> AuxMorphism:
 def tomographic_family(d: int) -> list[np.ndarray]:
     """A spanning family of d*d states: basis projectors plus real and
     imaginary pairwise superpositions."""
-    states = []
-    for i in range(d):
-        s = np.zeros((d, d), dtype=complex)
-        s[i, i] = 1.0
-        states.append(s)
+    states = [np.diag(row) for row in np.eye(d, dtype=complex)]
     for i in range(d):
         for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i] = 1.0
-            v[j] = 1.0
-            states.append(np.outer(v, v.conj()) / 2)
-            w = np.zeros(d, dtype=complex)
-            w[i] = 1.0
-            w[j] = 1j
-            states.append(np.outer(w, w.conj()) / 2)
+            for phase in (1.0, 1j):
+                v = np.zeros(d, dtype=complex)
+                v[i] = 1.0
+                v[j] = phase
+                states.append(np.outer(v, v.conj()) / 2)
     return states

@@ -122,11 +122,10 @@ class AuxMorphism:
         return aux_id(self.dom_size, ISO)  # isometries are total
 
     def to_json(self) -> dict:
-        core = self.core.to_json() if self.base == PINJ else qu.matrix_to_json(self.core.mat)
         return {
             "base": self.base,
             "garbage_shape": [self.garbage_size],
-            "core": core,
+            "core": self.core.to_json(),
         }
 
     @classmethod

@@ -67,7 +67,6 @@ def make_pfn_instance(max_size: int = 4, injective: bool = False) -> CategoryIns
         unit=cl.UNIT,
         enumerate_objs=enum_objs,
         enumerate_mors=enum_mors,
-        describe=lambda f: f.to_json(),
     )
 
 
@@ -86,9 +85,6 @@ def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> Cate
     def sample_mor(rng, dom):
         return sample_mat(rng, dom if dom is not None else sample_obj(rng))
 
-    def eq(m, n):
-        return m.mat.shape == n.mat.shape and qu._close(m.mat, n.mat, qu.ATOL)
-
     return CategoryInstance(
         name=name,
         sample_mor=sample_mor,
@@ -96,12 +92,11 @@ def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> Cate
         cod=lambda m: m.mat.shape[0],
         compose=lambda g, f: wrap(g.mat @ f.mat),
         identity=lambda d: wrap(np.eye(d, dtype=complex)),
-        eq=eq,
+        eq=lambda m, n: m.close_to(n),
         restrict=lambda m: wrap(np.eye(m.mat.shape[1], dtype=complex)),
         dagger=(lambda m: wrap(m.mat.conj().T)) if dagger else None,
         tensor_mor=lambda m, n: wrap(np.kron(m.mat, n.mat)),
         unit=1,
-        describe=lambda m: qu.matrix_to_json(m.mat),
     )
 
 
@@ -139,7 +134,6 @@ def make_cptp_instance(max_dim: int = 3) -> CategoryInstance:
         tensor_mor=qu.channel_tensor,
         unit=1,
         points=lambda d: [qu.Channel(1, d, rho) for rho in ex.tomographic_family(d)],
-        describe=lambda c: c.to_json(),
     )
 
 
@@ -196,7 +190,6 @@ def make_aux_pinj_instance(
         enumerate_objs=enum_objs,
         enumerate_mors=enum_mors,
         points=gb.points_of if extensional else None,
-        describe=lambda f: f.to_json(),
     )
 
 

@@ -48,7 +48,8 @@ class CategoryInstance:
     not None and from an object of the sampler's choosing otherwise.
     enumerate_mors(a, b), when present, yields the whole hom-set and enables
     exhaustive checking.  points(a), when present, lists the global points
-    I -> a.
+    I -> a.  There is no rendering oracle: LawReport.to_json writes each
+    counterexample morphism m as m.to_json().
     """
 
     name: str
@@ -65,7 +66,6 @@ class CategoryInstance:
     enumerate_objs: Optional[Callable[[], list]] = None
     enumerate_mors: Optional[Callable[[Any, Any], list]] = None
     points: Optional[Callable[[Any], list]] = None
-    describe: Callable[[Any], Any] = repr
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class LawReport:
     detail: str = ""
     mode: str = "random"
 
-    def to_json(self, describe: Callable[[Any], Any] = repr) -> dict:
+    def to_json(self) -> dict:
         return {
             "law": self.law,
             "trials": self.trials,
@@ -88,7 +88,7 @@ class LawReport:
             "counterexample": (
                 None
                 if self.counterexample is None
-                else [describe(m) for m in self.counterexample]
+                else [m.to_json() for m in self.counterexample]
             ),
             "detail": self.detail,
         }
@@ -190,29 +190,27 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
         space = _enumerate_tuples(cat, law.pattern)
         if space is not None:
             count, tuples = space
-            for t in tuples:
-                detail = _violation(predicate, t)
-                if detail is not None:
-                    return LawReport(law.name, count, False, counterexample=t,
-                                     detail=detail, mode="exhaustive")
-            return LawReport(law.name, count, True, mode="exhaustive")
-        if trials <= 0:
-            raise ConfigurationError(
-                f"trials must be positive to check {law.name!r} on {cat.name!r} "
-                f"in random mode, got {trials}"
-            )
-        if seed < 0:
-            raise ConfigurationError(
-                f"seed must be nonnegative to check {law.name!r} on {cat.name!r} "
-                f"in random mode, got {seed}"
-            )
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            t = _sample_tuple(cat, law.pattern, rng)
+            mode = "exhaustive"
+        else:
+            if trials <= 0:
+                raise ConfigurationError(
+                    f"trials must be positive to check {law.name!r} on {cat.name!r} "
+                    f"in random mode, got {trials}"
+                )
+            if seed < 0:
+                raise ConfigurationError(
+                    f"seed must be nonnegative to check {law.name!r} on {cat.name!r} "
+                    f"in random mode, got {seed}"
+                )
+            rng = np.random.default_rng(seed)
+            count, mode = trials, "random"
+            tuples = (_sample_tuple(cat, law.pattern, rng) for _ in range(trials))
+        for t in tuples:
             detail = _violation(predicate, t)
             if detail is not None:
-                return LawReport(law.name, trials, False, counterexample=t, detail=detail)
-        return LawReport(law.name, trials, True)
+                return LawReport(law.name, count, False, counterexample=t,
+                                 detail=detail, mode=mode)
+        return LawReport(law.name, count, True, mode=mode)
 
 
 # -- law registry -------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import classical as cl
 from . import quantum as qu
 from .classical import PartialFn, PartialInj
 from .quantum import Channel, Isometry, Unitary
@@ -50,9 +49,7 @@ class UnitaryPhaseClass:
 
     def close_to(self, other: "UnitaryPhaseClass") -> bool:
         """Entrywise within ROUND_ATOL, representatives being phase-fixed."""
-        return self.rep.dim == other.rep.dim and qu._close(
-            self.rep.mat, other.rep.mat, qu.ROUND_ATOL
-        )
+        return self.rep.close_to(other.rep, qu.ROUND_ATOL)
 
 
 def inp_to_isometry(u: InpUnitary) -> Isometry:
@@ -93,8 +90,10 @@ def channel_to_unitary_presentation(c: Channel) -> tuple[Unitary, int, int]:
 
 
 def inv_pfn(f: PartialFn) -> Optional[PartialInj]:
-    """The partial-isomorphism view of a partial function, when one exists."""
-    return cl.is_partial_iso(f)
+    """The partial-isomorphism view of f: a PartialInj, when f's graph is injective."""
+    if f.is_injective():
+        return PartialInj(f.dom, f.cod, f.graph)
+    return None
 
 
 def inv_cptp(c: Channel) -> Optional[UnitaryPhaseClass]:

@@ -119,6 +119,12 @@ class Isometry:
     def cols(self) -> int:
         return self.mat.shape[1]
 
+    def close_to(self, other: "Isometry", atol: float = ATOL) -> bool:
+        return self.mat.shape == other.mat.shape and _close(self.mat, other.mat, atol)
+
+    def to_json(self) -> dict:
+        return matrix_to_json(self.mat)
+
 
 @dataclass(frozen=True, eq=False)
 class Unitary(Isometry):
@@ -280,8 +286,7 @@ def reversible_core(c: Channel) -> Unitary | str:
         return "dimension mismatch"
     if not is_pure_choi(c):
         return "choi impure"
-    w, vecs = np.linalg.eigh(c.choi)
-    k = (vecs[:, -1] * np.sqrt(w[-1])).reshape(c.din, c.dout).T
+    k = kraus_of_choi(c)[0]
     if not _close(_dag(k) @ k, np.eye(c.din), ROUND_ATOL):
         return "not unitary"
     u = Unitary(phase_fix(nearest_unitary(k)))

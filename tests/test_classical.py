@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from revcat import classical as cl
 from revcat import garbage as gb
+from revcat import pipeline as pl
 from revcat.classical import FinObj, PartialFn, PartialInj
 
 import oracles
@@ -323,10 +324,10 @@ class TestBennett:
 
 class TestPartialIso:
     def test_bijection_accepted(self):
-        assert cl.is_partial_iso(pfn(2, 2, [(0, 1), (1, 0)])) is not None
+        assert pl.inv_pfn(pfn(2, 2, [(0, 1), (1, 0)])) is not None
 
     def test_noninjective_rejected(self):
-        assert cl.is_partial_iso(pfn(2, 1, [(0, 0), (1, 0)])) is None
+        assert pl.inv_pfn(pfn(2, 1, [(0, 0), (1, 0)])) is None
 
     def test_agrees_with_inverse_search_exhaustive(self):
         for a in range(4):
@@ -334,7 +335,7 @@ class TestPartialIso:
                 aa, bb = FinObj.of_size(a), FinObj.of_size(b)
                 for f in cl.all_partial_fns(aa, bb):
                     found = oracles.search_partial_inverse(f)
-                    assert (cl.is_partial_iso(f) is not None) == (found is not None)
+                    assert (pl.inv_pfn(f) is not None) == (found is not None)
 
 
 class TestJson:

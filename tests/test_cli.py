@@ -363,6 +363,37 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: a 0x0 unitary has no channel; the unitary must be at least 1x1\n")
 
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        f = write(tmp_path, "f.json", pfn_json(2, 2, [(0, 1)]))
+        assert cli.run(["compose", f, f, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
+
+    def test_too_deeply_nested_input_is_2(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200_000)
+        assert cli.run(["bennett-of", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and "recursion" in err
+
+    def test_undecodable_input_names_it(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe\x00")
+        assert cli.run(["bennett-of", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and "can't decode" in err
+
+    def test_parser_bug_is_not_malformed_input(self, tmp_path, monkeypatch):
+        # Only a ValueError is an input error; a parser's TypeError is a bug.
+        def buggy(data):
+            raise TypeError("parser bug")
+
+        monkeypatch.setitem(cli._PARSERS, cli._MOR, buggy)
+        f = write(tmp_path, "f.json", pfn_json(1, 1, []))
+        with pytest.raises(TypeError, match="parser bug"):
+            cli.run(["bennett-of", f])
+
     def test_internal_numerical_failure_is_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError, but it is no input error.
         def failing(args, c):

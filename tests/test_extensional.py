@@ -98,7 +98,7 @@ class TestCongruence:
     def test_law_passes(self):
         cat = inst.INSTANCES["ext-aux-pinj"]()
         rep = lc.run_law(cat, lc.ALL_LAWS["quotient_congruence"])
-        assert rep.passed, rep.to_json(cat.describe)
+        assert rep.passed, rep.to_json()
         assert rep.mode == "exhaustive" and rep.trials == 74_582
 
     def test_padded_dilation_congruence(self):
@@ -170,7 +170,7 @@ class TestTomography:
         for d in (2, 3):
             cat = inst.make_cptp_instance(d)
             rep = lc.run_law(cat, lc.ALL_LAWS["wellpointed"], trials=30, seed=4)
-            assert rep.passed, rep.to_json(cat.describe)
+            assert rep.passed, rep.to_json()
 
 
 class TestWellPointed:

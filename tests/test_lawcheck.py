@@ -106,7 +106,7 @@ class TestCounterexamples:
     def test_violation_in_json_report(self):
         cat = self.broken_instance()
         rep = lc.run_law(cat, lc.ALL_LAWS["restriction_i"])
-        data = rep.to_json(cat.describe)
+        data = rep.to_json()
         assert data["passed"] is False
         assert isinstance(data["counterexample"], list)
 
@@ -120,7 +120,16 @@ class TestCounterexamples:
         assert rep.detail.startswith("CompositionError: cannot compose: ")
         with pytest.raises(cl.CompositionError):
             lc.ALL_LAWS[law].check(cat, *rep.counterexample)
-        assert rep.to_json(cat.describe)["detail"] == rep.detail
+        assert rep.to_json()["detail"] == rep.detail
+
+    def test_counterexample_renders_itself(self):
+        # dagger = identity on unitaries breaks f f^dag f = f; the report
+        # writes each counterexample matrix with its own to_json.
+        cat = dataclasses.replace(inst.make_unitary_instance(2), dagger=lambda m: m)
+        rep = lc.run_law(cat, lc.ALL_LAWS["inverse_regular"], trials=20, seed=0)
+        assert not rep.passed and rep.mode == "random"
+        (m,) = rep.counterexample
+        assert rep.to_json()["counterexample"] == [qu.matrix_to_json(m.mat)]
 
     def test_configuration_errors_still_raise_before_any_tuple(self):
         cat = dataclasses.replace(inst.make_pinj_instance(2), dagger=lambda f: f)
@@ -139,7 +148,7 @@ class TestCounterexamples:
 def assert_laws_pass(cat, laws, **kwargs):
     for law in laws:
         rep = lc.run_law(cat, law, **kwargs)
-        assert rep.passed, rep.to_json(cat.describe)
+        assert rep.passed, rep.to_json()
 
 
 class TestShippedInstancesPass:

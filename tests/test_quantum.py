@@ -115,6 +115,32 @@ class TestTrustBoundary:
             Channel.from_json(data)
 
 
+class TestIsometryForms:
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4, 1), (2, 0)])
+    def test_to_json_is_the_matrix_json(self, rng, shape):
+        v = qu.haar_isometry(*shape, rng)
+        for m in (v, qu.complete_to_unitary(v)):
+            assert m.to_json() == qu.matrix_to_json(m.mat)
+            back = qu.matrix_from_json(m.to_json())
+            assert back.shape == m.mat.shape and np.array_equal(back, m.mat)
+
+    def test_unitary_close_to(self):
+        u = Unitary(np.eye(2, dtype=complex))
+        near = Unitary(np.eye(2) * np.exp(0.5e-9j))  # entries move by 0.5e-9
+        far = Unitary(np.eye(2) * np.exp(2e-9j))  # entries move by 2e-9
+        assert u.close_to(u) and u.close_to(near) and near.close_to(u)
+        assert not u.close_to(far) and not far.close_to(u)
+        assert u.close_to(far, qu.ROUND_ATOL)
+
+    def test_close_to_is_false_on_a_shape_mismatch(self):
+        u2, u3 = Unitary(np.eye(2, dtype=complex)), Unitary(np.eye(3, dtype=complex))
+        assert not u2.close_to(u3) and not u3.close_to(u2)
+        assert not u2.close_to(Isometry(np.eye(2, 1, dtype=complex)))
+        empty = Isometry(np.zeros((2, 0), dtype=complex))
+        assert not empty.close_to(Isometry(np.zeros((3, 0), dtype=complex)))
+        assert empty.close_to(Isometry(np.zeros((2, 0), dtype=complex)))
+
+
 def boundary_choi(d, delta, rng):
     """A trace-preserving Choi matrix with min eigenvalue -delta: for each
     input i the diagonal entry at output 0 is 1 + delta and at output 1 is

@@ -108,6 +108,27 @@ class TestAfterARun:
         gc.collect()
         assert refs and all(r() is None for r in refs)
 
+    def test_values_are_freed_without_the_cycle_collector(self):
+        # r(r(f)) is r(f): a memo holding its own instance would be a cycle
+        # that outlives the table until gc.collect() runs.
+        tables = []
+
+        def check(cat, f):
+            if not tables:
+                tables.append(cl._shared.get())
+            r = cat.restrict(f)
+            return cat.restrict(r) is r
+
+        gc.collect()
+        gc.disable()
+        try:
+            probe(inst.make_aux_pinj_instance(2, 2), "single", check)
+            refs = [weakref.ref(v) for v in tables.pop().values()]
+            alive = [r() for r in refs if r() is not None]
+        finally:
+            gc.enable()
+        assert refs and alive == []
+
     def test_outside_a_run_nothing_is_shared(self):
         probe(inst.make_pinj_instance(2), "single", lambda cat, f: True)
         f = PartialInj(TWO, TWO, ((0, 1),))
