@@ -2,17 +2,16 @@
 
 A code line is a line that is not blank, not comment-only and not inside a
 docstring (the first string statement of a module, class or function body,
-found with ``ast``).  The raw count is every line of the file.  Comparing the
-two columns before and after a change shows whether a saving came from code
-or from docs.
+found with ``ast``).  The raw count is the number of newlines, as ``wc -l``
+counts.  Comparing the two columns before and after a change shows whether a
+saving came from code or from docs.
 
-    python3 scripts/loc.py [PACKAGE_DIR]
+    python3 scripts/loc.py
 """
 
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "revcat"
@@ -32,19 +31,17 @@ def docstring_lines(tree: ast.Module) -> set[int]:
 
 def count(path: Path) -> tuple[int, int]:
     """(raw lines, code lines) of one Python source file."""
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     docs = docstring_lines(ast.parse(text))
-    lines = text.splitlines()
     code = sum(
-        1 for i, line in enumerate(lines, 1)
+        1 for i, line in enumerate(text.split("\n"), 1)
         if line.strip() and not line.strip().startswith("#") and i not in docs
     )
-    return len(lines), code
+    return text.count("\n"), code
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[0]) if argv else PACKAGE
-    rows = [(p.name, *count(p)) for p in sorted(package.glob("*.py"))]
+def main() -> None:
+    rows = [(p.name, *count(p)) for p in sorted(PACKAGE.glob("*.py"))]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(r[0]) for r in rows)
     print(f"{'module':<{width}}  {'raw':>5}  {'code':>5}")
@@ -53,4 +50,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

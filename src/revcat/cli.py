@@ -81,7 +81,7 @@ def _load(kind: str, name: str, raw: bytes):
         data = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"{name}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    except (UnicodeDecodeError, RecursionError) as e:  # undecodable bytes, or nested too deeply
+    except (ValueError, RecursionError) as e:  # undecodable bytes, too many digits, too deep
         raise InputError(f"{name}: {e}") from e
     if kind == _CHAN_OR_MOR:
         kind = _CHAN if isinstance(data, dict) and "din" in data else _MOR

@@ -36,7 +36,11 @@ def pfn_functor(f: PartialFn) -> AuxMorphism:
 def tomographic_family(d: int) -> list[np.ndarray]:
     """A spanning family of d*d states: basis projectors plus real and
     imaginary pairwise superpositions."""
-    states = [np.diag(row) for row in np.eye(d, dtype=complex)]
+    states = []
+    for i in range(d):
+        s = np.zeros((d, d), dtype=complex)
+        s[i, i] = 1.0
+        states.append(s)
     for i in range(d):
         for j in range(i + 1, d):
             for phase in (1.0, 1j):

@@ -87,7 +87,7 @@ def matrix_from_json(data: dict, where: str = "matrix") -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
         if bool in map(type, chain.from_iterable(pairs)):
             raise TypeError  # complex() reads true as 1
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # overflow: an int too large for a float
         raise ValueError("entries must be a list of [re, im] pairs") from None
     if flat.size != r * c:
         raise ValueError(f"expected {r * c} entries, got {flat.size}")

@@ -384,6 +384,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: ") and "can't decode" in err
 
+    @pytest.mark.parametrize("verb", ["channel-of-unitary", "dilate"])
+    def test_entry_too_large_for_a_float_is_2(self, tmp_path, capsys, verb):
+        # complex() raises OverflowError on a JSON integer past the float range.
+        m = {"rows": 1, "cols": 1, "entries": [[10**400, 0]]}
+        data = m if verb == "channel-of-unitary" else {"din": 1, "dout": 1, "choi": m}
+        p = write(tmp_path, "big.json", data)
+        assert cli.run([verb, p]) == 2
+        assert capsys.readouterr().err.endswith("entries must be a list of [re, im] pairs\n")
+
+    def test_integer_past_the_digit_limit_names_the_input(self, tmp_path, capsys):
+        p = tmp_path / "digits.json"
+        p.write_text('{"dom":{"shape":[2]},"cod":{"shape":[2]},"graph":[[0,1%s]]}' % ("0" * 5000))
+        assert cli.run(["bennett-of", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and "digits" in err
+
     def test_parser_bug_is_not_malformed_input(self, tmp_path, monkeypatch):
         # Only a ValueError is an input error; a parser's TypeError is a bug.
         def buggy(data):

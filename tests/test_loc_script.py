@@ -1,5 +1,6 @@
 """scripts/loc.py: raw and code line counts of the package modules."""
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "revcat"
 
 
-def run_loc(*args):
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "loc.py"), *args],
+def run_loc():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "loc.py")],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return {name: (int(raw), int(code))
@@ -30,4 +31,12 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
         '"""Module\ndocstring."""\n\n# comment\nX = 1  # trailing\n\n\n'
         'def f():\n    """One line."""\n    s = """not a\n    docstring"""\n    return s\n'
     )
-    assert run_loc(str(tmp_path)) == {"m.py": (12, 5), "total": (12, 5)}
+    count = runpy.run_path(str(ROOT / "scripts" / "loc.py"))["count"]
+    assert count(tmp_path / "m.py") == (12, 5)
+
+
+def test_raw_lines_split_on_newlines_only(tmp_path):
+    # A form feed or a U+2028 in a string is no line break for wc -l or ast.
+    (tmp_path / "m.py").write_text('X = "a\x0cb\u2028c"\n\x0c\nY = 1\n', encoding="utf-8")
+    count = runpy.run_path(str(ROOT / "scripts" / "loc.py"))["count"]
+    assert count(tmp_path / "m.py") == (3, 2)
