@@ -14,15 +14,15 @@ Every constructor validates, the results of the closed operations included:
 a graph is accepted only when each pair is in range and the graph is
 functional (and injective, for ``PartialInj``).  One pass over the sorted
 graph checks the ranges against the stored object sizes and finds a repeated
-input next to its first occurrence; injectivity is a set-size test.  Pure
-derived values are computed once: ``FinObj.size`` is stored at construction;
-``FinObj.of_size``, ``FinObj.tensor``, ``identity`` and ``coherence`` are
-memoised on their arguments (their results are immutable); and a morphism's
-``mapping`` (its graph as a dict) and ``restricted`` (r(f), which ``ridm``
-returns) are kept on the morphism by the lockless memo :class:`once`.  A
-memoised value was validated when it was first built.  A graph entry must be
-an ``int``, and so must a shape factor: a cache key is found by equality,
-under which ``True``, ``1.0`` and ``1`` coincide.
+input next to its first occurrence; injectivity is a set-size test.
+Objects are interned: ``FinObj(shape)`` checks that each factor is a
+nonnegative ``int`` (``True`` and ``1.0`` equal ``1`` as keys), then returns
+the one object for that shape, so equality and hashing are identity, in C.
+The table grows by one entry per distinct shape.  ``FinObj.of_size``,
+``FinObj.tensor``, ``identity`` and ``coherence`` are memoised on their
+arguments, and a morphism's ``mapping`` (its graph as a dict) and
+``restricted`` (r(f), which ``ridm`` returns) are kept on it by the lockless
+memo :class:`once`.  A memoised value was validated when first built.
 
 Within a :func:`sharing` scope (``lawcheck.run_law`` opens one per law run)
 equal finite morphisms are one object: the closed operations and the
@@ -31,7 +31,9 @@ morphism already built from equal fields, so it is validated once and its
 ``once`` caches serve every later use.  The table is dropped when the
 outermost scope exits.  Only the library's own operations call ``make``,
 never ``from_json``, the public constructors or a sampler, so every key holds
-validated ``int`` entries and no ``1.0`` or ``True`` can alias one.
+validated ``int`` entries and no ``1.0`` or ``True`` can alias one.  The
+process-wide ``identity`` and ``coherence`` are built without ``make`` and
+store r(f) at once, so that no memo of theirs keeps a run's object alive.
 """
 
 from __future__ import annotations
@@ -108,20 +110,30 @@ def make(cls, *fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FinObj:
-    """A finite set of size prod(shape), with factor structure for tensors."""
+    """A finite set of size prod(shape), with factor structure for tensors.
+    Interned: one object per shape, so equality and hashing are identity."""
 
-    shape: tuple[int, ...] = (1,)
-    size: int = field(init=False, compare=False, repr=False)
+    shape: tuple[int, ...]
+    size: int = field(repr=False)
+    _interned = {}  # shape -> its one FinObj (no annotation: not a field)
 
-    def __post_init__(self) -> None:
-        for n in self.shape:
+    def __new__(cls, shape: tuple[int, ...] = (1,)) -> "FinObj":
+        for n in shape:
             if type(n) is not int:
-                raise ValueError(f"factor {n!r} in shape {self.shape} is not an integer")
+                raise ValueError(f"factor {n!r} in shape {shape} is not an integer")
             if n < 0:
-                raise ValueError(f"negative factor in shape {self.shape}")
-        object.__setattr__(self, "size", prod(self.shape))
+                raise ValueError(f"negative factor in shape {shape}")
+        obj = cls._interned.get(shape)
+        if obj is None:
+            obj = cls._interned[shape] = super().__new__(cls)
+            object.__setattr__(obj, "shape", shape)
+            object.__setattr__(obj, "size", prod(shape))
+        return obj
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through the table
+        return FinObj, (self.shape,)
 
     @functools.cache
     def tensor(self, other: "FinObj") -> "FinObj":
@@ -263,7 +275,9 @@ class PartialInj(PartialFn):
 @functools.cache
 def identity(a: FinObj) -> PartialInj:
     """The identity on a, memoised on a (shapes of equal size are distinct keys)."""
-    return PartialInj(a, a, tuple((x, x) for x in range(a.size)))
+    f = PartialInj(a, a, tuple((x, x) for x in range(a.size)))
+    object.__setattr__(f, "restricted", f)  # r(id) = id; a cycle, but the cache keeps f
+    return f
 
 
 def empty_map(a: FinObj, b: FinObj) -> PartialInj:
@@ -332,14 +346,18 @@ def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
             raise ValueError("symm takes two factor sizes")
         a, b = shapes
         graph = tuple((x * b + y, y * a + x) for x in range(a) for y in range(b))
-        return PartialInj(FinObj((a, b)), FinObj((b, a)), graph)
-    if kind == "interchange":
+        f = PartialInj(FinObj((a, b)), FinObj((b, a)), graph)
+    elif kind == "interchange":
         if len(shapes) != 4:
             raise ValueError("interchange takes four factor sizes")
-        b, e, b2, e2 = shapes  # id_B (x) symm(E, B') (x) id_E'
-        middle = tensor_prod(identity(FinObj.of_size(b)), coherence("symm", (e, b2)))
-        return tensor_prod(middle, identity(FinObj.of_size(e2)))
-    raise ValueError(f"unknown coherence kind {kind!r}")
+        b, e, b2, e2 = shapes  # id_B (x) symm(E, B') (x) id_E': (i, j, k, l) -> (i, k, j, l)
+        graph = tuple((((i * e + j) * b2 + k) * e2 + l, ((i * b2 + k) * e + j) * e2 + l)
+                      for i, j, k, l in itertools.product(*map(range, shapes)))
+        f = PartialInj(FinObj(shapes), FinObj((b, b2, e, e2)), graph)
+    else:
+        raise ValueError(f"unknown coherence kind {kind!r}")
+    object.__setattr__(f, "restricted", identity(f.dom))
+    return f
 
 
 def bennett(f: PartialFn) -> PartialInj:

@@ -386,6 +386,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> Unitary:
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> Isometry:
     """First cols columns of a Haar unitary on rows dimensions."""
+    if cols > rows:
+        raise DimensionError(f"an isometry needs cols {cols} <= rows {rows}")
     u = haar_unitary(rows, rng)
     return Isometry(u.mat[:, :cols])
 

@@ -1,6 +1,8 @@
 """Partial functions, partial injections, and their monoidal structure."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -230,6 +232,49 @@ class TestMemoised:
             FinObj((2, factor))
         with pytest.raises(ValueError, match="is not an integer"):
             FinObj.of_size(factor)
+
+
+class TestInterned:
+    def test_one_object_per_shape(self):
+        assert FinObj((2, 3)) is FinObj((2, 3)) and FinObj() is FinObj((1,))
+        assert FinObj.of_size(4) is FinObj((4,))
+        assert FinObj((2,)).tensor(FinObj((2,))) is FinObj((2, 2))
+        f = PartialFn.from_json(pfn(2, 3, [(0, 1)]).to_json())
+        assert f.dom is FinObj((2,)) and f.cod is FinObj((3,))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((True,), "factor True in shape (True,) is not an integer"),
+        ((1.0,), "factor 1.0 in shape (1.0,) is not an integer"),
+        ((-1,), "negative factor in shape (-1,)"),
+    ])
+    def test_shape_is_validated_before_the_lookup(self, shape, message):
+        # (True,) and (1.0,) equal (1,) as keys: the check must come first.
+        with pytest.raises(ValueError) as exc:
+            FinObj(shape)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_interned_object(self, copy_of):
+        a = FinObj((2, 3))
+        assert copy_of(a) is a
+        assert copy_of(pfn(2, 3, [(0, 1)])).cod is FinObj((3,))
+        one = FinObj((1,))
+        assert (one.shape, one.size) == ((1,), 1) and (a.shape, a.size) == ((2, 3), 6)
+
+    def test_immutable(self):
+        a = FinObj((2, 3))
+        with pytest.raises(AttributeError):
+            a.shape = (6,)
+        with pytest.raises(AttributeError):
+            a.size = 1
+        assert (a.shape, a.size) == ((2, 3), 6)
+
+    def test_equality_and_hash_are_identity_in_c(self):
+        # So hashing a morphism or a sharing key calls no Python-level method
+        # of FinObj.
+        assert FinObj.__eq__ is object.__eq__ and FinObj.__hash__ is object.__hash__
 
 
 class TestMorphismMemo:

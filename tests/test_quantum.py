@@ -124,6 +124,11 @@ class TestIsometryForms:
             back = qu.matrix_from_json(m.to_json())
             assert back.shape == m.mat.shape and np.array_equal(back, m.mat)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (0, 1), (2, 5)])
+    def test_haar_isometry_with_more_columns_than_rows_rejected(self, rng, rows, cols):
+        with pytest.raises(qu.DimensionError, match=f"cols {cols} <= rows {rows}"):
+            qu.haar_isometry(rows, cols, rng)
+
     def test_unitary_close_to(self):
         u = Unitary(np.eye(2, dtype=complex))
         near = Unitary(np.eye(2) * np.exp(0.5e-9j))  # entries move by 0.5e-9

@@ -129,6 +129,24 @@ class TestAfterARun:
             gc.enable()
         assert refs and alive == []
 
+    def test_cached_globals_keep_no_run_value(self):
+        # identity and coherence are process-wide caches: a memo first read
+        # inside a run must not keep that run's object alive after it.
+        tables = []
+
+        def check(cat, f):
+            if not tables:
+                tables.append(cl._shared.get())
+            cat.restrict(cat.identity(cat.dom(f)))
+            cat.restrict(cat.restrict(cl.coherence("interchange", (3, 1, 2, 3))))
+            return True
+
+        probe(inst.make_pinj_instance(2), "single", check)
+        refs = [weakref.ref(v) for v in tables.pop().values()]
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
+        assert cl.identity(TWO).restricted is cl.identity(TWO)
+
     def test_outside_a_run_nothing_is_shared(self):
         probe(inst.make_pinj_instance(2), "single", lambda cat, f: True)
         f = PartialInj(TWO, TWO, ((0, 1),))
