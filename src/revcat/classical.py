@@ -167,7 +167,7 @@ def json_field(data, key: str, where: str):
     return data[key]
 
 
-UNIT = FinObj(())  # one-element set, unit of the tensor product
+UNIT = FinObj((1,))  # one-element set, unit of the tensor product (an enumerated object)
 ZERO = FinObj((0,))  # empty set, unit of the disjoint sum
 
 

@@ -20,14 +20,15 @@ equality and has no other witness.
 The normal form, the collapsed morphism and the restriction are pure, so each
 morphism computes them once, on first use, and keeps them through the
 lockless memo ``classical.once`` (``AuxMorphism.normal_form``,
-``AuxMorphism.collapsed`` and ``AuxMorphism.restricted``); ``aux_equal``
-decides the equivalence from the normal forms, and over pinj ``aux_equiv``
-returns the mediator of a positive decision.  The pinj composite and tensor
-each build their core in one pass and one ``PartialInj``: the composite sends
-each pair (x, (b, e)) of f's core through g's memoised mapping, and the tensor
-maps each pair of core pairs straight to its interchanged index.  Every
-constructor still validates: a cached value is derived from a core that has
-passed its own checks, and each result core passes them once.
+``AuxMorphism.collapsed`` and ``AuxMorphism.restricted``).  ``aux_equal``
+checks base and endpoints once; over pinj it then compares two graphs and two
+partitions, tuples of ints, in C, and ``aux_equiv`` returns the mediator of a
+positive decision.  The pinj composite and tensor each build their core in
+one pass and one ``PartialInj``: the composite sends each pair (x, (b, e)) of
+f's core through g's memoised mapping, and the tensor maps each pair of core
+pairs straight to its interchanged index.  Every constructor still
+validates: a cached value is derived from a core that has passed its own
+checks, and each result core passes them once.
 
 Over the pinj base the composite, the tensor, ``embed``, the structural
 morphisms, ``visible_fn`` and ``points_of`` build their cores and morphisms
@@ -337,10 +338,12 @@ def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
 def aux_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     """Decide the garbage-mediated equivalence: equal normal forms, or for
     the isometry base Choi equality within 1e-9."""
+    if f.base != g.base or f.dom_size != g.dom_size or f.cod_size != g.cod_size:
+        _same_endpoints(f, g)  # raises the mismatch
     if f.base == ISO:
         return collapsed_equal(f, g)
-    _same_endpoints(f, g)
-    return normal_form(f) == normal_form(g)
+    (vf, pf), (vg, pg) = normal_form(f), normal_form(g)
+    return vf.graph == vg.graph and pf == pg
 
 
 def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[PartialInj]:

@@ -13,17 +13,18 @@ ValueError on a tuple (an oracle producing a morphism it cannot compose, say)
 fails the law with that tuple as its counterexample.
 
 Everything here is pure over immutable instance descriptions.  The trials of
-one run_law call share one thing: inside a ``classical.sharing`` scope, equal
-finite morphisms built by the library's operations are one immutable object,
-validated once, with its derived values (mapping, restriction, normal form)
-computed once.  The scope ends with the call, so no run keeps another's
-values alive.
+one run_law call share two things.  Inside a ``classical.sharing`` scope,
+equal finite morphisms built by the library's operations are one immutable
+object, validated once, with its derived values (mapping, restriction, normal
+form) computed once.  An exhaustive run also memoises compose, tensor_mor and
+dagger on operand identity.  Random mode does not: a memo would only keep its
+fresh samples' results alive, Choi matrices among them.  Both end with the call.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import prod
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -180,37 +181,53 @@ def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
         return f"{type(e).__name__}: {e}"
 
 
+def _memoised(fn: Callable, memo: dict) -> Callable:
+    """The unary or binary oracle fn, its results kept in memo under the ids
+    of the first and last operand, packed in one int (CPython ids are
+    addresses, below 2**64).  An entry holds the operands, so no id is reused
+    while it lives; a call that raises stores nothing."""
+    def call(*args):
+        key = id(args[0]) << 64 | id(args[-1])
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (fn(*args), *args)
+        return entry[0]
+
+    return call
+
+
 def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) -> LawReport:
     """Check one law: exhaustively when the instance enumerates and the tuple
     count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples.  The
-    run shares equal finite morphisms (``classical.sharing``)."""
+    run shares equal finite morphisms (``classical.sharing``); an exhaustive
+    run also memoises compose, tensor_mor and dagger on operand identity."""
     _require(cat, law.needs)
-    predicate = partial(law.check, cat)
+    memos = {n: {} for n in ("compose", "tensor_mor", "dagger") if getattr(cat, n) is not None}
     with sharing():
         space = _enumerate_tuples(cat, law.pattern)
         if space is not None:
-            count, tuples = space
-            mode = "exhaustive"
+            (count, tuples), mode = space, "exhaustive"
+            cat = replace(cat, **{n: _memoised(getattr(cat, n), m) for n, m in memos.items()})
         else:
-            if trials <= 0:
-                raise ConfigurationError(
-                    f"trials must be positive to check {law.name!r} on {cat.name!r} "
-                    f"in random mode, got {trials}"
-                )
-            if seed < 0:
-                raise ConfigurationError(
-                    f"seed must be nonnegative to check {law.name!r} on {cat.name!r} "
-                    f"in random mode, got {seed}"
-                )
+            for bad, rule, value in ((trials <= 0, "trials must be positive", trials),
+                                     (seed < 0, "seed must be nonnegative", seed)):
+                if bad:
+                    raise ConfigurationError(f"{rule} to check {law.name!r} on {cat.name!r} "
+                                             f"in random mode, got {value}")
             rng = np.random.default_rng(seed)
             count, mode = trials, "random"
             tuples = (_sample_tuple(cat, law.pattern, rng) for _ in range(trials))
-        for t in tuples:
-            detail = _violation(predicate, t)
-            if detail is not None:
-                return LawReport(law.name, count, False, counterexample=t,
-                                 detail=detail, mode=mode)
-        return LawReport(law.name, count, True, mode=mode)
+        predicate = partial(law.check, cat)
+        try:
+            for t in tuples:
+                detail = _violation(predicate, t)
+                if detail is not None:
+                    return LawReport(law.name, count, False, counterexample=t,
+                                     detail=detail, mode=mode)
+            return LawReport(law.name, count, True, mode=mode)
+        finally:
+            for memo in memos.values():
+                memo.clear()
 
 
 # -- law registry -------------------------------------------------------------

@@ -247,11 +247,16 @@ def channel_of_unitary(u: Unitary) -> Channel:
 
 
 def minimal_stinespring(c: Channel) -> tuple[Isometry, int]:
-    """An isometry din -> dout * r with r the Choi rank; minimal dilation."""
+    """An isometry din -> dout * r with r the Choi rank; minimal dilation, made
+    V (V^dag V)^(-1/2) if the dropped eigenvalues (>= -1e-9) leave V^dag V != I."""
     ks = kraus_of_choi(c)
     r = len(ks)
     v = np.stack(ks, axis=1).reshape(c.dout * r, c.din)
-    return Isometry(v), r
+    try:
+        return Isometry(v), r
+    except NotAnIsometryError:
+        w, _, xh = np.linalg.svd(v, full_matrices=False)
+        return Isometry(w @ xh), r
 
 
 def is_pure_choi(c: Channel) -> bool:

@@ -149,6 +149,20 @@ class TestVerbs:
         assert code == 0 and rep["result"]["pass"] is True
         assert rep["result"]["residual"] <= 1e-8
 
+    def test_dilate_and_roundtrip_near_the_eigenvalue_bound(self, tmp_path):
+        # Choi min eigenvalue -9e-10 is accepted; the dropped eigenvalues
+        # must not turn into a malformed-input exit.
+        choi = qu.identity_channel(3).choi.copy()
+        choi[0, 0] += 1.8e-9
+        choi[1, 1] -= 0.9e-9
+        choi[2, 2] -= 0.9e-9
+        p = write(tmp_path, "c.json", channel_json(qu.Channel(3, 3, choi)))
+        code, rep = run_to(tmp_path, ["dilate", p])
+        assert code == 0 and rep["result"]["env_dim"] == 2
+        code, rep = run_to(tmp_path, ["roundtrip", p])
+        assert code == 0 and rep["result"]["pass"] is True
+        assert qu.ATOL < rep["result"]["residual"] <= qu.ROUND_ATOL
+
     def test_lawcheck_pass_and_fail_exit(self, tmp_path):
         code, rep = run_to(
             tmp_path, ["lawcheck", "--instance", "pinj", "--trials", "20"]

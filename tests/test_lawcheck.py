@@ -1,6 +1,7 @@
 """The law-checking engine itself: modes, counterexamples, configuration."""
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from revcat import classical as cl
 from revcat import instances as inst
 from revcat import lawcheck as lc
 from revcat import quantum as qu
+from revcat.classical import PartialInj
 
 
 class TestModes:
@@ -145,6 +147,116 @@ class TestCounterexamples:
         assert failed and failed[0].law == "restriction_i"
 
 
+def fresh_oracles(cat):
+    """cat whose compose, tensor and dagger return a new object on every
+    call, built by the plain constructor from the library's result."""
+    def fresh(op):
+        def call(*args):
+            m = op(*args)
+            return type(m)(m.dom, m.cod, m.graph)
+        return None if op is None else call
+
+    return dataclasses.replace(cat, compose=fresh(cat.compose),
+                               tensor_mor=fresh(cat.tensor_mor), dagger=fresh(cat.dagger))
+
+
+def unmemoised_report(cat, law):
+    """The exhaustive loop of run_law with the oracles called as given."""
+    count, tuples = lc._enumerate_tuples(cat, law.pattern)
+    with cl.sharing():
+        for t in tuples:
+            detail = lc._violation(functools.partial(law.check, cat), t)
+            if detail is not None:
+                return lc.LawReport(law.name, count, False, t, detail, "exhaustive")
+    return lc.LawReport(law.name, count, True, mode="exhaustive")
+
+
+def empty_mor(dom, cod):
+    return {"dom": {"shape": [dom]}, "cod": {"shape": [cod]}, "graph": []}
+
+
+# The failing reports of two broken instances, as computed before the
+# exhaustive memo existed: per law, its tuple count and the (dom, cod) sizes
+# of its counterexample's empty maps.  Every detail is the same composition
+# error, and every other applicable law passes.
+BROKEN_REPORTS = {
+    "pinj dagger = identity": (
+        lambda: dataclasses.replace(inst.make_pinj_instance(2), dagger=lambda f: f),
+        {"ridm_of_invertible": (20, [(0, 1)]),
+         "dagger_contravariant": (166, [(0, 0), (0, 1)]),
+         "inverse_regular": (20, [(0, 1)]),
+         "inverse_idempotents_commute": (166, [(0, 0), (0, 1)])}),
+    "pfn swapped compose": (
+        lambda: dataclasses.replace(inst.make_pfn_instance(2),
+                                    compose=lambda g, f: cl.compose(f, g)),
+        {"restriction_i": (23, [(0, 1)]),
+         "restriction_iii": (241, [(0, 0), (0, 1)]),
+         "restriction_iv": (233, [(0, 0), (0, 1)]),
+         "ridm_of_composite": (233, [(0, 0), (0, 1)]),
+         "ridm_total_post": (233, [(0, 0), (0, 1)]),
+         "tensor_bifunctor": (529, [(0, 0), (0, 1)]),
+         "tensor_interchange": (2457, [(0, 0), (0, 1), (1, 0)])}),
+}
+
+
+class TestMemo:
+    @pytest.mark.parametrize("make", [lambda: inst.make_pfn_instance(2),
+                                      lambda: inst.make_pinj_instance(2),
+                                      lambda: dataclasses.replace(inst.make_pinj_instance(2),
+                                                                  dagger=lambda f: f)],
+                             ids=["pfn2", "pinj2", "pinj2-dagger-identity"])
+    def test_fresh_results_give_the_unmemoised_reports(self, make):
+        cat = fresh_oracles(make())
+        for law in lc.applicable_laws(cat):
+            want = unmemoised_report(cat, law).to_json()
+            assert lc.run_law(cat, law).to_json() == want, law.name
+
+    def test_exhaustive_mode_calls_once_per_operands(self):
+        base = fresh_oracles(inst.make_pinj_instance(2))
+        calls = []
+        cat = dataclasses.replace(base, compose=lambda g, f: calls.append(1) or base.compose(g, f))
+        law = lc.Law("probe", "chain",
+                     lambda cat, f, g: cat.compose(g, f) is cat.compose(g, f))
+        rep = lc.run_law(cat, law)
+        assert rep.mode == "exhaustive" and rep.passed and len(calls) == rep.trials
+
+    def test_entries_keep_their_operands_alive(self):
+        # Each temporary operand is freed after its call unless the memo
+        # holds it, and the next temporary would then likely take its id.
+        def check(cat, f):
+            return all(cat.compose(f, PartialInj(h.dom, h.cod, h.graph)).graph
+                       == cl.compose(f, h).graph
+                       for h in (cat.restrict(f), cl.empty_map(f.dom, f.dom)) * 3)
+
+        rep = lc.run_law(inst.make_pinj_instance(2), lc.Law("probe", "single", check))
+        assert rep.mode == "exhaustive" and rep.passed
+
+    def test_random_mode_calls_once_per_use(self):
+        base = inst.make_unitary_instance(2)
+        calls = []
+        cat = dataclasses.replace(base, compose=lambda g, f: calls.append(1) or base.compose(g, f))
+        law = lc.Law("probe", "chain", lambda cat, f, g: cat.eq(cat.compose(g, f),
+                                                                cat.compose(g, f)))
+        rep = lc.run_law(cat, law, trials=10, seed=0)
+        assert rep.mode == "random" and rep.passed and len(calls) == 2 * rep.trials
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN_REPORTS))
+    def test_first_counterexample_is_unchanged(self, broken):
+        make, failures = BROKEN_REPORTS[broken]
+        cat = make()
+        got = {}
+        for law in lc.applicable_laws(cat):
+            rep = lc.run_law(cat, law).to_json()
+            if not rep["passed"]:
+                got[law.name] = rep
+        assert got == {
+            law: {"law": law, "trials": trials, "mode": "exhaustive", "passed": False,
+                  "counterexample": [empty_mor(a, b) for a, b in ends],
+                  "detail": "CompositionError: cannot compose: cod size 1 != dom size 0"}
+            for law, (trials, ends) in failures.items()
+        }
+
+
 def assert_laws_pass(cat, laws, **kwargs):
     for law in laws:
         rep = lc.run_law(cat, law, **kwargs)
@@ -223,6 +335,11 @@ class TestEnumeration:
 
     def test_over_cap_returns_none(self):
         assert lc._enumerate_tuples(inst.make_pfn_instance(3), "chain3") is None
+
+    @pytest.mark.parametrize("name", ["pfn", "pinj"])
+    def test_unit_is_an_enumerated_object(self, name):
+        cat = inst.INSTANCES[name]()
+        assert cat.unit in cat.enumerate_objs()
 
     def test_applicable_laws_follow_oracles(self):
         # pinj has every oracle but the global points.

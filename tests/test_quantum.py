@@ -310,6 +310,34 @@ class TestStinespring:
             assert qu.channel_of_isometry(v, r).close_to(c, qu.ROUND_ATOL)
 
 
+def negative_eigenvalue_identity(d=3):
+    """The identity channel on C^d with 0.9e-9 moved from |01><01| and
+    |02><02| of its Choi matrix to |00><00|: still trace preserving, with
+    minimum eigenvalue -9e-10, so the constructor accepts it."""
+    choi = qu.identity_channel(d).choi.copy()
+    choi[0, 0] += 1.8e-9
+    choi[1, 1] -= 0.9e-9
+    choi[2, 2] -= 0.9e-9
+    return Channel(d, d, choi)
+
+
+class TestStinespringNearTheBoundary:
+    def test_dropped_negative_eigenvalues_still_dilate(self):
+        c = negative_eigenvalue_identity()
+        assert -1e-9 <= np.linalg.eigvalsh(c.choi).min() < -8.9e-10
+        v, r = qu.minimal_stinespring(c)
+        assert r == qu.choi_rank(c) == 2
+        assert np.max(np.abs(v.mat.conj().T @ v.mat - np.eye(3))) <= qu.ATOL
+        assert qu.channel_of_isometry(v, r).close_to(c, qu.ROUND_ATOL)
+
+    def test_accepted_kraus_stack_is_kept_as_is(self, rng):
+        for _ in range(30):
+            c = qu.random_channel(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 2, rng)
+            v, r = qu.minimal_stinespring(c)
+            stack = np.stack(qu.kraus_of_choi(c), axis=1).reshape(c.dout * r, c.din)
+            assert np.array_equal(v.mat, stack)
+
+
 class TestPurity:
     def test_unitary_conjugation_pure(self, rng):
         u = qu.haar_unitary(3, rng)

@@ -1,5 +1,6 @@
 """Sharing of equal finite morphisms within one law run (classical.sharing)."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -107,6 +108,41 @@ class TestAfterARun:
             lc.run_law(inst.make_pinj_instance(1), lc.Law("probe", "pair", check))
         gc.collect()
         assert refs and all(r() is None for r in refs)
+
+    @staticmethod
+    def memoised_only(refs):
+        # pinj(2) whose compose returns a new object on every call: only the
+        # exhaustive run's memo holds it, as a result or as the operand of
+        # the outer composite.
+        def compose(g, f):
+            h = cl.compose(g, f)
+            h = PartialInj(h.dom, h.cod, h.graph)
+            refs.append(weakref.ref(h))
+            return h
+        return dataclasses.replace(inst.make_pinj_instance(2), compose=compose)
+
+    @staticmethod
+    def twice(cat, f, g, h):
+        return cat.compose(h, cat.compose(g, f)) is cat.compose(h, cat.compose(g, f))
+
+    def test_memo_entries_are_released_after_return(self):
+        refs = []
+        probe(self.memoised_only(refs), "chain3", self.twice)
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
+
+    def test_memo_entries_are_released_after_an_exception(self):
+        refs = []
+
+        def check(cat, f, g, h):
+            if not self.twice(cat, f, g, h) or len(refs) > 50:
+                raise RuntimeError("stop")
+            return True
+
+        with pytest.raises(RuntimeError, match="stop") as raised:
+            lc.run_law(self.memoised_only(refs), lc.Law("probe", "chain3", check))
+        gc.collect()
+        assert raised.traceback and refs and all(r() is None for r in refs)
 
     def test_values_are_freed_without_the_cycle_collector(self):
         # r(r(f)) is r(f): a memo holding its own instance would be a cycle
