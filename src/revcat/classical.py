@@ -240,7 +240,7 @@ class PartialFn:
         return {
             "dom": {"shape": list(self.dom.shape)},
             "cod": {"shape": list(self.cod.shape)},
-            "graph": [[x, y] for x, y in self.graph],
+            "graph": list(map(list, self.graph)),
         }
 
     @classmethod

@@ -91,7 +91,7 @@ def _load(kind: str, name: str, raw: bytes):
         raise InputError(f"{name}: bad {kind}: {e}") from e
 
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _write(value, pad: str = "") -> str:

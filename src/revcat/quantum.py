@@ -19,10 +19,20 @@ Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
 cutoff on Choi eigenvalues; a structural check bounds the largest entrywise
 deviation.  A Channel's Choi matrix must be finite, Hermitian within 1e-9,
-PSD (min eigenvalue >= -1e-9) and TP within 1e-9.  PSD is certified by a
-Cholesky factorisation of C + (ATOL / 2) I, whose backward error O(n eps |C|)
-(Higham, "Accuracy and Stability of Numerical Algorithms", ch. 10) is far
-below ATOL / 2; when it fails, eigvalsh decides as the rule states.
+PSD (min eigenvalue >= -1e-9) and TP within 1e-9, and the first of these it
+fails names the error.  One reduction decides each property:
+
+- finite and Hermitian: r = max |C - C^dag|.  A NaN or inf entry makes r NaN
+  or inf, so only when r fails the bound is C searched for a non-finite
+  entry, which is reported before the Hermitian failure;
+- PSD: a Cholesky factorisation of C + (ATOL / 2) I, formed as a copy of C
+  with its diagonal shifted, whose backward error O(n eps |C|) (Higham,
+  "Accuracy and Stability of Numerical Algorithms", ch. 10) is far below
+  ATOL / 2; when it fails, eigvalsh decides as the rule states;
+- TP: max |Tr_out C - I|, with I subtracted from the diagonal in place.
+
+An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
+makes it NaN or inf and is reported before the V^dag V failure.
 """
 
 from __future__ import annotations
@@ -60,6 +70,30 @@ def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     return a.size == 0 or bool(np.max(np.abs(a - b)) <= atol)
 
 
+def _off_identity(m: np.ndarray) -> float:
+    """max |M - I| of a square M, whose diagonal it shifts in place (so M must
+    be a fresh array); 0 when M is empty."""
+    m.flat[:: len(m) + 1] -= 1
+    return np.max(np.abs(m)) if m.size else 0.0
+
+
+# A non-finite entry makes these residuals NaN or inf, which fail every bound;
+# the inf - inf or inf * 0 on the way is that verdict, not a warning.
+@np.errstate(invalid="ignore")
+def _hermitian_residual(c: np.ndarray) -> float:
+    """max |C - C^dag|, taken over its entrywise conjugate conj(C) - C^T,
+    which needs one temporary."""
+    d = np.conjugate(c)  # a new array even when C is real, unlike c.conj()
+    d -= c.T
+    return np.max(np.abs(d))
+
+
+@np.errstate(invalid="ignore")
+def _gram_residual(v: np.ndarray) -> float:
+    """max |V^dag V - I|."""
+    return _off_identity(_dag(v) @ v)
+
+
 def _require_finite(m: np.ndarray, field: str, error: type) -> None:
     if not np.all(np.isfinite(m)):
         raise error(f"{field} has a non-finite entry (NaN or inf)")
@@ -70,7 +104,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": r,
         "cols": c,
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": np.ascontiguousarray(m, dtype=complex).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -107,8 +141,8 @@ class Isometry:
         r, c = self.mat.shape
         if r < c:
             raise NotAnIsometryError(f"isometry needs rows >= cols, got {r}x{c}")
-        _require_finite(self.mat, f"{self._noun} matrix", NotAnIsometryError)
-        if not _close(_dag(self.mat) @ self.mat, np.eye(c), ATOL):
+        if not _gram_residual(self.mat) <= ATOL:
+            _require_finite(self.mat, f"{self._noun} matrix", NotAnIsometryError)
             raise NotAnIsometryError(f"{self._letter}^dag {self._letter} != I within 1e-9")
 
     @property
@@ -158,17 +192,18 @@ class Channel:
         n = self.din * self.dout
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
-        _require_finite(self.choi, "choi", NotAChannelError)
-        if not _close(self.choi, _dag(self.choi), ATOL):
+        if not _hermitian_residual(self.choi) <= ATOL:
+            _require_finite(self.choi, "choi", NotAChannelError)
             raise NotAChannelError("choi not Hermitian within 1e-9")
+        shifted = self.choi.astype(np.result_type(self.choi, float))  # C + (ATOL / 2) I
+        shifted.flat[:: n + 1] += ATOL / 2
         try:  # succeeds only if the min eigenvalue is above -ATOL
-            np.linalg.cholesky(self.choi + (ATOL / 2) * np.eye(n))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             evals = np.linalg.eigvalsh(self.choi)
             if evals.min() < -ATOL:
                 raise NotAChannelError(f"choi not PSD: min eigenvalue {evals.min():.2e}") from None
-        tr_out = np.einsum("imjm->ij", self.blocks())
-        if not _close(tr_out, np.eye(self.din), ATOL):
+        if not _off_identity(np.einsum("imjm->ij", self.blocks())) <= ATOL:
             raise NotAChannelError("partial trace over output != identity within 1e-9")
 
     def blocks(self) -> np.ndarray:
@@ -263,13 +298,15 @@ def is_pure_choi(c: Channel) -> bool:
     """True iff the normalized Choi matrix is a rank-one projector, within
     ROUND_ATOL on the purity."""
     tr = np.trace(c.choi).real
-    purity = np.trace(c.choi @ c.choi).real / tr**2
+    purity = np.einsum("ij,ji->", c.choi, c.choi).real / tr**2  # Tr(C C) in O(n^2)
     return purity >= 1 - ROUND_ATOL
 
 
 def phase_fix(m: np.ndarray) -> np.ndarray:
     """Scale by a unit phase so the largest-modulus entry (first in row-major
     order among ties) is real positive."""
+    if m.size == 0:
+        return m
     flat = m.reshape(-1)
     mags = np.abs(flat)
     top = mags.max()
@@ -292,7 +329,7 @@ def reversible_core(c: Channel) -> Unitary | str:
     if not is_pure_choi(c):
         return "choi impure"
     k = kraus_of_choi(c)[0]
-    if not _close(_dag(k) @ k, np.eye(c.din), ROUND_ATOL):
+    if not _off_identity(_dag(k) @ k) <= ROUND_ATOL:
         return "not unitary"
     u = Unitary(phase_fix(nearest_unitary(k)))
     if not channel_of_unitary(u).close_to(c, ROUND_ATOL):
@@ -403,6 +440,8 @@ def random_channel(din: int, dout: int, k: int, rng: np.random.Generator) -> Cha
 
     Trace preservation needs S invertible, so k is raised until k * dout >= din.
     """
+    if din < 1 or dout < 1:
+        raise DimensionError(f"din and dout must be positive, got din={din}, dout={dout}")
     k = max(k, -(-din // dout))
     ks = [ginibre(dout, din, rng) for _ in range(k)]
     s = sum(_dag(m) @ m for m in ks)

@@ -549,6 +549,20 @@ class TestReportWriter:
             value = random_json(rng)
             assert cli._write(value) == json.dumps(value, sort_keys=True, indent=2)
 
+    def test_matches_json_dumps_on_rendered_values(self):
+        rng = np.random.default_rng(3)
+        n = 2000
+        f = PartialFn(FinObj.of_size(n), FinObj.of_size(n),
+                      tuple((x, int(y)) for x, y in enumerate(rng.permutation(n)) if x % 3))
+        assert f.to_json()["graph"] == [[x, y] for x, y in f.graph]
+        matrices = [np.array([[-0.0, 1e-300j], [1 + 2j, -1e-300]]),
+                    np.array([[0.5, -0.0], [1e-300, 2.0]]), qu.ginibre(4, 6, rng)[::2, 1::2].T]
+        report = {"graph": f.to_json(), "channel": qu.random_channel(2, 3, 2, rng).to_json(),
+                  "unitary": qu.haar_unitary(3, rng).to_json(),
+                  "empty": qu.matrix_to_json(np.zeros((0, 2))),
+                  "matrices": [qu.matrix_to_json(m) for m in matrices]}
+        assert cli._write(report) == json.dumps(report, sort_keys=True, indent=2)
+
     def test_non_string_key_is_refused(self):
         # json.dumps would write the key 1 as "1"; the writer refuses it.
         with pytest.raises(TypeError):

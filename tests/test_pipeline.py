@@ -133,6 +133,10 @@ class TestInvCptp:
     def test_rejects_dephasing(self):
         assert pl.inv_cptp(qu.dephasing_channel(2)) is None
 
+    def test_phase_class_of_the_empty_unitary(self):
+        pc = pl.UnitaryPhaseClass.of(Unitary(np.zeros((0, 0), dtype=complex)))
+        assert pc.rep.mat.shape == (0, 0) and pc.close_to(pc)
+
     def test_rejects_depolarizing(self):
         assert pl.inv_cptp(qu.depolarizing_channel(2, 0.3)) is None
 

@@ -1,5 +1,8 @@
 """Channels, Choi matrices, dilations, and unitary extraction."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,134 @@ class TestPsdRule:
         except qu.NotAChannelError:
             pass
         assert len(calls) == eigensolves
+
+
+class TestConstructorVerdicts:
+    """Each property is decided by one reduction, and the verdicts and
+    messages are those of separate checks in the order finite, Hermitian,
+    PSD, TP: a non-finite entry is named before any residual, however it
+    enters the residual."""
+
+    @pytest.mark.parametrize("pos", [(1, 1), (1, 2)], ids=["diag", "off"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_choi_entry_named(self, pos, part, bad):
+        choi = qu.identity_channel(2).choi.copy()
+        choi[pos] = complex(bad, 0) if part == "re" else complex(0, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the NaN of inf - inf is a verdict, not a warning
+            with pytest.raises(qu.NotAChannelError, match="^choi has a non-finite entry"):
+                Channel(2, 2, choi)
+
+    @pytest.mark.parametrize("z", [np.inf, -np.inf, complex(0, np.inf), complex(np.inf, np.inf)])
+    def test_inf_mirrored_by_inf_named(self, z):
+        # C[1, 2] - conj(C[2, 1]) is inf - inf = NaN in one part.
+        choi = qu.identity_channel(2).choi.copy()
+        choi[1, 2], choi[2, 1] = z, np.conj(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qu.NotAChannelError, match="^choi has a non-finite entry"):
+                Channel(2, 2, choi)
+
+    @pytest.mark.parametrize("entry", [2e-9, 1.0, 1e200])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_finite_non_hermitian(self, entry):
+        # 1e200 - (-1e200) overflows to inf in the residual, and is still
+        # reported as non-Hermitian, not as non-finite.
+        choi = qu.identity_channel(2).choi.copy()
+        choi[1, 2], choi[2, 1] = entry, -entry
+        with pytest.raises(qu.NotAChannelError) as e:
+            Channel(2, 2, choi)
+        assert str(e.value) == "choi not Hermitian within 1e-9"
+
+    def test_hermitian_residual_at_atol_accepted(self):
+        choi = qu.identity_channel(2).choi.copy()
+        choi[0, 1] = 1e-9  # the residual is exactly 1e-9
+        assert Channel(2, 2, choi).din == 2
+
+    @pytest.mark.parametrize("delta, accepted", [(5e-10, True), (2e-9, False)])
+    def test_psd_boundary_through_the_eigensolve(self, monkeypatch, delta, accepted):
+        # diag(1 + delta, -delta) + (ATOL / 2) I has a pivot <= 0, so the
+        # Cholesky certificate fails and eigvalsh decides.
+        choi = np.diag([1 + delta, -delta]).astype(complex)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        if accepted:
+            assert Channel(1, 2, choi).dout == 2
+        else:
+            with pytest.raises(qu.NotAChannelError) as e:
+                Channel(1, 2, choi)
+            assert str(e.value) == "choi not PSD: min eigenvalue -2.00e-09"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale, accepted", [
+        (1 + 0.5e-9, True), (1 + 2e-9, False), (1 - 2e-9, False)])
+    def test_tp_boundary(self, scale, accepted):
+        choi = scale * qu.identity_channel(2).choi
+        if accepted:
+            assert Channel(2, 2, choi).din == 2
+        else:
+            with pytest.raises(qu.NotAChannelError) as e:
+                Channel(2, 2, choi)
+            assert str(e.value) == "partial trace over output != identity within 1e-9"
+
+    @pytest.mark.parametrize("din, dout, choi", [
+        (2, 2, qu.identity_channel(2).choi),
+        (2, 1, np.eye(2, dtype=complex)),  # the trace map: Tr_out is a sum over one index
+        (1, 2, np.diag([1 + 5e-10, -5e-10]).astype(complex)),  # through the eigensolve
+        (1, 1, np.array([[1]])),  # an integer Choi matrix
+        (1, 2, np.diag([0.25, 0.75])),  # a real one
+    ])
+    def test_input_left_unchanged_and_dtypes_accepted(self, din, dout, choi):
+        before = choi.copy()
+        c = Channel(din, dout, choi)
+        assert c.choi is choi and c.choi.dtype == before.dtype
+        assert np.array_equal(choi, before)
+
+    @pytest.mark.parametrize("cls, field", [(Unitary, "unitary"), (Isometry, "isometry")])
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0, np.inf), np.nan])
+    def test_non_finite_matrix_named_before_gram(self, cls, field, pos, bad):
+        m = np.eye(2, dtype=complex)
+        m[pos] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qu.NotAnIsometryError, match=f"^{field} matrix has a non-finite"):
+                cls(m)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("cls, letter", [(Unitary, "U"), (Isometry, "V")])
+    def test_finite_matrix_off_identity(self, cls, letter):
+        for m in (np.diag([1, 1 + 2e-9]), np.diag([1e200, 1.0])):  # 1e400 overflows to inf
+            with pytest.raises(qu.NotAnIsometryError) as e:
+                cls(m.astype(complex))
+            assert str(e.value) == f"{letter}^dag {letter} != I within 1e-9"
+
+    @pytest.mark.parametrize("m", [np.eye(2, dtype=int), np.eye(3, 2), np.eye(2, dtype=complex)])
+    def test_isometry_input_left_unchanged(self, m):
+        before = m.copy()
+        assert Isometry(m).mat is m and np.array_equal(m, before)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_purity_agrees_with_the_matrix_product(self, rng, d):
+        channels = [qu.random_channel(d, d, 2, rng), qu.channel_of_unitary(qu.haar_unitary(d, rng)),
+                    qu.channel_of_isometry(qu.haar_isometry(2 * d, d, rng), 2),
+                    qu.channel_of_isometry(qu.haar_isometry(d + 1, d, rng), 1)]
+        for c in channels:
+            tr = np.trace(c.choi).real
+            purity = np.trace(c.choi @ c.choi).real / tr**2
+            fused = np.einsum("ij,ji->", c.choi, c.choi).real / tr**2
+            assert abs(fused - purity) <= 1e-12
+            assert qu.is_pure_choi(c) == (purity >= 1 - qu.ROUND_ATOL)
+
+    @pytest.mark.parametrize("loss, pure", [(0.9e-8, True), (1.1e-8, False)])
+    def test_purity_threshold(self, loss, pure):
+        # (1 - p) id + p X: orthogonal Choi vectors, purity 1 - 2p + 2p^2.
+        p = (1 - np.sqrt(1 - 2 * loss)) / 2
+        mixed = (1 - p) * qu.identity_channel(2).choi + p * qu.channel_of_unitary(Unitary(X)).choi
+        c = Channel(2, 2, mixed)
+        assert qu.is_pure_choi(c) == pure
 
 
 class TestIsometryChannel:
@@ -394,6 +525,11 @@ class TestExtractUnitary:
         with pytest.raises(qu.NotAChannelError):
             qu.extract_unitary(qu.dephasing_channel(2))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+    def test_phase_fix_of_an_empty_matrix(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        assert qu.phase_fix(m) is m
+
 
 class TestCompleteToUnitary:
     def test_identity(self):
@@ -496,6 +632,12 @@ class TestSampling:
             u = qu.haar_unitary(d, rng)
             assert np.max(np.abs(u.mat.conj().T @ u.mat - np.eye(d))) < 1e-12
 
+    @pytest.mark.parametrize("din, dout", [(2, 0), (0, 2), (0, 0), (2, -1)])
+    def test_random_channel_nonpositive_dimension_named(self, rng, din, dout):
+        message = f"^din and dout must be positive, got din={din}, dout={dout}$"
+        with pytest.raises(qu.DimensionError, match=message):
+            qu.random_channel(din, dout, 2, rng)
+
     def test_haar_determinism(self):
         u1 = qu.haar_unitary(3, np.random.default_rng(7))
         u2 = qu.haar_unitary(3, np.random.default_rng(7))
@@ -521,6 +663,21 @@ class TestJson:
     def test_channel_roundtrip(self, rng):
         c = qu.random_channel(2, 2, 2, rng)
         assert Channel.from_json(c.to_json()).close_to(c, 0.0)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[1 + 2j, -0.0 - 0.0j], [1e-300, -1e-300j]]),
+        np.array([[0.5, -0.0], [1e-300, 3.0]]),
+        np.arange(6).reshape(2, 3),
+        np.arange(12, dtype=complex).reshape(3, 4)[::2, 1::2].T,  # not contiguous
+        np.array([[1 + 1j, 2], [3, -4j]], dtype=np.complex64),
+        np.zeros((0, 3), dtype=complex), np.zeros((2, 0)),
+    ], ids=["complex", "real", "int", "strided", "complex64", "no-rows", "no-cols"])
+    def test_matrix_json_is_the_entrywise_json(self, m):
+        got = qu.matrix_to_json(m)
+        want = {"rows": m.shape[0], "cols": m.shape[1],
+                "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+        assert got == want and json.dumps(got) == json.dumps(want)
+        assert all(type(x) is float for pair in got["entries"] for x in pair)
 
     @pytest.mark.parametrize("entries", [[5], 5, [[1, 0, 0]], [["1", 0]], [[None, 0]]])
     def test_bad_matrix_entries_named(self, entries):
