@@ -9,7 +9,6 @@ Usage: python3 scripts/pipeline_demo.py [--channels N] [--dim D] [--seed S]
 """
 
 import argparse
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +18,6 @@ from revcat import pipeline as pl
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialInj
 from revcat.garbage import AuxMorphism
-
-
-@dataclass(frozen=True)
-class DemoConfig:
-    channels: int = 50
-    dim: int = 3
-    seed: int = 0
 
 
 def classical_demo() -> None:
@@ -47,7 +39,7 @@ def classical_demo() -> None:
           f"vs {gb.garbage_partition(keep_input)}")
 
 
-def quantum_demo(cfg: DemoConfig) -> None:
+def quantum_demo(cfg: argparse.Namespace) -> None:
     print(f"\n== quantum: dilation round trips, {cfg.channels} channels, "
           f"d <= {cfg.dim} ==")
     rng = np.random.default_rng(cfg.seed)
@@ -78,8 +70,7 @@ def main() -> None:
     ap.add_argument("--channels", type=int, default=50)
     ap.add_argument("--dim", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
-    ns = ap.parse_args()
-    cfg = DemoConfig(ns.channels, ns.dim, ns.seed)
+    cfg = ap.parse_args()
     classical_demo()
     quantum_demo(cfg)
 

@@ -177,7 +177,7 @@ def make_aux_pinj_instance(
         enum_mors = lambda a, b: enumerate_aux_pinj(a, b, max_garbage)
 
     return CategoryInstance(
-        name="ext_aux_pinj" if extensional else "aux_pinj",
+        name="ext-aux-pinj" if extensional else "aux-pinj",
         sample_mor=sample_mor,
         dom=lambda f: f.dom_size,
         cod=lambda f: f.cod_size,

@@ -81,18 +81,8 @@ class LawReport:
     mode: str = "random"
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "trials": self.trials,
-            "mode": self.mode,
-            "passed": self.passed,
-            "counterexample": (
-                None
-                if self.counterexample is None
-                else [m.to_json() for m in self.counterexample]
-            ),
-            "detail": self.detail,
-        }
+        t = self.counterexample
+        return {**vars(self), "counterexample": None if t is None else [m.to_json() for m in t]}
 
 
 @dataclass(frozen=True)

@@ -271,10 +271,8 @@ def channel_of_isometry(v: Isometry, env_dim: int) -> Channel:
     """The channel rho -> Tr_env(V rho V^dag), output factor first in rows."""
     if env_dim <= 0 or v.rows % env_dim != 0:
         raise DimensionError(f"rows {v.rows} not divisible by env dim {env_dim}")
-    dout = v.rows // env_dim
-    blocks = v.mat.reshape(dout, env_dim, v.cols)
-    ks = [blocks[:, e, :] for e in range(env_dim)]
-    return choi_of_kraus(ks)
+    # Kraus operator e is the block of rows m * env_dim + e.
+    return choi_of_kraus(list(v.mat.reshape(v.rows // env_dim, env_dim, v.cols).transpose(1, 0, 2)))
 
 
 def channel_of_unitary(u: Unitary) -> Channel:
@@ -290,8 +288,7 @@ def minimal_stinespring(c: Channel) -> tuple[Isometry, int]:
     try:
         return Isometry(v), r
     except NotAnIsometryError:
-        w, _, xh = np.linalg.svd(v, full_matrices=False)
-        return Isometry(w @ xh), r
+        return Isometry(nearest_unitary(v)), r
 
 
 def is_pure_choi(c: Channel) -> bool:
@@ -348,32 +345,19 @@ def extract_unitary(c: Channel) -> Unitary:
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group (drops the positive factor)."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+    """The polar factor W X^dag of the thin SVD W S X^dag of a square or tall
+    m: the nearest unitary, or isometry, to m."""
+    w, _, xh = np.linalg.svd(m, full_matrices=False)
+    return w @ xh
 
 
 def complete_to_unitary(v: Isometry) -> Unitary:
-    """Extend the columns of V to an orthonormal basis; deterministic
-    Gram-Schmidt over standard basis vectors, smallest index first."""
-    n = v.rows
-    u = np.zeros((n, n), dtype=complex)
+    """Extend the columns of V to an orthonormal basis: the Householder QR of
+    [V | I] (Golub and Van Loan, "Matrix Computations", 5.2), whose first
+    cols columns of Q span V's columns, so the rest span their complement;
+    those first columns are then set to V itself."""
+    u = np.linalg.qr(np.hstack([v.mat, np.eye(v.rows)]).astype(complex))[0]
     u[:, : v.cols] = v.mat
-    filled = v.cols
-    for j in range(n):
-        if filled == n:
-            break
-        q = u[:, :filled]
-        w = np.zeros(n, dtype=complex)
-        w[j] = 1.0
-        for _ in range(2):  # re-orthogonalize once for stability
-            w = w - q @ (_dag(q) @ w)
-        norm = np.linalg.norm(w)
-        if norm > 1e-7:
-            u[:, filled] = w / norm
-            filled += 1
-    if filled != n:
-        raise NotAnIsometryError("completion failed: columns not independent")
     return Unitary(u)
 
 

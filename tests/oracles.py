@@ -178,3 +178,27 @@ def product_action(apply_a, din_a: int, apply_b, din_b: int):
                         out = out + r[ia, ib, ja, jb] * np.kron(out_a, apply_b(eb))
         return out
     return apply
+
+
+def gram_schmidt_completion(v: np.ndarray) -> np.ndarray:
+    """Extend the orthonormal columns of v to a unitary by twice-orthogonalised
+    Gram-Schmidt over the standard basis vectors, smallest index first; a basis
+    vector whose residual has norm at most 1e-7 is skipped."""
+    n, k = v.shape
+    u = np.zeros((n, n), dtype=complex)
+    u[:, :k] = v
+    filled = k
+    for j in range(n):
+        if filled == n:
+            break
+        q = u[:, :filled]
+        w = np.zeros(n, dtype=complex)
+        w[j] = 1.0
+        for _ in range(2):
+            w = w - q @ (q.conj().T @ w)
+        norm = np.linalg.norm(w)
+        if norm > 1e-7:
+            u[:, filled] = w / norm
+            filled += 1
+    assert filled == n, "columns not independent"
+    return u

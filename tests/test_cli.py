@@ -234,6 +234,12 @@ class TestExitCodes:
         code = cli.run(["roundtrip", p, "--out", str(tmp_path / "o.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("instance", ["aux-pinj", "ext-aux-pinj"])
+    def test_missing_oracle_names_the_instance_as_typed(self, capsys, instance):
+        argv = ["lawcheck", "--instance", instance, "--law", "dagger_involution"]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err == f"error: instance '{instance}' has no dagger oracle\n"
+
     def test_lawcheck_without_instance_is_2(self):
         assert cli.run(["lawcheck"]) == 2
 

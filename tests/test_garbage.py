@@ -442,19 +442,19 @@ class TestPoints:
         assert len(gb.points_of(3)) == 4
 
     def test_values(self):
-        vals = [gb.point_value(p) for p in gb.points_of(2)]
+        vals = [p.collapsed(0) for p in gb.points_of(2)]
         assert vals == [0, 1, None]
 
     def test_garbage_on_points_normalizes(self):
         # A point that also emits garbage denotes the same element.
         p = AuxMorphism(pinj(1, 6, [(0, 2 * 2 + 1)]), 3, 2)
-        assert gb.point_value(p) == 2
+        assert p.collapsed(0) == 2
 
     def test_composition_with_point_evaluates(self):
         _, f2 = successor_pair()
         for p in gb.points_of(3):
-            v = gb.point_value(p)
-            out = gb.point_value(gb.aux_compose(f2, p))
+            v = p.collapsed(0)
+            out = gb.aux_compose(f2, p).collapsed(0)
             expected = None if v is None else v + 1
             assert out == expected
 

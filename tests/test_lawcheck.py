@@ -124,6 +124,14 @@ class TestCounterexamples:
             lc.ALL_LAWS[law].check(cat, *rep.counterexample)
         assert rep.to_json()["detail"] == rep.detail
 
+    def test_json_keys(self):
+        passed = lc.run_law(inst.make_pinj_instance(2), lc.ALL_LAWS["restriction_i"])
+        failed = lc.run_law(self.broken_instance(), lc.ALL_LAWS["restriction_i"])
+        for rep in (passed, failed):
+            assert set(rep.to_json()) == {
+                "law", "trials", "mode", "passed", "counterexample", "detail"}
+        assert passed.to_json()["counterexample"] is None
+
     def test_counterexample_renders_itself(self):
         # dagger = identity on unitaries breaks f f^dag f = f; the report
         # writes each counterexample matrix with its own to_json.

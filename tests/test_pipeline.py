@@ -90,6 +90,15 @@ class TestChannelRoundtrip:
             assert back.close_to(c, qu.ROUND_ATOL)
             assert env == qu.choi_rank(c)
 
+    def test_presentation_starts_with_the_minimal_dilation(self, rng):
+        chans = [qu.identity_channel(3), qu.dephasing_channel(3),
+                 qu.channel_of_isometry(qu.Isometry(np.eye(4, dtype=complex)[:, [1, 3]]), 2)]
+        chans += [qu.random_channel(d, d, k, rng) for d in (1, 2, 4) for k in (1, 3)]
+        for c in chans:
+            u = pl.channel_to_unitary_presentation(c)[0]
+            v = qu.minimal_stinespring(c)[0]
+            assert np.array_equal(u.mat[:, : v.cols], v.mat)
+
     def test_identity_channel_trivial_presentation(self):
         u, anc, env = pl.channel_to_unitary_presentation(qu.identity_channel(2))
         assert anc == 0 and env == 1

@@ -468,6 +468,15 @@ class TestStinespringNearTheBoundary:
             stack = np.stack(qu.kraus_of_choi(c), axis=1).reshape(c.dout * r, c.din)
             assert np.array_equal(v.mat, stack)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (6, 2), (4, 1), (24, 8)])
+    def test_nearest_unitary_of_a_tall_matrix_is_an_isometry(self, rng, shape):
+        m = qu.ginibre(*shape, rng)
+        w = qu.nearest_unitary(m)
+        assert w.shape == shape
+        assert qu._close(w.conj().T @ w, np.eye(shape[1]), 1e-12)
+        h = w.conj().T @ m  # the positive polar factor
+        assert qu._close(h, h.conj().T, 1e-12) and np.linalg.eigvalsh(h).min() > 0
+
 
 class TestPurity:
     def test_unitary_conjugation_pure(self, rng):
@@ -563,6 +572,29 @@ class TestCompleteToUnitary:
     def test_no_input_columns(self):
         u = qu.complete_to_unitary(Isometry(np.zeros((3, 0), dtype=complex)))
         assert np.array_equal(u.mat, np.eye(3))
+
+    @staticmethod
+    def completion_isometries():
+        rng = np.random.default_rng(19)
+        yield from (qu.haar_isometry(r, c, rng) for r, c in
+                    [(1, 1), (2, 1), (3, 2), (4, 4), (6, 2), (9, 3), (16, 5), (24, 8)])
+        yield Isometry(np.linalg.qr(rng.standard_normal((5, 3)))[0])  # real dtype
+        yield Isometry(np.zeros((3, 0), dtype=complex))  # cols = 0
+        yield qu.haar_unitary(5, rng)  # cols = rows
+        yield Isometry(np.zeros((0, 0), dtype=complex))
+        yield Isometry(np.eye(4, dtype=complex)[:, [1, 3]])  # basis vectors in the span
+
+    def test_against_gram_schmidt(self):
+        # V is kept exactly, U is unitary, and the complement is the one the
+        # Gram-Schmidt reference spans, as a projector.
+        for v in self.completion_isometries():
+            u = qu.complete_to_unitary(v).mat
+            assert u.shape == (v.rows, v.rows)
+            assert np.array_equal(u[:, : v.cols], v.mat)
+            assert qu._close(u.conj().T @ u, np.eye(v.rows), 1e-12)
+            ref = oracles.gram_schmidt_completion(v.mat)[:, v.cols:]
+            rest = u[:, v.cols:]
+            assert qu._close(rest @ rest.conj().T, ref @ ref.conj().T, 1e-12)
 
 
 def _sample_channels(din, dout, rng):
