@@ -21,18 +21,18 @@ from .lawcheck import CategoryInstance
 
 
 def _random_graph(rng, n: int, m: int, injective: bool) -> tuple:
-    if m == 0:
-        return ()
-    pairs = []
-    used = set()
-    for x in range(n):
-        if rng.random() < 0.75:
-            y = int(rng.integers(0, m))
-            if injective:
-                if y in used:
-                    continue
-                used.add(y)
+    """A random sorted graph of a partial map n -> m, from one draw of n floats.
+    Each input is defined with probability 3/4, and its output is uniform on
+    range(m) and independent of every other draw: y = floor(u * 4m/3) is each
+    k < m with probability 3/(4m), up to the 2^-53 grain of u, and y >= m is
+    undefined.  In an injective graph, an input whose output an earlier input
+    already took stays undefined."""
+    pairs, used = [], set()
+    for x, y in enumerate((rng.random(n) * (4 * m / 3)).astype(int).tolist()):
+        if y < m and y not in used:
             pairs.append((x, y))
+            if injective:
+                used.add(y)
     return tuple(pairs)
 
 
