@@ -7,14 +7,4 @@ quotient, the ancilla-input presentation, and a randomized law checker.
 
 from . import classical, extensional, garbage, instances, lawcheck, pipeline, quantum
 
-__all__ = [
-    "classical",
-    "quantum",
-    "garbage",
-    "extensional",
-    "pipeline",
-    "lawcheck",
-    "instances",
-]
-
 __version__ = "0.1.0"

@@ -149,8 +149,7 @@ class AuxMorphism:
                 if core.cod.shape[1:] != (0,):
                     raise ValueError("garbage size 0 needs a core codomain of shape [B, 0]")
                 return cls(core, core.cod.shape[0], 0)
-            if core.cod.size % e != 0:
-                raise ValueError("core codomain does not factor by the garbage size")
+            # __post_init__ rejects a codomain that does not factor as B x E.
             return cls(core, core.cod.size // e, e)
         if base == ISO:
             if e == 0:

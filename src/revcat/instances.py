@@ -9,6 +9,8 @@ channels 1 -> d) and ``ext-aux-pinj`` (``garbage.points_of``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import classical as cl
@@ -166,41 +168,45 @@ def make_aux_pinj_instance(
         )
         return AuxMorphism(core, b, e)
 
-    if extensional:
-        eq = lambda f, g: ex.ext_equiv(f, g)
-    else:
-        eq = lambda f, g: gb.aux_equal(f, g)
-
     enum_objs = enum_mors = None
     if max_size <= 3:
         enum_objs = lambda: list(range(max_size + 1))
         enum_mors = lambda a, b: enumerate_aux_pinj(a, b, max_garbage)
 
-    return CategoryInstance(
-        name="ext-aux-pinj" if extensional else "aux-pinj",
+    cat = CategoryInstance(
+        name="aux-pinj",
         sample_mor=sample_mor,
         dom=lambda f: f.dom_size,
         cod=lambda f: f.cod_size,
         compose=gb.aux_compose,
         identity=gb.aux_id,
-        eq=eq,
+        eq=lambda f, g: gb.aux_equal(f, g),
         restrict=gb.aux_ridm,
         tensor_mor=gb.aux_tensor,
         unit=1,
         enumerate_objs=enum_objs,
         enumerate_mors=enum_mors,
-        points=gb.points_of if extensional else None,
     )
+    if not extensional:
+        return cat
+    # The extensional quotient: the same morphisms, compared on global points.
+    return replace(cat, name="ext-aux-pinj", eq=lambda f, g: ex.ext_equiv(f, g),
+                   points=gb.points_of)
 
 
+# The CLI's instances, each named by its key; called directly, a factory keeps
+# its own name.
 INSTANCES = {
-    "pfn": lambda: make_pfn_instance(2),
-    "pfn-large": lambda: make_pfn_instance(6),
-    "pinj": lambda: make_pinj_instance(2),
-    "pinj-large": lambda: make_pinj_instance(6),
-    "unitary": make_unitary_instance,
-    "isometry": make_isometry_instance,
-    "cptp": make_cptp_instance,
-    "aux-pinj": lambda: make_aux_pinj_instance(2, 2),
-    "ext-aux-pinj": lambda: make_aux_pinj_instance(2, 2, extensional=True),
+    key: lambda key=key, make=make: replace(make(), name=key)
+    for key, make in {
+        "pfn": lambda: make_pfn_instance(2),
+        "pfn-large": lambda: make_pfn_instance(6),
+        "pinj": lambda: make_pinj_instance(2),
+        "pinj-large": lambda: make_pinj_instance(6),
+        "unitary": make_unitary_instance,
+        "isometry": make_isometry_instance,
+        "cptp": make_cptp_instance,
+        "aux-pinj": lambda: make_aux_pinj_instance(2, 2),
+        "ext-aux-pinj": lambda: make_aux_pinj_instance(2, 2, extensional=True),
+    }.items()
 }

@@ -43,14 +43,6 @@ class UnitaryPhaseClass:
 
     rep: Unitary
 
-    @classmethod
-    def of(cls, u: Unitary) -> "UnitaryPhaseClass":
-        return cls(Unitary(qu.phase_fix(u.mat)))
-
-    def close_to(self, other: "UnitaryPhaseClass") -> bool:
-        """Entrywise within ROUND_ATOL, representatives being phase-fixed."""
-        return self.rep.close_to(other.rep, qu.ROUND_ATOL)
-
 
 def inp_to_isometry(u: InpUnitary) -> Isometry:
     """Restrict the unitary to the input summand: its first in_dim columns.

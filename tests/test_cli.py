@@ -33,6 +33,8 @@ def channel_json(c):
 
 MATRIX_1 = {"rows": 1, "cols": 1, "entries": [[1, 0]]}
 CHANNEL_1 = {"din": 1, "dout": 1, "choi": MATRIX_1}  # the identity on C
+ISO_2x1 = qu.matrix_to_json(np.eye(2, 1, dtype=complex))
+AUX_1 = aux_json(1, 1, 1, [])
 
 
 def run_to(tmp_path, argv):
@@ -234,11 +236,16 @@ class TestExitCodes:
         code = cli.run(["roundtrip", p, "--out", str(tmp_path / "o.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("instance", ["aux-pinj", "ext-aux-pinj"])
-    def test_missing_oracle_names_the_instance_as_typed(self, capsys, instance):
-        argv = ["lawcheck", "--instance", instance, "--law", "dagger_involution"]
+    @pytest.mark.parametrize("instance, law, oracle", [
+        ("aux-pinj", "dagger_involution", "dagger"),
+        ("ext-aux-pinj", "dagger_involution", "dagger"),
+        ("pfn-large", "dagger_involution", "dagger"),
+        ("pinj-large", "wellpointed", "points"),
+    ], ids=["aux-pinj", "ext-aux-pinj", "pfn-large", "pinj-large"])
+    def test_missing_oracle_names_the_instance_as_typed(self, capsys, instance, law, oracle):
+        argv = ["lawcheck", "--instance", instance, "--law", law]
         assert cli.run(argv) == 2
-        assert capsys.readouterr().err == f"error: instance '{instance}' has no dagger oracle\n"
+        assert capsys.readouterr().err == f"error: instance '{instance}' has no {oracle} oracle\n"
 
     def test_lawcheck_without_instance_is_2(self):
         assert cli.run(["lawcheck"]) == 2
@@ -375,6 +382,36 @@ class TestExitCodes:
         p = write(tmp_path, "u.json", qu.matrix_to_json(np.eye(2, dtype=complex)))
         assert cli.run(["channel-of-unitary", p, flag, value]) == 2
         assert message in capsys.readouterr().err
+
+    # Inputs that parse as JSON but that no constructor accepts.  A message
+    # that starts with {p} names the first input file.
+    @pytest.mark.parametrize("verb, data, message", [
+        ("pfn-of", [{"base": "isometry", "garbage_shape": [1], "core": ISO_2x1}],
+         "visible_fn requires the pinj base"),
+        ("aux-equal", [{"base": "isometry", "garbage_shape": [3],
+                        "core": qu.matrix_to_json(np.eye(4, 1, dtype=complex))}, AUX_1],
+         "{p}: bad garbage-carrying morphism: core rows do not factor as B x E"),
+        ("aux-equal", [{"base": "pinj", "garbage_shape": [2],
+                        "core": {"dom": {"shape": [1]}, "cod": {"shape": [3]}, "graph": []}}, AUX_1],
+         "{p}: bad garbage-carrying morphism: core codomain does not factor as B x E"),
+        ("aux-equal", [{"base": "bij", "garbage_shape": [1], "core": {}}, AUX_1],
+         "{p}: bad garbage-carrying morphism: unknown base 'bij'"),
+        ("aux-equal", [{"base": "isometry", "garbage_shape": [1],
+                        "core": qu.matrix_to_json(np.eye(1, 2, dtype=complex))}, AUX_1],
+         "{p}: bad garbage-carrying morphism: isometry needs rows >= cols, got 1x2"),
+        ("channel-of-unitary", [{"rows": 2, "cols": 2, "entries": [[1, 0]]}],
+         "{p}: bad matrix: expected 4 entries, got 1"),
+        ("channel-of-unitary", [ISO_2x1], "unitary must be square, got 2x1"),
+        ("kraus", [{"din": 2, "dout": 2, "choi": qu.matrix_to_json(np.eye(2, dtype=complex))}],
+         "{p}: bad channel: choi must be 4x4, got (2, 2)"),
+    ], ids=["pfn-of-isometry", "aux-rows-do-not-factor", "aux-codomain-does-not-factor",
+            "aux-unknown-base", "aux-wide-isometry", "unitary-entry-count",
+            "unitary-not-square", "choi-wrong-shape"])
+    def test_rejected_input_is_2_with_its_message(self, tmp_path, capsys, verb, data, message):
+        paths = [write(tmp_path, f"in{i}.json", d) for i, d in enumerate(data)]
+        assert cli.run([verb, *paths]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: " + message.format(p=paths[0]) + "\n"
 
     def test_zero_dimensional_unitary_is_2(self, tmp_path, capsys):
         # Not "--anc must be in 0..-1": the unitary itself is refused.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from revcat import classical as cl
+from revcat import garbage as gb
 from revcat import instances as inst
 from revcat import lawcheck as lc
 from revcat.classical import FinObj
@@ -100,6 +101,29 @@ def test_generator_calls_do_not_grow_with_the_domain(make, dom):
             assert cat.dom(f) == dom(n)
             calls[n] = rng.calls
         assert calls[4] == calls[1024], (seed, calls)
+
+
+@pytest.mark.parametrize("key", sorted(inst.INSTANCES))
+def test_every_cli_instance_is_named_by_its_key(key):
+    assert inst.INSTANCES[key]().name == key
+
+
+def test_factories_keep_their_own_names():
+    assert inst.make_pfn_instance(6).name == "pfn"
+    assert inst.make_pinj_instance(6).name == "pinj"
+    assert inst.make_aux_pinj_instance(2, 2).name == "aux-pinj"
+
+
+def test_extensional_aux_pinj_enumerates_raw_cores_and_compares_on_points():
+    raw = inst.make_aux_pinj_instance(2, 2)
+    ext = inst.make_aux_pinj_instance(2, 2, extensional=True)
+    assert (ext.name, ext.points, raw.points) == ("ext-aux-pinj", gb.points_of, None)
+    assert sum(len(ext.enumerate_mors(a, b)) for a in range(3) for b in range(3)) == 70
+    # Both are the identity on 2 once the garbage is dropped; f's inputs share
+    # their garbage and g's do not, so only the quotient identifies them.
+    f, g = (gb.AuxMorphism(cl.PartialInj(FinObj.of_size(2), FinObj((2, 2)), graph), 2, 2)
+            for graph in (((0, 0), (1, 2)), ((0, 0), (1, 3))))
+    assert ext.eq(f, g) and not raw.eq(f, g)
 
 
 # -- random-mode mutation checks ----------------------------------------------

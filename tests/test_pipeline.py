@@ -20,6 +20,11 @@ def rng():
     return np.random.default_rng(77)
 
 
+def phase_fixed(u: Unitary) -> Unitary:
+    """The representative inv_cptp gives for u's phase class."""
+    return Unitary(qu.phase_fix(u.mat))
+
+
 class TestInpRoundtrip:
     def test_zero_ancilla_is_unitary_itself(self, rng):
         u = qu.haar_unitary(3, rng)
@@ -131,20 +136,20 @@ class TestInvCptp:
             u = qu.haar_unitary(d, rng)
             pc = pl.inv_cptp(qu.channel_of_unitary(u))
             assert pc is not None
-            assert pc.close_to(pl.UnitaryPhaseClass.of(u))
+            assert pc.rep.close_to(phase_fixed(u), qu.ROUND_ATOL)
 
     def test_phase_irrelevant(self, rng):
         u = qu.haar_unitary(3, rng)
         c = qu.choi_of_kraus([np.exp(0.3j) * u.mat])
         pc = pl.inv_cptp(c)
-        assert pc is not None and pc.close_to(pl.UnitaryPhaseClass.of(u))
+        assert pc is not None and pc.rep.close_to(phase_fixed(u), qu.ROUND_ATOL)
 
     def test_rejects_dephasing(self):
         assert pl.inv_cptp(qu.dephasing_channel(2)) is None
 
     def test_phase_class_of_the_empty_unitary(self):
-        pc = pl.UnitaryPhaseClass.of(Unitary(np.zeros((0, 0), dtype=complex)))
-        assert pc.rep.mat.shape == (0, 0) and pc.close_to(pc)
+        rep = phase_fixed(Unitary(np.zeros((0, 0), dtype=complex)))
+        assert rep.mat.shape == (0, 0) and rep.close_to(rep, qu.ROUND_ATOL)
 
     def test_rejects_depolarizing(self):
         assert pl.inv_cptp(qu.depolarizing_channel(2, 0.3)) is None
@@ -170,7 +175,7 @@ class TestPipelineEndToEnd:
             u = qu.haar_unitary(3, rng)
             c = pl.unitary_to_channel(u, 0, 1)
             pc = pl.inv_cptp(c)
-            assert pc is not None and pc.close_to(pl.UnitaryPhaseClass.of(u))
+            assert pc is not None and pc.rep.close_to(phase_fixed(u), qu.ROUND_ATOL)
 
     def test_pinj_pfn_pinj(self):
         # Partial injection -> partial function -> reversible view again.
