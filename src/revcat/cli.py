@@ -10,9 +10,11 @@ numerical failure (numpy's LinAlgError, which is not an input error although
 it subclasses ValueError).
 
 Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
-(partial function), a garbage-carrying morphism, a channel or a matrix; inv
-takes a channel or a morphism.  The table VERBS declares each verb once, with
-its input kinds and its action.
+(partial function), a garbage-carrying morphism, the visible function of a
+pinj-based one (pfn-of), a channel or a matrix (a unitary, for
+channel-of-unitary); inv takes a channel or a morphism.  An input is rejected
+while it is loaded, so the message names it.  The table VERBS declares each
+verb once, with its input kinds and its action.
 """
 
 from __future__ import annotations
@@ -66,12 +68,16 @@ def _digest(raws: list[tuple[str, bytes]]) -> str:
 # Input kinds; the name is the label of a parse error.
 _MOR, _AUX, _CHAN, _MAT = "morphism", "garbage-carrying morphism", "channel", "matrix"
 _CHAN_OR_MOR = "channel or morphism"  # a channel when it has a "din" key
+_VISIBLE = "visible function of a " + _AUX  # a parse error is labelled as _AUX's
 
+# A kind read by one verb is parsed into the value the verb acts on, so that
+# the library's own checks reject a bad input while it is loaded.
 _PARSERS = {
     _MOR: PartialFn.from_json,
     _AUX: AuxMorphism.from_json,
+    _VISIBLE: lambda data: gb.visible_fn(AuxMorphism.from_json(data)),  # pinj base only
     _CHAN: Channel.from_json,
-    _MAT: qu.matrix_from_json,
+    _MAT: lambda data: Unitary(qu.matrix_from_json(data)),
 }
 
 
@@ -88,7 +94,7 @@ def _load(kind: str, name: str, raw: bytes):
     try:
         return _PARSERS[kind](data)
     except ValueError as e:
-        raise InputError(f"{name}: bad {kind}: {e}") from e
+        raise InputError(f"{name}: bad {_AUX if kind == _VISIBLE else kind}: {e}") from e
 
 
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
@@ -222,8 +228,7 @@ def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
     return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
 
 
-def _channel_of_unitary(args, m: np.ndarray) -> tuple[dict, int]:
-    u = Unitary(m)
+def _channel_of_unitary(args, u: Unitary) -> tuple[dict, int]:
     if u.dim == 0:
         raise InputError("a 0x0 unitary has no channel; the unitary must be at least 1x1")
     if not 0 <= args.anc < u.dim:
@@ -251,7 +256,7 @@ VERBS = {
     "compose": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.compose(g, f).to_json()}, 0)),
     "tensor": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.tensor_prod(f, g).to_json()}, 0)),
     "bennett-of": ((_MOR,), lambda args, f: ({"morphism": cl.bennett(f).to_json()}, 0)),
-    "pfn-of": ((_AUX,), lambda args, m: ({"morphism": gb.visible_fn(m).to_json()}, 0)),
+    "pfn-of": ((_VISIBLE,), lambda args, f: ({"morphism": f.to_json()}, 0)),
     "aux-equal": ((_AUX, _AUX), _aux_equal),
     "ext-equal": ((_AUX, _AUX), lambda args, f, g: ({"equal": ex.ext_equiv(f, g)}, 0)),
     "dilate": ((_CHAN,), _dilate),

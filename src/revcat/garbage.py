@@ -9,26 +9,30 @@ isometries ("isometry").  A morphism's base follows from its core's type
 is named only where no core exists yet: in the JSON form and for the
 structural morphisms, which one builder makes from a structural permutation.
 
-For the pinj base the class has a decidable canonical form, the plain pair
-(visible partial function, partition of its domain by garbage equality).  Any
-equivalence is then witnessed by a single direct mediator ``PartialInj``; this
-characterization is validated against a brute-force zigzag search in the test
-suite before anything relies on it.  For the isometry base the induced channel
-(trace out the garbage) is a complete invariant, so equivalence is Choi
-equality and has no other witness.
+For the pinj base the class has a decidable canonical form, the plain
+hashable tuple (visible graph, partition of the domain by garbage equality),
+whose entries are tuples of ints.  Any equivalence is then witnessed by a
+single direct mediator ``PartialInj``; this characterization is validated
+against a brute-force zigzag search in the test suite before anything relies
+on it.  For the isometry base the induced channel (trace out the garbage) is
+a complete invariant, so equivalence is Choi equality and has no other
+witness.
 
-The normal form, the collapsed morphism and the restriction are pure, so each
-morphism computes them once, on first use, and keeps them through the
-lockless memo ``classical.once`` (``AuxMorphism.normal_form``,
-``AuxMorphism.collapsed`` and ``AuxMorphism.restricted``).  ``aux_equal``
-checks base and endpoints once; over pinj it then compares two graphs and two
-partitions, tuples of ints, in C, and ``aux_equiv`` returns the mediator of a
-positive decision.  The pinj composite and tensor each build their core in
-one pass and one ``PartialInj``: the composite sends each pair (x, (b, e)) of
-f's core through g's memoised mapping, and the tensor maps each pair of core
-pairs straight to its interchanged index.  Every constructor still
-validates: a cached value is derived from a core that has passed its own
-checks, and each result core passes them once.
+The visible graph, the normal form, the collapsed morphism and the
+restriction are pure, so each morphism computes them once, on first use, and
+keeps them through the lockless memo ``classical.once``
+(``AuxMorphism.visible_graph``, ``.normal_form``, ``.collapsed`` and
+``.restricted``); the normal form and the visible partial function share the
+one visible graph.  ``aux_equal`` checks base and endpoints once; over pinj it
+then compares the two normal forms with one tuple comparison, in C, and
+``aux_equiv`` returns the mediator of a positive decision.
+``collapsed_equal`` compares the two visible graphs alone.  The pinj
+composite and tensor each build their core in one pass and one
+``PartialInj``: the composite sends each pair (x, (b, e)) of f's core through
+g's memoised mapping, and the tensor maps each pair of core pairs straight to
+its interchanged index.  Every constructor still validates: a cached value is
+derived from a core that has passed its own checks, and each result core
+passes them once.
 
 Over the pinj base the composite, the tensor, ``embed``, the structural
 morphisms, ``visible_fn`` and ``points_of`` build their cores and morphisms
@@ -99,6 +103,13 @@ class AuxMorphism:
         object.__setattr__(self, "dom_size", dom)
 
     @cl.once
+    def visible_graph(self) -> tuple[tuple[int, int], ...]:
+        """The pinj core's graph with the garbage dropped, pairs (x, b) of its
+        pairs (x, (b, e)); computed on first use."""
+        e = self.garbage_size
+        return tuple((x, y // e) for x, y in self.core.graph) if e else ()
+
+    @cl.once
     def collapsed(self) -> Union[PartialFn, Channel]:
         """The visible partial function, or the channel with the garbage
         traced out; computed on first use."""
@@ -107,11 +118,12 @@ class AuxMorphism:
         return qu.channel_of_isometry(self.core, self.garbage_size)
 
     @cl.once
-    def normal_form(self) -> Union[tuple[PartialFn, tuple], Channel]:
-        """The class invariant, computed on first use: the collapsed
-        morphism, paired with the garbage partition for the pinj base."""
+    def normal_form(self) -> Union[tuple[tuple, tuple], Channel]:
+        """The class invariant, computed on first use: over pinj the plain
+        hashable pair (visible graph, garbage partition) of int tuples, over
+        isometries the channel."""
         if self.base == PINJ:
-            return self.collapsed, garbage_partition(self)
+            return self.visible_graph, garbage_partition(self)
         return self.collapsed
 
     @cl.once
@@ -286,10 +298,9 @@ def collapsed_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     """Whether f and g agree once the garbage is forgotten: the same visible
     partial function, or channels equal within 1e-9."""
     _same_endpoints(f, g)
-    cf, cg = f.collapsed, g.collapsed
     if f.base == PINJ:
-        return cf.same_table(cg)
-    return cf.close_to(cg, qu.ATOL)
+        return f.visible_graph == g.visible_graph
+    return f.collapsed.close_to(g.collapsed, qu.ATOL)
 
 
 # -- pinj normal forms and equivalence ---------------------------------------
@@ -298,28 +309,28 @@ def visible_fn(f: AuxMorphism) -> PartialFn:
     """The first-component partial function of a pinj-based morphism."""
     if f.base != PINJ:
         raise BaseMismatchError("visible_fn requires the pinj base")
-    e = f.garbage_size
-    graph = tuple((x, y // e) for x, y in f.core.graph) if e > 0 else ()
     return cl.make(
-        PartialFn, FinObj.of_size(f.dom_size), FinObj.of_size(f.cod_size), graph
+        PartialFn, FinObj.of_size(f.dom_size), FinObj.of_size(f.cod_size), f.visible_graph
     )
 
 
 def garbage_partition(f: AuxMorphism) -> tuple[tuple[int, ...], ...]:
-    """Blocks of dom(f) with equal garbage component, sorted by least member."""
+    """Blocks of dom(f) with equal garbage component, sorted by least member:
+    the core's graph is sorted by input, so each block is built in order and
+    the blocks are met in order of their least members."""
     if f.base != PINJ:
         raise BaseMismatchError("garbage_partition requires the pinj base")
     e = f.garbage_size
     blocks: dict[int, list[int]] = {}
     for x, y in f.core.graph:
         blocks.setdefault(y % e, []).append(x)
-    out = [tuple(sorted(b)) for b in blocks.values()]
-    return tuple(sorted(out))
+    return tuple(map(tuple, blocks.values()))
 
 
-def normal_form(f: AuxMorphism) -> Union[tuple[PartialFn, tuple], Channel]:
-    """The class invariant of f, cached on f: (visible_fn, garbage_partition)
-    over pinj, the channel over isometries."""
+def normal_form(f: AuxMorphism) -> Union[tuple[tuple, tuple], Channel]:
+    """The class invariant of f, cached on f: over pinj the plain hashable
+    tuple (visible graph, garbage partition), equal exactly for equivalent
+    morphisms with the same endpoints; over isometries the channel."""
     return f.normal_form
 
 
@@ -343,8 +354,7 @@ def aux_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
         _same_endpoints(f, g)  # raises the mismatch
     if f.base == ISO:
         return collapsed_equal(f, g)
-    (vf, pf), (vg, pg) = normal_form(f), normal_form(g)
-    return vf.graph == vg.graph and pf == pg
+    return f.normal_form == g.normal_form
 
 
 def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[PartialInj]:

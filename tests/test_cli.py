@@ -387,7 +387,7 @@ class TestExitCodes:
     # that starts with {p} names the first input file.
     @pytest.mark.parametrize("verb, data, message", [
         ("pfn-of", [{"base": "isometry", "garbage_shape": [1], "core": ISO_2x1}],
-         "visible_fn requires the pinj base"),
+         "{p}: bad garbage-carrying morphism: visible_fn requires the pinj base"),
         ("aux-equal", [{"base": "isometry", "garbage_shape": [3],
                         "core": qu.matrix_to_json(np.eye(4, 1, dtype=complex))}, AUX_1],
          "{p}: bad garbage-carrying morphism: core rows do not factor as B x E"),
@@ -401,7 +401,7 @@ class TestExitCodes:
          "{p}: bad garbage-carrying morphism: isometry needs rows >= cols, got 1x2"),
         ("channel-of-unitary", [{"rows": 2, "cols": 2, "entries": [[1, 0]]}],
          "{p}: bad matrix: expected 4 entries, got 1"),
-        ("channel-of-unitary", [ISO_2x1], "unitary must be square, got 2x1"),
+        ("channel-of-unitary", [ISO_2x1], "{p}: bad matrix: unitary must be square, got 2x1"),
         ("kraus", [{"din": 2, "dout": 2, "choi": qu.matrix_to_json(np.eye(2, dtype=complex))}],
          "{p}: bad channel: choi must be 4x4, got (2, 2)"),
     ], ids=["pfn-of-isometry", "aux-rows-do-not-factor", "aux-codomain-does-not-factor",

@@ -45,6 +45,14 @@ class TestExtEquiv:
                 )
                 assert ex.ext_equiv(f, g) == agree
 
+    def test_matches_visible_tables_on_every_small_hom_set(self):
+        for a, b in itertools.product(range(3), repeat=2):
+            ms = inst.enumerate_aux_pinj(a, b, 2)
+            for f in ms:
+                for g in ms:
+                    same = gb.visible_fn(f).same_table(gb.visible_fn(g))
+                    assert ex.ext_equiv(f, g) == same, (f, g)
+
     def test_iso_base_is_choi_equality(self):
         rng = np.random.default_rng(2)
         v = qu.haar_isometry(4, 2, rng)

@@ -1,13 +1,17 @@
 """Garbage-carrying morphisms: normal forms, equivalence, and structure."""
 
+import importlib.util
 import itertools
 import json
+import re
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from revcat import classical as cl
+from revcat import extensional as ex
 from revcat import garbage as gb
 from revcat import quantum as qu
 from revcat.classical import FinObj, PartialFn, PartialInj
@@ -15,6 +19,8 @@ from revcat.garbage import ISO, PINJ, AuxMorphism
 from revcat.instances import enumerate_aux_pinj
 
 import oracles
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def pinj(a, b, graph):
@@ -215,7 +221,7 @@ class TestDeciderAndCache:
     def test_cached_normal_form_matches_fresh(self):
         for a, b in itertools.product(range(3), repeat=2):
             for f in enumerate_aux_pinj(a, b, 2):
-                fresh = (gb.visible_fn(f), gb.garbage_partition(f))
+                fresh = (gb.visible_fn(f).graph, gb.garbage_partition(f))
                 assert gb.normal_form(f) == fresh
                 assert gb.normal_form(f) is gb.normal_form(f)
                 assert f.collapsed.same_table(gb.visible_fn(f))
@@ -240,6 +246,40 @@ class TestDeciderAndCache:
             gb.aux_equal(gb.aux_id(2), gb.aux_id(3))
         with pytest.raises(gb.BaseMismatchError):
             gb.aux_equal(gb.aux_id(2), gb.aux_id(2, ISO))
+
+    @pytest.mark.parametrize("decide", [gb.aux_equal, gb.aux_equiv, ex.ext_equiv],
+                             ids=["aux_equal", "aux_equiv", "ext_equiv"])
+    def test_mismatches_raise_before_the_keys_are_compared(self, decide):
+        # Both empty morphisms have the normal form ((), ()), so a bare key
+        # comparison would call them equal.
+        f, g = AuxMorphism(pinj(2, 1, []), 1, 1), AuxMorphism(pinj(2, 3, []), 3, 1)
+        assert gb.normal_form(f) == gb.normal_form(g) == ((), ())
+        with pytest.raises(gb.EndpointMismatchError, match=r"^endpoints differ: 2->1 vs 2->3$"):
+            decide(f, g)
+        iso = gb.aux_id(2, ISO)
+        with pytest.raises(gb.BaseMismatchError, match=r"^bases differ: pinj vs isometry$"):
+            decide(f, iso)
+        message = ("aux_equiv requires the pinj base; use aux_equal" if decide is gb.aux_equiv
+                   else "bases differ: isometry vs pinj")
+        with pytest.raises(gb.BaseMismatchError, match=f"^{re.escape(message)}$"):
+            decide(iso, f)
+
+    def test_the_key_is_the_frozen_zigzag_class(self):
+        # The normal form, grouped in one dict pass, splits each hom-set into
+        # exactly the classes frozen from the brute-force zigzag oracle.
+        frozen = json.loads((PERFBENCH / "zigzag_classes.json").read_text())["blocks"]
+        spec = importlib.util.spec_from_file_location("perfbench_morphkey",
+                                                      PERFBENCH / "morphkey.py")
+        morphkey = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(morphkey)
+        for a, b in itertools.product(range(4), repeat=2):
+            groups: dict = {}
+            for m in enumerate_aux_pinj(a, b, 2):
+                groups.setdefault(gb.normal_form(m), []).append(morphkey.morphism_key(m))
+            classes: dict = {}
+            for key, label in frozen[f"{a},{b}"].items():
+                classes.setdefault(label, []).append(key)
+            assert sorted(map(sorted, groups.values())) == sorted(map(sorted, classes.values()))
 
     def test_cached_restriction_matches_fresh(self):
         for a, b in itertools.product(range(3), repeat=2):
