@@ -167,6 +167,12 @@ def json_field(data, key: str, where: str):
     return data[key]
 
 
+# The quantum half's tolerances, kept in this numpy-free module so that the
+# CLI report header reads them without loading numpy; quantum re-exports them.
+ATOL = 1e-9  # structural invariants: unitarity, TP, Hermiticity
+ROUND_ATOL = 1e-8  # round trips through two eigendecompositions
+RANK_CUTOFF = 1e-10  # rank cutoff on Choi eigenvalues
+
 UNIT = FinObj((1,))  # one-element set, unit of the tensor product (an enumerated object)
 ZERO = FinObj((0,))  # empty set, unit of the disjoint sum
 

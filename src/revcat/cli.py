@@ -15,6 +15,11 @@ pinj-based one (pfn-of), a channel or a matrix (a unitary, for
 channel-of-unitary); inv takes a channel or a morphism.  An input is rejected
 while it is loaded, so the message names it.  The table VERBS declares each
 verb once, with its input kinds and its action.
+
+The classical verbs run without loading numpy, and so does lawcheck on a
+classical instance in exhaustive mode: only the channel and matrix parsers
+and actions, the quantum instances and random-mode sampling use
+``revcat.quantum`` (which the package imports on first use) or numpy.
 """
 
 from __future__ import annotations
@@ -26,18 +31,16 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
+import revcat
 
 from . import classical as cl
 from . import extensional as ex
 from . import garbage as gb
 from . import lawcheck as lc
 from . import pipeline as pl
-from . import quantum as qu
 from .classical import PartialFn
 from .garbage import AuxMorphism
 from .instances import INSTANCES
-from .quantum import Channel, Unitary
 
 
 class InputError(ValueError):
@@ -70,14 +73,22 @@ _MOR, _AUX, _CHAN, _MAT = "morphism", "garbage-carrying morphism", "channel", "m
 _CHAN_OR_MOR = "channel or morphism"  # a channel when it has a "din" key
 _VISIBLE = "visible function of a " + _AUX  # a parse error is labelled as _AUX's
 
+def _unitary(data) -> Unitary:
+    """A unitary of at least one dimension: a 0x0 one has no channel."""
+    u = revcat.quantum.Unitary(revcat.quantum.matrix_from_json(data))
+    if u.dim == 0:
+        raise ValueError("a 0x0 unitary has no channel; the unitary must be at least 1x1")
+    return u
+
+
 # A kind read by one verb is parsed into the value the verb acts on, so that
 # the library's own checks reject a bad input while it is loaded.
 _PARSERS = {
     _MOR: PartialFn.from_json,
     _AUX: AuxMorphism.from_json,
     _VISIBLE: lambda data: gb.visible_fn(AuxMorphism.from_json(data)),  # pinj base only
-    _CHAN: Channel.from_json,
-    _MAT: lambda data: Unitary(qu.matrix_from_json(data)),
+    _CHAN: lambda data: revcat.quantum.Channel.from_json(data),
+    _MAT: _unitary,  # read by channel-of-unitary only
 }
 
 
@@ -141,15 +152,18 @@ def run(argv: Optional[list[str]] = None) -> int:
 
     kinds, action = VERBS[args.verb]
     try:
+        # A verb without inputs reads neither its arguments nor stdin.
         raws = _read_inputs(args.inputs) if kinds else []
-        if len(raws) != len(kinds):
-            wanted = "one input" if len(kinds) == 1 else f"{len(kinds)} inputs"
-            raise InputError(f"{args.verb} takes {wanted}, got {len(raws)}")
+        given = len(raws) if kinds else len(args.inputs)
+        if given != len(kinds):
+            wanted = {0: "no inputs", 1: "one input"}.get(len(kinds), f"{len(kinds)} inputs")
+            raise InputError(f"{args.verb} takes {wanted}, got {given}")
         result, status = action(args, *(_load(kind, *raw) for kind, raw in zip(kinds, raws)))
-    except np.linalg.LinAlgError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
     except ValueError as e:
+        np = sys.modules.get("numpy")  # no LinAlgError exists before numpy loads
+        if np is not None and isinstance(e, np.linalg.LinAlgError):
+            print(f"internal error: {e}", file=sys.stderr)
+            return 3
         print(f"error: {e}", file=sys.stderr)
         return 2
 
@@ -157,7 +171,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         "verb": args.verb,
         "inputs_digest": _digest(raws),
         "seed": args.seed,
-        "tolerances": {"structural": qu.ATOL, "roundtrip": qu.ROUND_ATOL},
+        "tolerances": {"structural": cl.ATOL, "roundtrip": cl.ROUND_ATOL},
         "result": result,
     }
     text = _write(report) + "\n"
@@ -212,25 +226,23 @@ def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
 
 
 def _dilate(args, c: Channel) -> tuple[dict, int]:
-    v, r = qu.minimal_stinespring(c)
+    v, r = revcat.quantum.minimal_stinespring(c)
     return {"isometry": v.to_json(), "env_dim": r}, 0
 
 
 def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
-    if isinstance(x, Channel):
-        core = qu.reversible_core(x)
-        if isinstance(core, str):
-            return {"reversible": False, "reason": core}, 0
-        return {"reversible": True, "unitary": core.to_json()}, 0
-    inj = pl.inv_pfn(x)
-    if inj is None:
-        return {"reversible": False, "reason": "not injective"}, 0
-    return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
+    if isinstance(x, PartialFn):
+        inj = pl.inv_pfn(x)
+        if inj is None:
+            return {"reversible": False, "reason": "not injective"}, 0
+        return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
+    core = revcat.quantum.reversible_core(x)
+    if isinstance(core, str):
+        return {"reversible": False, "reason": core}, 0
+    return {"reversible": True, "unitary": core.to_json()}, 0
 
 
 def _channel_of_unitary(args, u: Unitary) -> tuple[dict, int]:
-    if u.dim == 0:
-        raise InputError("a 0x0 unitary has no channel; the unitary must be at least 1x1")
     if not 0 <= args.anc < u.dim:
         raise InputError(f"--anc must be in 0..{u.dim - 1} for a {u.dim}-dimensional "
                          f"unitary, got {args.anc}")
@@ -242,8 +254,8 @@ def _channel_of_unitary(args, u: Unitary) -> tuple[dict, int]:
 def _roundtrip(args, c: Channel) -> tuple[dict, int]:
     u, anc, env = pl.channel_to_unitary_presentation(c)
     back = pl.unitary_to_channel(u, anc, env)
-    residual = float(np.max(np.abs(back.choi - c.choi)))
-    ok = residual <= qu.ROUND_ATOL
+    residual = float(abs(back.choi - c.choi).max())
+    ok = residual <= cl.ROUND_ATOL
     return {"residual": residual, "pass": ok,
             "anc_dim": anc, "env_dim": env}, 0 if ok else 1
 
@@ -260,11 +272,11 @@ VERBS = {
     "aux-equal": ((_AUX, _AUX), _aux_equal),
     "ext-equal": ((_AUX, _AUX), lambda args, f, g: ({"equal": ex.ext_equiv(f, g)}, 0)),
     "dilate": ((_CHAN,), _dilate),
-    "kraus": ((_CHAN,), lambda args, c: (
-        {"kraus": [qu.matrix_to_json(k) for k in qu.kraus_of_choi(c)]}, 0)),
+    "kraus": ((_CHAN,), lambda args, c: ({"kraus": [
+        revcat.quantum.matrix_to_json(k) for k in revcat.quantum.kraus_of_choi(c)]}, 0)),
     "channel-of-unitary": ((_MAT,), _channel_of_unitary),
     "extract-unitary": ((_CHAN,), lambda args, c: (
-        {"unitary": qu.extract_unitary(c).to_json()}, 0)),
+        {"unitary": revcat.quantum.extract_unitary(c).to_json()}, 0)),
     "inv": ((_CHAN_OR_MOR,), _inv),
     "roundtrip": ((_CHAN,), _roundtrip),
 }

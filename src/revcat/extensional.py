@@ -15,8 +15,6 @@ instances that supply a ``points`` oracle.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import classical as cl
 from . import garbage as gb
 from .classical import PartialFn
@@ -36,6 +34,7 @@ def pfn_functor(f: PartialFn) -> AuxMorphism:
 def tomographic_family(d: int) -> list[np.ndarray]:
     """A spanning family of d*d states: basis projectors plus real and
     imaginary pairwise superpositions."""
+    import numpy as np
     states = []
     for i in range(d):
         s = np.zeros((d, d), dtype=complex)

@@ -41,6 +41,10 @@ run) equal values are one object, validated once, whose normal form and
 restriction are computed once.  Keys hold only cores and sizes derived from
 validated morphisms (``int`` entries).  The isometry base never shares: its
 matrices are not hashable.
+
+Only the isometry branches use ``quantum`` and numpy: they reach the module
+as ``revcat.quantum``, which the package imports on first use, and import
+numpy where they are taken, so the pinj base runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -49,12 +53,10 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Optional, Union
 
-import numpy as np
+import revcat
 
 from . import classical as cl
-from . import quantum as qu
 from .classical import FinObj, PartialFn, PartialInj
-from .quantum import Channel, Isometry
 
 PINJ = "pinj"
 ISO = "isometry"
@@ -88,11 +90,11 @@ class AuxMorphism:
         core = self.core
         if isinstance(core, PartialInj):
             base, dom, flat, what = PINJ, core.dom.size, core.cod.size, "core codomain does"
-        elif isinstance(core, Isometry):
-            base, dom, flat, what = ISO, core.cols, core.rows, "core rows do"
         else:
-            kind = type(core).__name__
-            raise ValueError(f"core must be a PartialInj or an Isometry, got {kind}")
+            if not isinstance(core, revcat.quantum.Isometry):
+                kind = type(core).__name__
+                raise ValueError(f"core must be a PartialInj or an Isometry, got {kind}")
+            base, dom, flat, what = ISO, core.cols, core.rows, "core rows do"
         for name in ("cod_size", "garbage_size"):
             size = getattr(self, name)
             if type(size) is not int or size < 0:
@@ -115,7 +117,7 @@ class AuxMorphism:
         traced out; computed on first use."""
         if self.base == PINJ:
             return visible_fn(self)
-        return qu.channel_of_isometry(self.core, self.garbage_size)
+        return revcat.quantum.channel_of_isometry(self.core, self.garbage_size)
 
     @cl.once
     def normal_form(self) -> Union[tuple[tuple, tuple], Channel]:
@@ -166,7 +168,7 @@ class AuxMorphism:
         if base == ISO:
             if e == 0:
                 raise ValueError("garbage size 0 exists only over the pinj base")
-            core = Isometry(qu.matrix_from_json(core, "core"))
+            core = revcat.quantum.Isometry(revcat.quantum.matrix_from_json(core, "core"))
             return cls(core, core.rows // e, e)
         raise ValueError(f"unknown base {base!r}")
 
@@ -188,6 +190,7 @@ def _same_endpoints(f: AuxMorphism, g: AuxMorphism) -> None:
 
 def _permute_rows(p: PartialInj, mat: np.ndarray) -> np.ndarray:
     """Move row x of mat to row p(x), for a structural permutation p."""
+    import numpy as np
     out = np.empty_like(mat)
     out[[y for _, y in p.graph]] = mat
     return out
@@ -206,8 +209,9 @@ def _structural(perm: PartialInj, cod_size: int, garbage_size: int, base: str) -
     if base == PINJ:
         return cl.make(AuxMorphism, perm, cod_size, garbage_size)
     if base == ISO:
+        import numpy as np
         mat = _permute_rows(perm, np.eye(perm.dom.size, dtype=complex))
-        return AuxMorphism(Isometry(mat), cod_size, garbage_size)
+        return AuxMorphism(revcat.quantum.Isometry(mat), cod_size, garbage_size)
     raise ValueError(f"unknown base {base!r}")
 
 
@@ -248,7 +252,8 @@ def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
             tuple((x, gm[y // e] * e + y % e) for x, y in f.core.graph if y // e in gm),
         )
         return cl.make(AuxMorphism, core, g.cod_size, g.garbage_size * e)
-    core = Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)
+    import numpy as np
+    core = revcat.quantum.Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)
     return AuxMorphism(core, g.cod_size, g.garbage_size * f.garbage_size)
 
 
@@ -283,7 +288,8 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
             ),
         )
         return cl.make(AuxMorphism, core, cod_size, garbage_size)
-    core = Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
+    import numpy as np
+    core = revcat.quantum.Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
     return AuxMorphism(core, cod_size, garbage_size)
 
 
@@ -300,7 +306,7 @@ def collapsed_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     _same_endpoints(f, g)
     if f.base == PINJ:
         return f.visible_graph == g.visible_graph
-    return f.collapsed.close_to(g.collapsed, qu.ATOL)
+    return f.collapsed.close_to(g.collapsed, cl.ATOL)
 
 
 # -- pinj normal forms and equivalence ---------------------------------------

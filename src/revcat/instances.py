@@ -4,19 +4,21 @@ Classical instances enumerate their hom-sets when the object-size bound is
 small (<= 3), enabling exhaustive law checks; larger bounds and the quantum
 instances are sampled randomly.  Two instances list their global points, the
 oracle the well-pointedness laws need: ``cptp`` (the tomographic states, as
-channels 1 -> d) and ``ext-aux-pinj`` (``garbage.points_of``).
+channels 1 -> d) and ``ext-aux-pinj`` (``garbage.points_of``).  The quantum
+factories reach ``revcat.quantum`` and numpy when called, so building or
+enumerating a classical instance loads no numpy; only its sampler takes a
+numpy generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
+import revcat
 
 from . import classical as cl
 from . import extensional as ex
 from . import garbage as gb
-from . import quantum as qu
 from .classical import FinObj, PartialFn, PartialInj
 from .garbage import AuxMorphism
 from .lawcheck import CategoryInstance
@@ -80,6 +82,7 @@ def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> Cate
     """Matrices of one class (``wrap``) under product and kron, compared
     entrywise within 1e-9.  sample_mat(rng, cols) draws a morphism from
     cols dimensions."""
+    import numpy as np
 
     def sample_obj(rng):
         return int(rng.integers(1, max_dim + 1))
@@ -103,12 +106,15 @@ def _matrix_instance(name, wrap, sample_mat, max_dim: int, dagger: bool) -> Cate
 
 
 def make_unitary_instance(max_dim: int = 3) -> CategoryInstance:
+    qu = revcat.quantum
     return _matrix_instance(
         "unitary", qu.Unitary, lambda rng, d: qu.haar_unitary(d, rng), max_dim, dagger=True
     )
 
 
 def make_isometry_instance(max_dim: int = 3) -> CategoryInstance:
+    qu = revcat.quantum
+
     def sample_mat(rng, c):
         return qu.haar_isometry(c * int(rng.integers(1, 3)), c, rng)
 
@@ -116,6 +122,8 @@ def make_isometry_instance(max_dim: int = 3) -> CategoryInstance:
 
 
 def make_cptp_instance(max_dim: int = 3) -> CategoryInstance:
+    qu = revcat.quantum
+
     def sample_obj(rng):
         return int(rng.integers(1, max_dim + 1))
 

@@ -19,17 +19,17 @@ object, validated once, with its derived values (mapping, restriction, normal
 form) computed once.  An exhaustive run also memoises compose, tensor_mor and
 dagger on operand identity.  Random mode does not: a memo would only keep its
 fresh samples' results alive, Choi matrices among them.  Both end with the call.
+Only random mode imports numpy, for its generator.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from math import prod
 from typing import Any, Callable, Iterable, Iterator, Optional
-
-import numpy as np
 
 from .classical import sharing
 
@@ -162,12 +162,13 @@ def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
     """None when the tuple satisfies the law, else the failure's detail: ""
     for a false equation, "<ExceptionType>: <message>" for a ValueError the
     predicate raised.  numpy's LinAlgError is a numerical failure, not a
-    verdict, and propagates."""
+    verdict, and propagates; none exists while numpy is not loaded."""
     try:
         return None if predicate(*t) else ""
-    except np.linalg.LinAlgError:
-        raise
     except ValueError as e:
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(e, np.linalg.LinAlgError):
+            raise
         return f"{type(e).__name__}: {e}"
 
 
@@ -204,6 +205,7 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
                 if bad:
                     raise ConfigurationError(f"{rule} to check {law.name!r} on {cat.name!r} "
                                              f"in random mode, got {value}")
+            import numpy as np
             rng = np.random.default_rng(seed)
             count, mode = trials, "random"
             tuples = (_sample_tuple(cat, law.pattern, rng) for _ in range(trials))

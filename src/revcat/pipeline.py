@@ -8,6 +8,9 @@ garbage-adjoining and extensional phases turns unitaries into channels and
 partial injections into partial functions; the reverse direction carves out
 the partial isomorphisms (classically) and the pure-Choi square channels
 (quantumly, up to a global phase).
+
+The quantum functions reach ``quantum`` as ``revcat.quantum``, which the
+package imports on first use, so ``inv_pfn`` runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import quantum as qu
+import revcat
+
 from .classical import PartialFn, PartialInj
-from .quantum import Channel, Isometry, Unitary
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,9 +33,9 @@ class InpUnitary:
 
     def __post_init__(self) -> None:
         if self.in_dim < 0 or self.anc_dim < 0:
-            raise qu.DimensionError("dimensions must be nonnegative")
+            raise revcat.quantum.DimensionError("dimensions must be nonnegative")
         if self.in_dim + self.anc_dim != self.unitary.dim:
-            raise qu.DimensionError(
+            raise revcat.quantum.DimensionError(
                 f"in_dim {self.in_dim} + anc_dim {self.anc_dim} != {self.unitary.dim}"
             )
 
@@ -50,13 +53,13 @@ def inp_to_isometry(u: InpUnitary) -> Isometry:
     Constant on mediation orbits: right-multiplying by I_A (+) h for unitary
     h on the ancilla leaves these columns untouched.
     """
-    return Isometry(u.unitary.mat[:, : u.in_dim])
+    return revcat.quantum.Isometry(u.unitary.mat[:, : u.in_dim])
 
 
 def isometry_to_inp(v: Isometry) -> InpUnitary:
     """Present an isometry with an ancilla input, via the deterministic
     unitary completion."""
-    return InpUnitary(v.cols, v.rows - v.cols, qu.complete_to_unitary(v))
+    return InpUnitary(v.cols, v.rows - v.cols, revcat.quantum.complete_to_unitary(v))
 
 
 def unitary_to_channel(u: Unitary, anc_dim: int, env_dim: int) -> Channel:
@@ -68,16 +71,16 @@ def unitary_to_channel(u: Unitary, anc_dim: int, env_dim: int) -> Channel:
     """
     in_dim = u.dim - anc_dim
     if in_dim <= 0:
-        raise qu.DimensionError(f"ancilla {anc_dim} leaves no input of {u.dim}")
+        raise revcat.quantum.DimensionError(f"ancilla {anc_dim} leaves no input of {u.dim}")
     v = inp_to_isometry(InpUnitary(in_dim, anc_dim, u))
-    return qu.channel_of_isometry(v, env_dim)
+    return revcat.quantum.channel_of_isometry(v, env_dim)
 
 
 def channel_to_unitary_presentation(c: Channel) -> tuple[Unitary, int, int]:
     """Essential surjectivity, constructively: a (unitary, anc_dim, env_dim)
     triple that unitary_to_channel maps back to c."""
-    v, r = qu.minimal_stinespring(c)
-    u = qu.complete_to_unitary(v)
+    v, r = revcat.quantum.minimal_stinespring(c)
+    u = revcat.quantum.complete_to_unitary(v)
     return u, v.rows - v.cols, r
 
 
@@ -95,5 +98,5 @@ def inv_cptp(c: Channel) -> Optional[UnitaryPhaseClass]:
     extracted matrix fails unitarity; conjugation by the result reproduces
     the channel within 1e-8.
     """
-    core = qu.reversible_core(c)
+    core = revcat.quantum.reversible_core(c)
     return None if isinstance(core, str) else UnitaryPhaseClass(core)

@@ -18,9 +18,12 @@ validates that matrix in full.
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
 cutoff on Choi eigenvalues; a structural check bounds the largest entrywise
-deviation.  A Channel's Choi matrix must be finite, Hermitian within 1e-9,
-PSD (min eigenvalue >= -1e-9) and TP within 1e-9, and the first of these it
-fails names the error.  One reduction decides each property:
+deviation.  ``ATOL``, ``ROUND_ATOL`` and ``RANK_CUTOFF`` are defined in the
+numpy-free ``classical`` module, so that the classical half reads them
+without loading numpy, and re-exported here.  A Channel's Choi matrix must be
+finite, Hermitian within 1e-9, PSD (min eigenvalue >= -1e-9) and TP within
+1e-9, and the first of these it fails names the error.  One reduction
+decides each property:
 
 - finite and Hermitian: r = max |C - C^dag|.  A NaN or inf entry makes r NaN
   or inf, so only when r fails the bound is C searched for a non-finite
@@ -42,11 +45,7 @@ from itertools import chain
 
 import numpy as np
 
-from .classical import json_field, json_int
-
-ATOL = 1e-9
-ROUND_ATOL = 1e-8
-RANK_CUTOFF = 1e-10
+from .classical import ATOL, RANK_CUTOFF, ROUND_ATOL, json_field, json_int
 
 
 class DimensionError(ValueError):

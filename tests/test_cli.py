@@ -276,6 +276,11 @@ class TestExitCodes:
         wanted = "one input" if count == 2 else "2 inputs"
         assert f"{verb} takes {wanted}, got {count}" in capsys.readouterr().err
 
+    def test_inputs_to_a_verb_without_inputs_are_2_and_unread(self, capsys):
+        # The file does not exist, so reading it would fail with "cannot read".
+        assert cli.run(["lawcheck", "/nonexistent.json", "--instance", "pinj"]) == 2
+        assert capsys.readouterr() == ("", "error: lawcheck takes no inputs, got 1\n")
+
     @pytest.mark.parametrize("din, dout", [(0, 2), (2, 0)])
     def test_zero_dimension_channel_is_2(self, tmp_path, capsys, din, dout):
         c = write(tmp_path, "c.json", {"din": din, "dout": dout,
@@ -418,7 +423,8 @@ class TestExitCodes:
         p = write(tmp_path, "u.json", {"rows": 0, "cols": 0, "entries": []})
         assert cli.run(["channel-of-unitary", p]) == 2
         assert capsys.readouterr().err == (
-            "error: a 0x0 unitary has no channel; the unitary must be at least 1x1\n")
+            f"error: {p}: bad matrix: a 0x0 unitary has no channel; "
+            "the unitary must be at least 1x1\n")
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "o.json"

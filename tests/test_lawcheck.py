@@ -124,6 +124,22 @@ class TestCounterexamples:
             lc.ALL_LAWS[law].check(cat, *rep.counterexample)
         assert rep.to_json()["detail"] == rep.detail
 
+    def test_linalg_error_propagates(self):
+        # A numerical failure is no verdict on the law.
+        def fails(cat, f):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        law = lc.Law("fails", "single", fails)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            lc.run_law(inst.make_pfn_instance(2), law)
+
+    def test_plain_value_error_fails_the_law(self):
+        def fails(cat, f):
+            raise ValueError("no verdict")
+
+        rep = lc.run_law(inst.make_pfn_instance(2), lc.Law("fails", "single", fails))
+        assert not rep.passed and rep.detail == "ValueError: no verdict"
+
     def test_json_keys(self):
         passed = lc.run_law(inst.make_pinj_instance(2), lc.ALL_LAWS["restriction_i"])
         failed = lc.run_law(self.broken_instance(), lc.ALL_LAWS["restriction_i"])
