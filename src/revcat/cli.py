@@ -29,7 +29,7 @@ import functools
 import hashlib
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import revcat
 
@@ -41,6 +41,9 @@ from . import pipeline as pl
 from .classical import PartialFn
 from .garbage import AuxMorphism
 from .instances import INSTANCES
+
+if TYPE_CHECKING:
+    from .quantum import Channel, Unitary
 
 
 class InputError(ValueError):

@@ -15,10 +15,15 @@ instances that supply a ``points`` oracle.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import classical as cl
 from . import garbage as gb
 from .classical import PartialFn
 from .garbage import AuxMorphism
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Agreement on all global points is equality once the garbage is forgotten.

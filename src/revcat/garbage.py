@@ -51,12 +51,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import revcat
 
 from . import classical as cl
 from .classical import FinObj, PartialFn, PartialInj
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quantum import Channel, Isometry
 
 PINJ = "pinj"
 ISO = "isometry"

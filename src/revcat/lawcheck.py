@@ -29,9 +29,12 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from math import prod
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from .classical import sharing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_CAP = 250_000
 

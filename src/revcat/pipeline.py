@@ -16,11 +16,14 @@ package imports on first use, so ``inv_pfn`` runs without loading numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import revcat
 
 from .classical import PartialFn, PartialInj
+
+if TYPE_CHECKING:
+    from .quantum import Channel, Isometry, Unitary
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,10 +10,11 @@ Trace preservation reads Tr_out C = I_din.
 The channel algebra works on Choi matrices directly: composition is the link
 product (Chiribella, D'Ariano and Perinotti, "Theoretical framework for
 quantum networks", PRA 80 022339, 2009), a contraction over the middle
-factor, and the tensor product is an index-permuted kron.  The Channel
-constructor is the one place where a channel's properties are decided: every
-library constructor hands it the raw Choi matrix, unsymmetrised, and it
-validates that matrix in full.
+factor, and the tensor product is an index-permuted kron.  ``Channel._validate``
+is the one place where a channel's properties are decided: every library
+constructor hands it the raw Choi matrix, unsymmetrised, and it validates
+that matrix in full, except that ``channel_tensor`` also hands it the two
+factors, whose spectra then decide PSD (below).
 
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
@@ -31,7 +32,16 @@ decides each property:
 - PSD: a Cholesky factorisation of C + (ATOL / 2) I, formed as a copy of C
   with its diagonal shifted, whose backward error O(n eps |C|) (Higham,
   "Accuracy and Stability of Numerical Algorithms", ch. 10) is far below
-  ATOL / 2; when it fails, eigvalsh decides as the rule states;
+  ATOL / 2; when it fails, eigvalsh decides as the rule states.  The Choi
+  matrix of a (x) b is a simultaneous row and column permutation of
+  kron(A, B), whose eigenvalues are the products alpha * beta (Horn and
+  Johnson, "Topics in Matrix Analysis", Thm 4.2.12), so ``channel_tensor``
+  takes eigvalsh of the two factors and the least product of their extreme
+  eigenvalues is the min eigenvalue the rule bounds.  Each product entry is
+  one rounded multiplication, which moves the eigenvalues by about 1e-14,
+  far below ATOL.  A factor may itself have eigenvalues down to -1e-9, and
+  the product can cross the bound: depolarizing_channel(2, -8e-10) (x)
+  identity_channel(4) has min eigenvalue -4e-10 * 4 and is rejected;
 - TP: max |Tr_out C - I|, with I subtracted from the diagonal in place.
 
 An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
@@ -77,8 +87,9 @@ def _off_identity(m: np.ndarray) -> float:
 
 
 # A non-finite entry makes these residuals NaN or inf, which fail every bound;
-# the inf - inf or inf * 0 on the way is that verdict, not a warning.
-@np.errstate(invalid="ignore")
+# the inf - inf or inf * 0 on the way is that verdict, not a warning.  So is
+# the overflow to inf of a finite entry too large to square or to subtract.
+@np.errstate(invalid="ignore", over="ignore")
 def _hermitian_residual(c: np.ndarray) -> float:
     """max |C - C^dag|, taken over its entrywise conjugate conj(C) - C^T,
     which needs one temporary."""
@@ -87,7 +98,7 @@ def _hermitian_residual(c: np.ndarray) -> float:
     return np.max(np.abs(d))
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(invalid="ignore", over="ignore")
 def _gram_residual(v: np.ndarray) -> float:
     """max |V^dag V - I|."""
     return _off_identity(_dag(v) @ v)
@@ -184,6 +195,12 @@ class Channel:
     choi: np.ndarray
 
     def __post_init__(self) -> None:
+        self._validate()
+
+    def _validate(self, factors: tuple[Channel, Channel] | None = None) -> None:
+        """Decide each property of the Choi matrix, in the order of the module
+        docstring.  factors, passed only by channel_tensor, are the channels
+        whose product this is: their spectra then decide PSD."""
         if self.din < 1 or self.dout < 1:
             raise NotAChannelError(
                 f"din and dout must be positive, got din={self.din}, dout={self.dout}"
@@ -194,14 +211,18 @@ class Channel:
         if not _hermitian_residual(self.choi) <= ATOL:
             _require_finite(self.choi, "choi", NotAChannelError)
             raise NotAChannelError("choi not Hermitian within 1e-9")
-        shifted = self.choi.astype(np.result_type(self.choi, float))  # C + (ATOL / 2) I
-        shifted.flat[:: n + 1] += ATOL / 2
-        try:  # succeeds only if the min eigenvalue is above -ATOL
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            evals = np.linalg.eigvalsh(self.choi)
-            if evals.min() < -ATOL:
-                raise NotAChannelError(f"choi not PSD: min eigenvalue {evals.min():.2e}") from None
+        min_eig = None
+        if factors:
+            min_eig = _product_min_eig(*factors)
+        else:
+            shifted = self.choi.astype(np.result_type(self.choi, float))  # C + (ATOL / 2) I
+            shifted.flat[:: n + 1] += ATOL / 2
+            try:  # succeeds only if the min eigenvalue is above -ATOL
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                min_eig = np.linalg.eigvalsh(self.choi).min()
+        if min_eig is not None and min_eig < -ATOL:
+            raise NotAChannelError(f"choi not PSD: min eigenvalue {min_eig:.2e}")
         if not _off_identity(np.einsum("imjm->ij", self.blocks())) <= ATOL:
             raise NotAChannelError("partial trace over output != identity within 1e-9")
 
@@ -376,7 +397,17 @@ def channel_tensor(a: Channel, b: Channel) -> Channel:
     matrices, with input factors before output factors."""
     din, dout = a.din * b.din, a.dout * b.dout
     c = np.einsum("imjn,akbl->iamkjbnl", a.blocks(), b.blocks())
-    return Channel(din, dout, c.reshape(din * dout, din * dout))
+    product = object.__new__(Channel)  # validated below, with its factors
+    vars(product).update(din=din, dout=dout, choi=c.reshape(din * dout, din * dout))
+    product._validate(factors=(a, b))
+    return product
+
+
+def _product_min_eig(a: Channel, b: Channel) -> float:
+    """The min eigenvalue of a (x) b's Choi matrix: the least product of the
+    factors' extreme eigenvalues (see the module docstring)."""
+    ea, eb = np.linalg.eigvalsh(a.choi), np.linalg.eigvalsh(b.choi)
+    return min(x * y for x in (ea[0], ea[-1]) for y in (eb[0], eb[-1]))
 
 
 def identity_channel(d: int) -> Channel:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -425,6 +426,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {p}: bad matrix: a 0x0 unitary has no channel; "
             "the unitary must be at least 1x1\n")
+
+    def test_overflowing_unitary_is_2_with_no_warning(self, tmp_path, capsys):
+        # |1e308 + 1e308 i|^2 overflows to inf in U^dag U: a verdict, not a
+        # warning, so warnings as errors change nothing.
+        p = write(tmp_path, "m.json", {"rows": 1, "cols": 1, "entries": [[1e308, 1e308]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["channel-of-unitary", p]) == 2
+        assert capsys.readouterr() == ("", f"error: {p}: bad matrix: U^dag U != I within 1e-9\n")
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "o.json"

@@ -1,5 +1,6 @@
 """Channels, Choi matrices, dilations, and unitary extraction."""
 
+import inspect
 import json
 import warnings
 
@@ -194,6 +195,159 @@ class TestPsdRule:
         assert len(calls) == eigensolves
 
 
+def _product_choi(a, b):
+    """The Choi matrix of a (x) b, assembled as channel_tensor assembles it."""
+    n = a.din * b.din * a.dout * b.dout
+    return np.einsum("imjn,akbl->iamkjbnl", a.blocks(), b.blocks()).reshape(n, n)
+
+
+def _verdict(build):
+    """None when build() returns a channel, else its NotAChannelError message."""
+    try:
+        build()
+    except qu.NotAChannelError as e:
+        return str(e)
+    return None
+
+
+def _checked_by_the_product(a, b):
+    """The verdict of the full check, Cholesky then eigvalsh, on a (x) b's
+    Choi matrix."""
+    return _verdict(lambda: Channel(a.din * b.din, a.dout * b.dout, _product_choi(a, b)))
+
+
+def _record_factorisations(monkeypatch):
+    """Record (function name, matrix shape) for each cholesky and eigvalsh call."""
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        def recorded(m, _name=name, _f=getattr(np.linalg, name)):
+            calls.append((_name, m.shape))
+            return _f(m)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def _benchmark_and_suite_pairs(rng):
+    """Pairs of every shape the channels benchmark and this suite tensor: the
+    benchmark's random d x d channels, the sampled families (isometric,
+    unitary, depolarizing, dephasing; din != dout among them), the cptp law
+    instance's channels and a product of products."""
+    pairs = []
+    for da, db in ((2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 8)):
+        for ka, kb in ((1, 1), (1, 2), (2, 2)):
+            pairs.append((qu.random_channel(da, da, ka, rng), qu.random_channel(db, db, kb, rng)))
+    for shape_a, shape_b in (((2, 3), (1, 2)), ((1, 1), (3, 2)), ((2, 2), (2, 2)),
+                             ((3, 1), (1, 4)), ((1, 3), (2, 3))):
+        pairs += [(a, b) for a in _sample_channels(*shape_a, rng)
+                  for b in _sample_channels(*shape_b, rng)]
+    pairs.append((qu.channel_of_isometry(qu.haar_isometry(4, 2, rng), 2),
+                  qu.channel_of_isometry(qu.haar_isometry(6, 2, rng), 3)))
+    cptp = [qu.random_channel(din, dout, 2, rng) for din in (1, 2, 3) for dout in (1, 2, 3)]
+    pairs += [(cptp[i], cptp[j]) for i in range(9) for j in range(9) if (i + j) % 4 == 0]
+    pairs.append((qu.channel_tensor(cptp[4], cptp[8]), cptp[5]))
+    return pairs
+
+
+class TestTensorPsd:
+    """channel_tensor decides PSD from its factors' spectra, with the verdict
+    and message of the full check on the product's Choi matrix."""
+
+    def test_verdicts_match_the_product_check(self, rng):
+        pairs = _benchmark_and_suite_pairs(rng)
+        assert len(pairs) > 100
+        for a, b in pairs:
+            assert _verdict(lambda: qu.channel_tensor(a, b)) == _checked_by_the_product(a, b)
+
+    def test_product_choi_is_the_einsum_bit_for_bit(self, rng):
+        for a, b in _benchmark_and_suite_pairs(rng):
+            got = qu.channel_tensor(a, b).choi
+            assert np.array_equal(got.view(float), _product_choi(a, b).view(float))
+
+    @pytest.mark.parametrize("make_a, b_dim, accepted", [
+        (lambda rng: qu.depolarizing_channel(2, -8e-10), 4, False),  # -1.60e-09
+        (lambda rng: qu.depolarizing_channel(2, -8e-10), 2, True),  # -8.00e-10
+        (lambda rng: qu.depolarizing_channel(3, -1.2e-9), 2, True),  # -8.00e-10
+        (lambda rng: qu.depolarizing_channel(3, -1.8e-9), 2, False),  # -1.20e-09
+        (lambda rng: Channel(2, 2, boundary_choi(2, 0.45e-9, rng)), 2, True),  # -9.0e-10
+        (lambda rng: Channel(2, 2, boundary_choi(2, 0.55e-9, rng)), 2, False),  # -1.1e-09
+        (lambda rng: Channel(3, 3, boundary_choi(3, 0.3e-9, rng)), 3, True),  # -9.0e-10
+        (lambda rng: Channel(3, 3, boundary_choi(3, 0.4e-9, rng)), 3, False),  # -1.2e-09
+        (lambda rng: Channel(4, 4, boundary_choi(4, 0.9e-9, rng)), 1, True),  # -9.0e-10
+    ], ids=["depol2-id4", "depol2-id2", "depol3-id2-in", "depol3-id2-out", "boundary2-id2-in",
+            "boundary2-id2-out", "boundary3-id3-in", "boundary3-id3-out", "boundary4-id1"])
+    def test_boundary(self, rng, make_a, b_dim, accepted):
+        # Each factor is a channel, its min eigenvalue at least -1e-9; the
+        # product's is that times b's top eigenvalue b_dim, on either side.
+        a, b = make_a(rng), qu.identity_channel(b_dim)
+        for x, y in ((a, b), (b, a)):
+            verdict = _verdict(lambda: qu.channel_tensor(x, y))
+            assert verdict == _checked_by_the_product(x, y)
+            assert (verdict is None) == accepted
+            if not accepted:
+                assert verdict.startswith("choi not PSD: min eigenvalue -1.")
+
+    def test_two_negative_factors(self, rng):
+        # Both factors have min eigenvalue -0.9e-9, whose product is positive;
+        # the least of the four extreme products is a's min times b's top, 2.
+        a = Channel(2, 2, boundary_choi(2, 0.9e-9, rng))
+        b = qu.depolarizing_channel(2, -1.8e-9)
+        verdict = _verdict(lambda: qu.channel_tensor(a, b))
+        assert verdict == _checked_by_the_product(a, b) == "choi not PSD: min eigenvalue -1.80e-09"
+
+    def test_rejected_product_is_rejected_by_the_constructor_too(self):
+        a, b = qu.depolarizing_channel(2, -8e-10), qu.identity_channel(4)
+        message = "choi not PSD: min eigenvalue -1.60e-09"
+        with pytest.raises(qu.NotAChannelError) as e:
+            qu.channel_tensor(a, b)
+        assert str(e.value) == message
+        with pytest.raises(qu.NotAChannelError) as e:
+            Channel(8, 8, _product_choi(a, b))
+        assert str(e.value) == message
+
+    def test_hermitian_and_tp_checks_run_on_the_product(self, rng):
+        # A factor changed in place after its own checks: the product's
+        # Hermitian and TP checks still catch it, in that order.
+        a, b = qu.random_channel(2, 2, 2, rng), qu.random_channel(2, 2, 2, rng)
+        a.choi[0, 1] += 1e-3
+        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi not Hermitian within 1e-9"
+        a.choi[0, 1] -= 1e-3
+        a.choi[0, 0] += 1e-3
+        assert _verdict(lambda: qu.channel_tensor(a, b)) == (
+            "partial trace over output != identity within 1e-9")
+        a.choi[0, 0] = np.nan
+        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi has a non-finite entry (NaN or inf)"
+
+    def test_no_factorisation_larger_than_a_factor(self, rng, monkeypatch):
+        a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
+        calls = _record_factorisations(monkeypatch)
+        assert qu.channel_tensor(a, b).choi.shape == (256, 256)
+        assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (16, 16))]
+
+
+class TestPublicPathsCertifyByCholesky:
+    """Every way but channel_tensor decides PSD by the Cholesky certificate of
+    the matrix itself, and no argument of Channel skips or replaces it."""
+
+    def test_channel_signature(self):
+        assert list(inspect.signature(Channel).parameters) == ["din", "dout", "choi"]
+
+    def test_constructor_and_from_json(self, rng, monkeypatch):
+        choi = qu.random_channel(4, 4, 2, rng).choi
+        data = Channel(4, 4, choi).to_json()
+        calls = _record_factorisations(monkeypatch)
+        Channel(4, 4, choi)
+        Channel.from_json(data)
+        assert calls == [("cholesky", (16, 16))] * 2
+
+    def test_kraus_and_compose(self, rng, monkeypatch):
+        f, g = qu.random_channel(2, 3, 2, rng), qu.random_channel(3, 2, 2, rng)
+        ks = qu.kraus_of_choi(f)
+        calls = _record_factorisations(monkeypatch)
+        qu.choi_of_kraus(ks)
+        qu.channel_compose(g, f)
+        assert calls == [("cholesky", (6, 6)), ("cholesky", (4, 4))]
+
+
 class TestConstructorVerdicts:
     """Each property is decided by one reduction, and the verdicts and
     messages are those of separate checks in the order finite, Hermitian,
@@ -221,15 +375,16 @@ class TestConstructorVerdicts:
             with pytest.raises(qu.NotAChannelError, match="^choi has a non-finite entry"):
                 Channel(2, 2, choi)
 
-    @pytest.mark.parametrize("entry", [2e-9, 1.0, 1e200])
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("entry", [2e-9, 1.0, 1e200, 1e308])
     def test_finite_non_hermitian(self, entry):
-        # 1e200 - (-1e200) overflows to inf in the residual, and is still
-        # reported as non-Hermitian, not as non-finite.
+        # 1e308 - (-1e308) overflows to inf in the residual, silently, and is
+        # still reported as non-Hermitian, not as non-finite.
         choi = qu.identity_channel(2).choi.copy()
         choi[1, 2], choi[2, 1] = entry, -entry
-        with pytest.raises(qu.NotAChannelError) as e:
-            Channel(2, 2, choi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qu.NotAChannelError) as e:
+                Channel(2, 2, choi)
         assert str(e.value) == "choi not Hermitian within 1e-9"
 
     def test_hermitian_residual_at_atol_accepted(self):
@@ -288,12 +443,14 @@ class TestConstructorVerdicts:
             with pytest.raises(qu.NotAnIsometryError, match=f"^{field} matrix has a non-finite"):
                 cls(m)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("cls, letter", [(Unitary, "U"), (Isometry, "V")])
     def test_finite_matrix_off_identity(self, cls, letter):
-        for m in (np.diag([1, 1 + 2e-9]), np.diag([1e200, 1.0])):  # 1e400 overflows to inf
-            with pytest.raises(qu.NotAnIsometryError) as e:
-                cls(m.astype(complex))
+        # From about 1e154 on, |top|^2 overflows to inf in V^dag V, silently.
+        for top in (1 + 2e-9, 1e155, 1e200, 1e308, complex(1e308, 1e308)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(qu.NotAnIsometryError) as e:
+                    cls(np.diag([top, 1.0]).astype(complex))
             assert str(e.value) == f"{letter}^dag {letter} != I within 1e-9"
 
     @pytest.mark.parametrize("m", [np.eye(2, dtype=int), np.eye(3, 2), np.eye(2, dtype=complex)])
