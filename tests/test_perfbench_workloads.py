@@ -44,3 +44,11 @@ def test_every_job_passes_its_check(workloads, tmp_path, name, tiny):
         workload.cleanup()
     assert workload.jobs
     assert failures == []
+
+
+def test_channels_builds_at_full_size_on_seed_24503(workloads, tmp_path):
+    # The build draws about 1,000 random channels; on this seed one
+    # random_channel(8, 8, 1, rng) once missed trace preservation by 5.8e-9
+    # and aborted the run before its first job.
+    workload = workloads.WORKLOADS["channels"](24503, False, str(tmp_path))
+    assert len(workload.jobs) == sum(n for *_, n in workloads.CHANNEL_QUOTAS) == 1001

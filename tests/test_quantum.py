@@ -231,7 +231,8 @@ def _benchmark_and_suite_pairs(rng):
     """Pairs of every shape the channels benchmark and this suite tensor: the
     benchmark's random d x d channels, the sampled families (isometric,
     unitary, depolarizing, dephasing; din != dout among them), the cptp law
-    instance's channels and a product of products."""
+    instance's channels, a product of products, and isometric channels with
+    din != dout whose products are larger than 64 x 64."""
     pairs = []
     for da, db in ((2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (2, 8)):
         for ka, kb in ((1, 1), (1, 2), (2, 2)):
@@ -245,6 +246,9 @@ def _benchmark_and_suite_pairs(rng):
     cptp = [qu.random_channel(din, dout, 2, rng) for din in (1, 2, 3) for dout in (1, 2, 3)]
     pairs += [(cptp[i], cptp[j]) for i in range(9) for j in range(9) if (i + j) % 4 == 0]
     pairs.append((qu.channel_tensor(cptp[4], cptp[8]), cptp[5]))
+    iso = [qu.channel_of_isometry(qu.haar_isometry(rows, cols, rng), env)
+           for rows, cols, env in ((12, 3, 2), (8, 4, 4), (6, 2, 2), (12, 4, 3))]
+    pairs += [(iso[0], iso[1]), (iso[1], iso[0]), (iso[2], iso[3])]  # above 64 x 64, din != dout
     return pairs
 
 
@@ -322,6 +326,103 @@ class TestTensorPsd:
         calls = _record_factorisations(monkeypatch)
         assert qu.channel_tensor(a, b).choi.shape == (256, 256)
         assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (16, 16))]
+
+
+def _unvalidated(din, dout, choi):
+    """A Channel holding choi unchecked, as channel_tensor holds a product
+    before its validation."""
+    c = object.__new__(Channel)
+    vars(c).update(din=din, dout=dout, choi=choi)
+    return c
+
+
+def _record_hermitian_residuals(monkeypatch):
+    """Record the shape of each matrix passed to _hermitian_residual."""
+    shapes = []
+    residual = qu._hermitian_residual
+    monkeypatch.setattr(qu, "_hermitian_residual", lambda m: shapes.append(m.shape) or residual(m))
+    return shapes
+
+
+def _half_depolarizing(d, alpha=0.0, index=0):
+    """depolarizing_channel(d, 0.5) with i alpha added to diagonal entry index
+    of its Choi matrix: a channel with r = 2 alpha for alpha <= 0.5e-9.  Entry
+    (0, 0) is the largest, 1/2 + 1/(2d), and (1, 1) is 1/(2d), the least
+    eigenvalue, so the product stays far from the PSD bound."""
+    choi = qu.depolarizing_channel(d, 0.5).choi.copy()
+    choi[index, index] += 1j * alpha
+    return Channel(d, d, choi)
+
+
+class TestTensorHermitian:
+    """Above 64 x 64, channel_tensor tries its factors' residuals before a pass
+    over the product, with the verdict and message of the full check."""
+
+    def test_bound_is_at_least_the_product_residual(self, rng):
+        # Also on factors made non-Hermitian, up to noise as large as the
+        # entries themselves; they need not be channels for the bound to hold.
+        for a, b in _benchmark_and_suite_pairs(rng):
+            for scale in (0.0, 1e-10, 1e-3, 1.0):
+                x, y = (_unvalidated(c.din, c.dout, c.choi + scale * qu.ginibre(*c.choi.shape, rng))
+                        for c in (a, b))
+                residual = qu._hermitian_residual(_product_choi(x, y))
+                assert residual > 0 or scale == 0
+                assert qu._product_hermitian_bound(x, y) >= residual
+
+    @pytest.mark.parametrize("da, db", [(3, 3), (4, 4), (2, 8)])
+    @pytest.mark.parametrize("bound, same_spot, product_pass, accepted", [
+        (0.96e-9, True, False, True),  # the factors decide
+        (0.96e-9, False, False, True),
+        (1.04e-9, True, True, False),  # the product's r is r_a M_b + M_a r_b
+        (1.04e-9, False, True, True),  # the product's r is about 0.6e-9
+    ], ids=["under-same", "under-apart", "over-same", "over-apart"])
+    def test_boundary(self, monkeypatch, da, db, bound, same_spot, product_pass, accepted):
+        # i alpha on each factor's largest Choi entry (0, 0) meets in the
+        # product's entry (0, 0), whose r is 2 alpha (M_a + M_b), the bound;
+        # with b's on its entry (1, 1) instead, no product entry gets both.
+        m_a, m_b = (np.max(np.abs(_half_depolarizing(d).choi)) for d in (da, db))
+        alpha = bound / (2 * (m_a + m_b))
+        a = _half_depolarizing(da, alpha)
+        b = _half_depolarizing(db, alpha, 0 if same_spot else 1)
+        expected = _checked_by_the_product(a, b)
+        shapes = _record_hermitian_residuals(monkeypatch)
+        verdict = _verdict(lambda: qu.channel_tensor(a, b))
+        n = da * db * da * db
+        assert shapes == [a.choi.shape, b.choi.shape] + [(n, n)] * product_pass
+        assert verdict == expected
+        assert verdict == (None if accepted else "choi not Hermitian within 1e-9")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_factor_entry_named(self, rng, bad):
+        a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
+        b.choi[3, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the NaN of inf * 0 is a verdict, not a warning
+            assert _verdict(lambda: qu.channel_tensor(a, b)) == (
+                "choi has a non-finite entry (NaN or inf)")
+
+    @pytest.mark.parametrize("da, db", [(3, 3), (4, 4), (2, 8)])
+    def test_hermitian_and_tp_checks_run_on_the_product(self, rng, da, db):
+        # As TestTensorPsd's test of the same name, above the gate: the
+        # residuals are the factors' as they are now, not as they were checked.
+        a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
+        a.choi[0, 1] += 1e-3
+        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi not Hermitian within 1e-9"
+        a.choi[0, 1] -= 1e-3
+        a.choi[0, 0] += 1e-3
+        assert _verdict(lambda: qu.channel_tensor(a, b)) == (
+            "partial trace over output != identity within 1e-9")
+        a.choi[0, 0] = np.nan
+        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi has a non-finite entry (NaN or inf)"
+
+    @pytest.mark.parametrize("da, db, shapes", [
+        (4, 4, [(16, 16), (16, 16)]), (3, 3, [(9, 9), (9, 9)]),
+        (2, 4, [(64, 64)]), (2, 2, [(16, 16)])])
+    def test_no_pass_over_a_product_above_the_gate(self, rng, monkeypatch, da, db, shapes):
+        a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
+        recorded = _record_hermitian_residuals(monkeypatch)
+        qu.channel_tensor(a, b)
+        assert recorded == shapes
 
 
 class TestPublicPathsCertifyByCholesky:
@@ -826,6 +927,26 @@ class TestSampling:
         message = f"^din and dout must be positive, got din={din}, dout={dout}$"
         with pytest.raises(qu.DimensionError, match=message):
             qu.random_channel(din, dout, 2, rng)
+
+    @pytest.mark.parametrize("din, dout, k", [(2, 2, 1), (3, 2, 2), (2, 3, 1), (4, 1, 3), (8, 8, 3)])
+    def test_random_channel_is_the_normalised_draw(self, din, dout, k):
+        # K S^(-1/2) with S = sum K^dag K, the same draws taken the long way.
+        rng = np.random.default_rng(5)
+        ks = [qu.ginibre(dout, din, rng) for _ in range(max(k, -(-din // dout)))]
+        w, v = np.linalg.eigh(sum(m.conj().T @ m for m in ks))
+        s_inv_sqrt = v @ np.diag(w ** -0.5) @ v.conj().T
+        expected = qu.choi_of_kraus([m @ s_inv_sqrt for m in ks])
+        assert qu.random_channel(din, dout, k, np.random.default_rng(5)).close_to(expected, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_channel_on_an_ill_conditioned_draw(self, monkeypatch, seed):
+        # cond(G) = 1e4, so S = G^dag G has cond 1e8: normalising by S^(-1/2)
+        # from eigh(S) missed trace preservation by up to 7.6e-9 on these seeds.
+        rng = np.random.default_rng(seed)
+        u, v = qu.haar_unitary(8, rng).mat, qu.haar_unitary(8, rng).mat
+        g = u @ np.diag(np.geomspace(1, 1e-4, 8)) @ v.conj().T
+        monkeypatch.setattr(qu, "ginibre", lambda rows, cols, rng: g)
+        assert qu.random_channel(8, 8, 1, rng).din == 8
 
     def test_haar_determinism(self):
         u1 = qu.haar_unitary(3, np.random.default_rng(7))
