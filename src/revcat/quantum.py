@@ -12,10 +12,9 @@ product (Chiribella, D'Ariano and Perinotti, "Theoretical framework for
 quantum networks", PRA 80 022339, 2009), a contraction over the middle
 factor, and the tensor product is an index-permuted kron.  ``Channel._validate``
 is the one place where a channel's properties are decided: every library
-constructor hands it the raw Choi matrix, unsymmetrised, and it validates
-that matrix in full, except that ``channel_tensor`` also hands it the two
-factors, whose spectra then decide PSD and, on a large product, whose
-residuals can settle Hermiticity (below).
+constructor hands it the raw Choi matrix, unsymmetrised, except that
+``channel_tensor`` hands it a product of two stored matrices, with the two
+factors, whose spectra then decide PSD (below).
 
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
@@ -29,25 +28,24 @@ decides each property:
 
 - finite and Hermitian: r = max |C - C^dag|.  A NaN or inf entry makes r NaN
   or inf, so only when r fails the bound is C searched for a non-finite
-  entry, which is reported before the Hermitian failure.  On a product
-  larger than 64 x 64, ``channel_tensor``'s factors are tried first.  Its
-  Choi matrix is a permuted kron(A, B), and A (x) B - (A (x) B)^dag =
-  (A - A^dag) (x) B + A^dag (x) (B - B^dag), so with r and M = max |X| of
-  each factor the product's r is at most r_a M_b + M_a r_b, plus rounding:
-  each stored entry is one complex product, within sqrt(5) u |a| |b| of
-  the exact one (u = 2^-53; Brent, Percival and Zimmermann, "Error bounds
-  on complex floating-point multiplication", Math. Comp. 2007), and since
-  r <= 2M on each factor, 64 u M_a M_b covers the two products behind a
-  residual entry (2 sqrt(5) u) and the rounding of the residuals and of the
-  bound itself (48 u).  When that bound is at most 1e-9, so is the
-  product's r; when it is above, NaN or inf, r is taken on the product,
-  so every verdict and message is that of the full check.  At or below
-  64 x 64 only the product's r is taken: there one pass over it costs less
-  than the factors' dozen small numpy calls;
-- PSD: a Cholesky factorisation of C + (ATOL / 2) I, formed as a copy of C
-  with its diagonal shifted, whose backward error O(n eps |C|) (Higham,
-  "Accuracy and Stability of Numerical Algorithms", ch. 10) is far below
-  ATOL / 2; when it fails, eigvalsh decides as the rule states.  The Choi
+  entry, which is reported before the Hermitian failure.  Once r passes, the
+  Channel stores the Hermitian part H = C/2 + C^dag/2, C-contiguous and
+  read-only, and PSD and TP are decided on H.  H is exactly Hermitian in
+  floating point: the sums H[i, j] and conj(H[j, i]) add the same two halves
+  (addition commutes and conjugation is exact), and round-to-nearest is
+  symmetric under sign.  Halving each term before the sum keeps every entry
+  finite, and equals (C + C^dag)/2 bit for bit above the subnormal range, so
+  a stored H passed to ``Channel`` again is stored unchanged.  The product
+  that ``channel_tensor`` builds from two stored matrices is exactly
+  Hermitian as well, since an entry and its mirror are single complex
+  products of conjugate pairs, rounded alike; so it skips this step (its
+  entries are finite, being products of validated channels' entries), and
+  a test pins its residual at exactly 0;
+- PSD: a Cholesky factorisation of H + (ATOL / 2) I, formed by shifting
+  H's diagonal for the call and restoring it, whose backward error
+  O(n eps |H|) (Higham, "Accuracy and Stability of Numerical Algorithms",
+  ch. 10) is far below ATOL / 2; when it fails, eigvalsh decides as the
+  rule states.  The Choi
   matrix of a (x) b is a simultaneous row and column permutation of
   kron(A, B), whose eigenvalues are the products alpha * beta (Horn and
   Johnson, "Topics in Matrix Analysis", Thm 4.2.12), so ``channel_tensor``
@@ -57,7 +55,7 @@ decides each property:
   far below ATOL.  A factor may itself have eigenvalues down to -1e-9, and
   the product can cross the bound: depolarizing_channel(2, -8e-10) (x)
   identity_channel(4) has min eigenvalue -4e-10 * 4 and is rejected;
-- TP: max |Tr_out C - I|, with I subtracted from the diagonal in place.
+- TP: max |Tr_out H - I|, with I subtracted from the diagonal in place.
 
 An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
 makes it NaN or inf and is reported before the V^dag V failure.
@@ -105,18 +103,30 @@ def _off_identity(m: np.ndarray) -> float:
 # the inf - inf or inf * 0 on the way is that verdict, not a warning.  So is
 # the overflow to inf of a finite entry too large to square or to subtract.
 @np.errstate(invalid="ignore", over="ignore")
-def _hermitian_residual(c: np.ndarray) -> float:
-    """max |C - C^dag|, taken over its entrywise conjugate conj(C) - C^T,
-    which needs one temporary."""
-    d = np.conjugate(c)  # a new array even when C is real, unlike c.conj()
-    d -= c.T
-    return np.max(np.abs(d))
+def _hermitian_residual(c: np.ndarray, c_dag: np.ndarray) -> float:
+    """max |C - C^dag|, given C^dag."""
+    return np.abs(c_dag - c).max()
 
 
 @np.errstate(invalid="ignore", over="ignore")
 def _gram_residual(v: np.ndarray) -> float:
     """max |V^dag V - I|."""
     return _off_identity(_dag(v) @ v)
+
+
+def _cholesky_certifies(h: np.ndarray) -> bool:
+    """Whether H + (ATOL / 2) I has a Cholesky factorisation, which holds only
+    if H's min eigenvalue is above -ATOL.  numpy factorises a copy, so H's
+    diagonal is shifted in place for the call and then restored."""
+    diagonal = h.diagonal().copy()
+    h.flat[:: len(h) + 1] += ATOL / 2
+    try:
+        np.linalg.cholesky(h)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        h.flat[:: len(h) + 1] = diagonal
 
 
 def _require_finite(m: np.ndarray, field: str, error: type) -> None:
@@ -214,9 +224,10 @@ class Channel:
 
     def _validate(self, factors: tuple[Channel, Channel] | None = None) -> None:
         """Decide each property of the Choi matrix, in the order of the module
-        docstring.  factors, passed only by channel_tensor, are the channels
-        whose product this is: their spectra then decide PSD, and above
-        64 x 64 their residuals are tried first for Hermiticity."""
+        docstring, and store its Hermitian part, read-only.  factors, passed
+        only by channel_tensor, are the channels whose stored matrices this
+        is the product of: it is then exactly Hermitian as it stands, and
+        their spectra decide PSD."""
         if self.din < 1 or self.dout < 1:
             raise NotAChannelError(
                 f"din and dout must be positive, got din={self.din}, dout={self.dout}"
@@ -224,22 +235,19 @@ class Channel:
         n = self.din * self.dout
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
-        if not (
-            (factors and n > _FACTOR_HERMITIAN_MIN_N and _product_hermitian_bound(*factors) <= ATOL)
-            or _hermitian_residual(self.choi) <= ATOL
-        ):
-            _require_finite(self.choi, "choi", NotAChannelError)
-            raise NotAChannelError("choi not Hermitian within 1e-9")
-        min_eig = None
         if factors:
             min_eig = _product_min_eig(*factors)
         else:
-            shifted = self.choi.astype(np.result_type(self.choi, float))  # C + (ATOL / 2) I
-            shifted.flat[:: n + 1] += ATOL / 2
-            try:  # succeeds only if the min eigenvalue is above -ATOL
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                min_eig = np.linalg.eigvalsh(self.choi).min()
+            c = self.choi
+            h = np.conjugate(c.T, order="C", dtype=np.result_type(c, float))  # C^dag
+            if not _hermitian_residual(c, h) <= ATOL:
+                _require_finite(c, "choi", NotAChannelError)
+                raise NotAChannelError("choi not Hermitian within 1e-9")
+            h *= 0.5  # halved before the sum, which then cannot overflow
+            h += 0.5 * c
+            object.__setattr__(self, "choi", h)
+            min_eig = None if _cholesky_certifies(h) else np.linalg.eigvalsh(h).min()
+        self.choi.flags.writeable = False
         if min_eig is not None and min_eig < -ATOL:
             raise NotAChannelError(f"choi not PSD: min eigenvalue {min_eig:.2e}")
         if not _off_identity(np.einsum("imjm->ij", self.blocks())) <= ATOL:
@@ -420,23 +428,6 @@ def channel_tensor(a: Channel, b: Channel) -> Channel:
     vars(product).update(din=din, dout=dout, choi=c.reshape(din * dout, din * dout))
     product._validate(factors=(a, b))
     return product
-
-
-# Only above this Choi size n = din * dout do the factors' residuals decide
-# a product's Hermiticity.  On one x86_64 core (numpy 2.4.6), the pass over
-# the product takes 24 us at n = 64 (2 x 2 (x) 4 x 4 channels) against 28 us
-# for the factor bound, and 32 us at n = 81 (3 x 3 (x) 3 x 3) against 24 us.
-_FACTOR_HERMITIAN_MIN_N = 64
-_PRODUCT_ROUNDING = 64 * 2.0**-53  # 2 sqrt(5) u + 48 u, rounded up (module docstring)
-
-
-@np.errstate(invalid="ignore", over="ignore")
-def _product_hermitian_bound(a: Channel, b: Channel) -> float:
-    """An upper bound on max |C - C^dag| of a (x) b's stored Choi matrix C,
-    from each factor's r = max |X - X^dag| and M = max |X| (see the module
-    docstring); NaN or inf when a factor has a non-finite entry."""
-    (ra, ma), (rb, mb) = ((_hermitian_residual(x.choi), np.max(np.abs(x.choi))) for x in (a, b))
-    return ra * mb + ma * rb + _PRODUCT_ROUNDING * ma * mb
 
 
 def _product_min_eig(a: Channel, b: Channel) -> float:

@@ -252,6 +252,19 @@ def _benchmark_and_suite_pairs(rng):
     return pairs
 
 
+def _defect_pair():
+    """identity_channel(2) and identity_channel(8), each with 0.26e-9 i added
+    to one Choi diagonal entry, (0, 0) and (1, 1): valid channels, stored as
+    the identities' Choi matrices exactly.  The product of the two matrices
+    as given has min eigenvalue -1.01e-09 on its lower triangle, the one
+    eigvalsh reads."""
+    def tilted(d, index):
+        choi = qu.identity_channel(d).choi.copy()
+        choi[index, index] += 0.26e-9j
+        return Channel(d, d, choi)
+    return tilted(2, 0), tilted(8, 1)
+
+
 class TestTensorPsd:
     """channel_tensor decides PSD from its factors' spectra, with the verdict
     and message of the full check on the product's Choi matrix."""
@@ -259,8 +272,9 @@ class TestTensorPsd:
     def test_verdicts_match_the_product_check(self, rng):
         pairs = _benchmark_and_suite_pairs(rng)
         assert len(pairs) > 100
-        for a, b in pairs:
+        for a, b in pairs + [_defect_pair()]:
             assert _verdict(lambda: qu.channel_tensor(a, b)) == _checked_by_the_product(a, b)
+        assert _checked_by_the_product(*_defect_pair()) is None
 
     def test_product_choi_is_the_einsum_bit_for_bit(self, rng):
         for a, b in _benchmark_and_suite_pairs(rng):
@@ -308,19 +322,6 @@ class TestTensorPsd:
             Channel(8, 8, _product_choi(a, b))
         assert str(e.value) == message
 
-    def test_hermitian_and_tp_checks_run_on_the_product(self, rng):
-        # A factor changed in place after its own checks: the product's
-        # Hermitian and TP checks still catch it, in that order.
-        a, b = qu.random_channel(2, 2, 2, rng), qu.random_channel(2, 2, 2, rng)
-        a.choi[0, 1] += 1e-3
-        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi not Hermitian within 1e-9"
-        a.choi[0, 1] -= 1e-3
-        a.choi[0, 0] += 1e-3
-        assert _verdict(lambda: qu.channel_tensor(a, b)) == (
-            "partial trace over output != identity within 1e-9")
-        a.choi[0, 0] = np.nan
-        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi has a non-finite entry (NaN or inf)"
-
     def test_no_factorisation_larger_than_a_factor(self, rng, monkeypatch):
         a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
         calls = _record_factorisations(monkeypatch)
@@ -328,101 +329,48 @@ class TestTensorPsd:
         assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (16, 16))]
 
 
-def _unvalidated(din, dout, choi):
-    """A Channel holding choi unchecked, as channel_tensor holds a product
-    before its validation."""
-    c = object.__new__(Channel)
-    vars(c).update(din=din, dout=dout, choi=choi)
-    return c
+def _channels_of_the_pairs(rng):
+    """Each factor of _benchmark_and_suite_pairs and each of their products."""
+    pairs = _benchmark_and_suite_pairs(rng) + [_defect_pair()]
+    return [c for a, b in pairs for c in (a, b, qu.channel_tensor(a, b))]
 
 
-def _record_hermitian_residuals(monkeypatch):
-    """Record the shape of each matrix passed to _hermitian_residual."""
-    shapes = []
-    residual = qu._hermitian_residual
-    monkeypatch.setattr(qu, "_hermitian_residual", lambda m: shapes.append(m.shape) or residual(m))
-    return shapes
+class TestStoredForm:
+    """A Channel stores the exact Hermitian part of its Choi matrix, once, in
+    one C-contiguous read-only array that every later reading shares."""
 
+    def test_stored_choi_is_exactly_hermitian(self, rng):
+        for c in _channels_of_the_pairs(rng):
+            assert np.max(np.abs(c.choi - c.choi.conj().T)) == 0.0
 
-def _half_depolarizing(d, alpha=0.0, index=0):
-    """depolarizing_channel(d, 0.5) with i alpha added to diagonal entry index
-    of its Choi matrix: a channel with r = 2 alpha for alpha <= 0.5e-9.  Entry
-    (0, 0) is the largest, 1/2 + 1/(2d), and (1, 1) is 1/(2d), the least
-    eigenvalue, so the product stays far from the PSD bound."""
-    choi = qu.depolarizing_channel(d, 0.5).choi.copy()
-    choi[index, index] += 1j * alpha
-    return Channel(d, d, choi)
+    def test_stored_choi_is_read_only(self, rng):
+        a, b = qu.random_channel(2, 2, 2, rng), qu.random_channel(3, 3, 2, rng)
+        for c in (a, qu.channel_tensor(a, b)):
+            with pytest.raises(ValueError, match="read-only"):
+                c.choi[0, 1] += 1e-3
+            with pytest.raises(ValueError, match="read-only"):
+                c.blocks()[0, 0, 0, 0] = np.nan
 
+    def test_products_skip_the_hermitian_step(self, rng, monkeypatch):
+        pairs = [(qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng))
+                 for da, db in ((2, 2), (2, 4), (3, 3), (4, 4))]
+        shapes = []
+        residual = qu._hermitian_residual
+        monkeypatch.setattr(qu, "_hermitian_residual",
+                            lambda c, c_dag: shapes.append(c.shape) or residual(c, c_dag))
+        for a, b in pairs:
+            qu.channel_tensor(a, b)
+        assert shapes == []
+        Channel(2, 2, pairs[0][0].choi)
+        assert shapes == [(4, 4)]
 
-class TestTensorHermitian:
-    """Above 64 x 64, channel_tensor tries its factors' residuals before a pass
-    over the product, with the verdict and message of the full check."""
-
-    def test_bound_is_at_least_the_product_residual(self, rng):
-        # Also on factors made non-Hermitian, up to noise as large as the
-        # entries themselves; they need not be channels for the bound to hold.
-        for a, b in _benchmark_and_suite_pairs(rng):
-            for scale in (0.0, 1e-10, 1e-3, 1.0):
-                x, y = (_unvalidated(c.din, c.dout, c.choi + scale * qu.ginibre(*c.choi.shape, rng))
-                        for c in (a, b))
-                residual = qu._hermitian_residual(_product_choi(x, y))
-                assert residual > 0 or scale == 0
-                assert qu._product_hermitian_bound(x, y) >= residual
-
-    @pytest.mark.parametrize("da, db", [(3, 3), (4, 4), (2, 8)])
-    @pytest.mark.parametrize("bound, same_spot, product_pass, accepted", [
-        (0.96e-9, True, False, True),  # the factors decide
-        (0.96e-9, False, False, True),
-        (1.04e-9, True, True, False),  # the product's r is r_a M_b + M_a r_b
-        (1.04e-9, False, True, True),  # the product's r is about 0.6e-9
-    ], ids=["under-same", "under-apart", "over-same", "over-apart"])
-    def test_boundary(self, monkeypatch, da, db, bound, same_spot, product_pass, accepted):
-        # i alpha on each factor's largest Choi entry (0, 0) meets in the
-        # product's entry (0, 0), whose r is 2 alpha (M_a + M_b), the bound;
-        # with b's on its entry (1, 1) instead, no product entry gets both.
-        m_a, m_b = (np.max(np.abs(_half_depolarizing(d).choi)) for d in (da, db))
-        alpha = bound / (2 * (m_a + m_b))
-        a = _half_depolarizing(da, alpha)
-        b = _half_depolarizing(db, alpha, 0 if same_spot else 1)
-        expected = _checked_by_the_product(a, b)
-        shapes = _record_hermitian_residuals(monkeypatch)
-        verdict = _verdict(lambda: qu.channel_tensor(a, b))
-        n = da * db * da * db
-        assert shapes == [a.choi.shape, b.choi.shape] + [(n, n)] * product_pass
-        assert verdict == expected
-        assert verdict == (None if accepted else "choi not Hermitian within 1e-9")
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
-    def test_non_finite_factor_entry_named(self, rng, bad):
-        a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
-        b.choi[3, 5] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the NaN of inf * 0 is a verdict, not a warning
-            assert _verdict(lambda: qu.channel_tensor(a, b)) == (
-                "choi has a non-finite entry (NaN or inf)")
-
-    @pytest.mark.parametrize("da, db", [(3, 3), (4, 4), (2, 8)])
-    def test_hermitian_and_tp_checks_run_on_the_product(self, rng, da, db):
-        # As TestTensorPsd's test of the same name, above the gate: the
-        # residuals are the factors' as they are now, not as they were checked.
-        a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
-        a.choi[0, 1] += 1e-3
-        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi not Hermitian within 1e-9"
-        a.choi[0, 1] -= 1e-3
-        a.choi[0, 0] += 1e-3
-        assert _verdict(lambda: qu.channel_tensor(a, b)) == (
-            "partial trace over output != identity within 1e-9")
-        a.choi[0, 0] = np.nan
-        assert _verdict(lambda: qu.channel_tensor(a, b)) == "choi has a non-finite entry (NaN or inf)"
-
-    @pytest.mark.parametrize("da, db, shapes", [
-        (4, 4, [(16, 16), (16, 16)]), (3, 3, [(9, 9), (9, 9)]),
-        (2, 4, [(64, 64)]), (2, 2, [(16, 16)])])
-    def test_no_pass_over_a_product_above_the_gate(self, rng, monkeypatch, da, db, shapes):
-        a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
-        recorded = _record_hermitian_residuals(monkeypatch)
-        qu.channel_tensor(a, b)
-        assert recorded == shapes
+    def test_layout_and_round_trips(self, rng):
+        for c in _channels_of_the_pairs(rng):
+            assert c.choi.flags.c_contiguous and np.shares_memory(c.blocks(), c.choi)
+            again = Channel(c.din, c.dout, c.choi)
+            back = Channel.from_json(c.to_json())
+            for d in (again, back):
+                assert d.choi.tobytes() == c.choi.tobytes()
 
 
 class TestPublicPathsCertifyByCholesky:
@@ -488,6 +436,18 @@ class TestConstructorVerdicts:
                 Channel(2, 2, choi)
         assert str(e.value) == "choi not Hermitian within 1e-9"
 
+    @pytest.mark.parametrize("big", [1e308, 1.7e308, complex(0, 1.7e308)])
+    def test_entry_near_the_float_maximum_not_psd(self, big):
+        # C + C^dag overflows to inf at (0, 3), which Tr_out does not read, and
+        # a Cholesky factorisation of a matrix with inf entries need not fail;
+        # the stored H = C/2 + C^dag/2 keeps the entry finite and is not PSD.
+        choi = qu.identity_channel(2).choi.copy()
+        choi[0, 3], choi[3, 0] = big, np.conj(big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qu.NotAChannelError, match="^choi not PSD: min eigenvalue -1"):
+                Channel(2, 2, choi)
+
     def test_hermitian_residual_at_atol_accepted(self):
         choi = qu.identity_channel(2).choi.copy()
         choi[0, 1] = 1e-9  # the residual is exactly 1e-9
@@ -528,10 +488,14 @@ class TestConstructorVerdicts:
         (1, 2, np.diag([0.25, 0.75])),  # a real one
     ])
     def test_input_left_unchanged_and_dtypes_accepted(self, din, dout, choi):
-        before = choi.copy()
+        # The first input is a stored, read-only array; the others are writeable.
+        before, writeable = choi.copy(), choi.flags.writeable
         c = Channel(din, dout, choi)
-        assert c.choi is choi and c.choi.dtype == before.dtype
-        assert np.array_equal(choi, before)
+        assert np.array_equal(choi, before) and choi.dtype == before.dtype
+        assert choi.flags.writeable == writeable
+        hermitian_part = (choi + choi.conj().T) / 2
+        assert c.choi.dtype == hermitian_part.dtype
+        assert c.choi.tobytes() == hermitian_part.tobytes()
 
     @pytest.mark.parametrize("cls, field", [(Unitary, "unitary"), (Isometry, "isometry")])
     @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)])
