@@ -265,6 +265,31 @@ def _defect_pair():
     return tilted(2, 0), tilted(8, 1)
 
 
+def _unvalidated(din, dout, choi):
+    """A Channel holding choi unchecked, as channel_tensor holds a product
+    before its validation."""
+    c = object.__new__(Channel)
+    vars(c).update(din=din, dout=dout, choi=choi)
+    return c
+
+
+def _check_the_product_after_factor_edits(a, b):
+    """A factor cannot be changed in place after its own checks, so a (x) b is
+    the product of the matrices checked and exactly Hermitian; the TP check
+    still runs on the product, and catches a factor that is not TP."""
+    for index, value in (((0, 1), 1e-3), ((0, 0), 1e-3), ((0, 0), np.nan)):
+        with pytest.raises(ValueError, match="read-only"):
+            a.choi[index] += value
+    c = qu.channel_tensor(a, b).choi
+    assert np.array_equal(c, c.conj().T)
+    choi = a.choi.copy()
+    choi[0, 0] += 1e-3  # Hermitian and PSD still, not TP
+    not_tp = _unvalidated(a.din, a.dout, choi)
+    for x, y in ((not_tp, b), (b, not_tp)):
+        assert _verdict(lambda: qu.channel_tensor(x, y)) == (
+            "partial trace over output != identity within 1e-9")
+
+
 class TestTensorPsd:
     """channel_tensor decides PSD from its factors' spectra, with the verdict
     and message of the full check on the product's Choi matrix."""
@@ -322,6 +347,10 @@ class TestTensorPsd:
             Channel(8, 8, _product_choi(a, b))
         assert str(e.value) == message
 
+    def test_hermitian_and_tp_checks_run_on_the_product(self, rng):
+        a, b = qu.random_channel(2, 2, 2, rng), qu.random_channel(2, 2, 2, rng)
+        _check_the_product_after_factor_edits(a, b)
+
     def test_no_factorisation_larger_than_a_factor(self, rng, monkeypatch):
         a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
         calls = _record_factorisations(monkeypatch)
@@ -351,19 +380,6 @@ class TestStoredForm:
             with pytest.raises(ValueError, match="read-only"):
                 c.blocks()[0, 0, 0, 0] = np.nan
 
-    def test_products_skip_the_hermitian_step(self, rng, monkeypatch):
-        pairs = [(qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng))
-                 for da, db in ((2, 2), (2, 4), (3, 3), (4, 4))]
-        shapes = []
-        residual = qu._hermitian_residual
-        monkeypatch.setattr(qu, "_hermitian_residual",
-                            lambda c, c_dag: shapes.append(c.shape) or residual(c, c_dag))
-        for a, b in pairs:
-            qu.channel_tensor(a, b)
-        assert shapes == []
-        Channel(2, 2, pairs[0][0].choi)
-        assert shapes == [(4, 4)]
-
     def test_layout_and_round_trips(self, rng):
         for c in _channels_of_the_pairs(rng):
             assert c.choi.flags.c_contiguous and np.shares_memory(c.blocks(), c.choi)
@@ -371,6 +387,34 @@ class TestStoredForm:
             back = Channel.from_json(c.to_json())
             for d in (again, back):
                 assert d.choi.tobytes() == c.choi.tobytes()
+
+
+class TestTensorHermitian:
+    """channel_tensor takes no Hermitian pass over a product, of any size: the
+    product of two stored, exactly Hermitian matrices is exactly Hermitian."""
+
+    @pytest.mark.parametrize("da, db", [(3, 3), (4, 4), (2, 8)])
+    def test_hermitian_and_tp_checks_run_on_the_product(self, rng, da, db):
+        # As TestTensorPsd's test of the same name, on products above 64 x 64.
+        a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
+        _check_the_product_after_factor_edits(a, b)
+
+    @pytest.mark.parametrize("da, db, shapes", [
+        (4, 4, [(16, 16), (16, 16)]), (3, 3, [(9, 9), (9, 9)]),
+        (2, 4, [(4, 4), (16, 16)]), (2, 2, [(4, 4), (4, 4)])])
+    def test_no_pass_over_a_product_above_the_gate(self, rng, monkeypatch, da, db, shapes):
+        # No 64 x 64 gate is left: below it as above, only the factors'
+        # matrices are read, for PSD; a constructor takes the Hermitian pass.
+        a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
+        residuals = []
+        residual = qu._hermitian_residual
+        monkeypatch.setattr(qu, "_hermitian_residual",
+                            lambda c, c_dag: residuals.append(c.shape) or residual(c, c_dag))
+        calls = _record_factorisations(monkeypatch)
+        qu.channel_tensor(a, b)
+        assert residuals == [] and calls == [("eigvalsh", shape) for shape in shapes]
+        Channel(da, da, a.choi)
+        assert residuals == [a.choi.shape]
 
 
 class TestPublicPathsCertifyByCholesky:
