@@ -58,7 +58,26 @@ decides each property:
 - TP: max |Tr_out H - I|, with I subtracted from the diagonal in place.
 
 An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
-makes it NaN or inf and is reported before the V^dag V failure.
+makes it NaN or inf and is reported before the V^dag V failure.  An Isometry
+stores its matrix as a C-contiguous, read-only copy, as a Channel does.
+
+Kraus route.  ``kraus_of_choi`` (and so ``minimal_stinespring`` and
+``reversible_core``) needs the eigenpairs of H above RANK_CUTOFF, and the
+channels it serves mostly have Kraus rank 1-3.  For n >= 24 it first runs a
+pivoted Cholesky of H (Higham, "Analysis of the Cholesky decomposition of a
+semi-definite matrix", 1990) with a budget of n // 8 steps, each O(n k), and
+skips it when the purity bound Tr(H)^2 / Tr(H^2) <= rank already exceeds the
+budget.  The factor L (n x k) is accepted only if ||H - L L^dag||_F <=
+RANK_CUTOFF / 100 = 1e-12.  Then H's eigenpairs above the cutoff are those of
+L L^dag: eigh of the k x k Gram matrix L^dag L = W diag(w) W^dag gives the
+eigenvalues w, and the columns of L W are the Kraus vectors sqrt(w) u, with no
+division.  By Weyl's inequality each eigenvalue of L L^dag is within 1e-12 of
+H's, so the rank matches eigh of H except for eigenvalues within 1e-12 of the
+cutoff.  H with an eigenvalue below -1e-12 always fails the residual (L L^dag
+is PSD), so near-PSD inputs, like inputs of high rank, of n < 24, or whose
+factor misses the bound, take eigh of H as before.  Below n = 24 the steps
+cost about as much as eigh itself.  A Kraus operator from the Cholesky route
+may differ by a phase from the one eigh of H gives.
 """
 
 from __future__ import annotations
@@ -171,6 +190,8 @@ class Isometry:
     _noun, _letter = "isometry", "V"  # how the validation errors name the class
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mat", self.mat.copy())  # C order; the caller's stays its own
+        self.mat.setflags(write=False)
         if self.mat.ndim != 2:
             raise NotAnIsometryError(f"{self._noun} matrix must be 2-D, got shape {self.mat.shape}")
         r, c = self.mat.shape
@@ -300,17 +321,48 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
 
 
 def kraus_of_choi(c: Channel) -> list[np.ndarray]:
-    """Kraus operators from the eigenpairs of the Choi matrix above RANK_CUTOFF."""
-    w, vecs = np.linalg.eigh(c.choi)
+    """Kraus operators sqrt(w) u from the eigenpairs (w, u) of the Choi matrix
+    above RANK_CUTOFF, largest first: those of L L^dag when a low-rank
+    pivoted Cholesky factor L is accepted, else those of eigh of the Choi
+    matrix (the Kraus route of the module docstring)."""
+    l = _low_rank_factor(c.choi)
+    w, vecs = np.linalg.eigh(c.choi if l is None else _dag(l) @ l)
     ks = []
     for i in range(len(w) - 1, -1, -1):  # largest eigenvalue first
         if w[i] > RANK_CUTOFF:
-            v = vecs[:, i] * np.sqrt(w[i])
+            v = vecs[:, i] * np.sqrt(w[i]) if l is None else l @ vecs[:, i]
             ks.append(v.reshape(c.din, c.dout).T)
     return ks
 
 
+# Below this Choi size, eigh of H costs about as much as the Cholesky steps.
+_CHOLESKY_MIN_N = 24
+
+
+def _low_rank_factor(h: np.ndarray) -> np.ndarray | None:
+    """L (n x k) with ||H - L L^dag||_F <= RANK_CUTOFF / 100, from at most
+    n // 8 steps of a pivoted Cholesky of H, or None (module docstring)."""
+    n = len(h)
+    if n < _CHOLESKY_MIN_N:
+        return None
+    budget, bound = n // 8, RANK_CUTOFF / 100
+    d = h.diagonal().real.copy()  # the diagonal of H - L L^dag, Tr(H) at first
+    if d.sum() ** 2 > budget * np.vdot(h, h).real:  # Tr(H)^2 / Tr(H^2) <= rank > budget
+        return None
+    l = np.zeros((n, budget), dtype=complex)
+    k = 0
+    while k < budget and d.max() > bound / n:  # Tr of a PSD residual bounds its norm
+        p = int(np.argmax(d))
+        l[:, k] = (h[:, p] - l[:, :k] @ l[p, :k].conj()) / np.sqrt(d[p])
+        d -= np.abs(l[:, k]) ** 2
+        k += 1
+    l = l[:, :k]
+    return l if np.linalg.norm(h - l @ _dag(l)) <= bound else None
+
+
 def choi_rank(c: Channel) -> int:
+    """The number of eigenvalues above RANK_CUTOFF, counted by eigvalsh of the
+    Choi matrix, independently of the Kraus route."""
     return int(np.sum(np.linalg.eigvalsh(c.choi) > RANK_CUTOFF))
 
 
@@ -327,8 +379,11 @@ def channel_of_unitary(u: Unitary) -> Channel:
 
 
 def minimal_stinespring(c: Channel) -> tuple[Isometry, int]:
-    """An isometry din -> dout * r with r the Choi rank; minimal dilation, made
-    V (V^dag V)^(-1/2) if the dropped eigenvalues (>= -1e-9) leave V^dag V != I."""
+    """An isometry din -> dout * r stacking the r Kraus operators of
+    kraus_of_choi, so r is the Choi rank up to eigenvalues within 1e-12 of
+    RANK_CUTOFF (the Kraus route of the module docstring); minimal dilation,
+    made V (V^dag V)^(-1/2) if the dropped eigenvalues (>= -1e-9) leave
+    V^dag V != I."""
     ks = kraus_of_choi(c)
     r = len(ks)
     v = np.stack(ks, axis=1).reshape(c.dout * r, c.din)

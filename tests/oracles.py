@@ -202,3 +202,18 @@ def gram_schmidt_completion(v: np.ndarray) -> np.ndarray:
             filled += 1
     assert filled == n, "columns not independent"
     return u
+
+
+def kraus_by_full_eigh(choi: np.ndarray, din: int, dout: int,
+                       cutoff: float = 1e-10) -> list[np.ndarray]:
+    """Kraus operators from a full eigh of the Choi matrix, as the library
+    took them before its low-rank Cholesky route: column i of the eigenvector
+    matrix times sqrt(w[i]), for each eigenvalue above the cutoff, largest
+    first."""
+    w, vecs = np.linalg.eigh(choi)
+    ks = []
+    for i in range(len(w) - 1, -1, -1):
+        if w[i] > cutoff:
+            v = vecs[:, i] * np.sqrt(w[i])
+            ks.append(v.reshape(din, dout).T)
+    return ks

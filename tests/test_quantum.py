@@ -216,10 +216,11 @@ def _checked_by_the_product(a, b):
     return _verdict(lambda: Channel(a.din * b.din, a.dout * b.dout, _product_choi(a, b)))
 
 
-def _record_factorisations(monkeypatch):
-    """Record (function name, matrix shape) for each cholesky and eigvalsh call."""
+def _record_factorisations(monkeypatch, names=("cholesky", "eigvalsh")):
+    """Record (function name, matrix shape) for each call of the named
+    np.linalg functions."""
     calls = []
-    for name in ("cholesky", "eigvalsh"):
+    for name in names:
         def recorded(m, _name=name, _f=getattr(np.linalg, name)):
             calls.append((_name, m.shape))
             return _f(m)
@@ -564,8 +565,17 @@ class TestConstructorVerdicts:
 
     @pytest.mark.parametrize("m", [np.eye(2, dtype=int), np.eye(3, 2), np.eye(2, dtype=complex)])
     def test_isometry_input_left_unchanged(self, m):
+        # The isometry stores its own read-only copy: an edit of the caller's
+        # array after construction no longer reaches it.
         before = m.copy()
-        assert Isometry(m).mat is m and np.array_equal(m, before)
+        cls = Unitary if m.shape[0] == m.shape[1] else Isometry
+        u = cls(m)
+        assert np.array_equal(u.mat, m)
+        assert np.array_equal(m, before) and m.flags.writeable
+        assert not u.mat.flags.writeable
+        m[0, 0] = 5
+        assert np.array_equal(u.mat, before)
+        qu.channel_of_isometry(u, 1)  # raised "partial trace ... != identity" when u shared m
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_purity_agrees_with_the_matrix_product(self, rng, d):
@@ -742,6 +752,85 @@ class TestStinespringNearTheBoundary:
         assert qu._close(w.conj().T @ w, np.eye(shape[1]), 1e-12)
         h = w.conj().T @ m  # the positive polar factor
         assert qu._close(h, h.conj().T, 1e-12) and np.linalg.eigvalsh(h).min() > 0
+
+
+def _weyl_mixture(d, probs, rng):
+    """The channel rho -> sum_i p_i K_i rho K_i^dag with K_i = U W_i V, where
+    W_i = X^a Z^b runs over the Weyl operators on C^d and U, V are Haar
+    unitaries.  The vec(K_i) are orthogonal with squared norm d, so the Choi
+    eigenvalues are d * p_i (and zeros); probs[0] is raised to make the sum 1."""
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ws = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+          for a in range(d) for b in range(d)]
+    u, v = qu.haar_unitary(d, rng).mat, qu.haar_unitary(d, rng).mat
+    probs = [1 - sum(probs[1:])] + list(probs[1:])
+    return qu.choi_of_kraus([np.sqrt(p) * u @ w @ v for p, w in zip(probs, ws)])
+
+
+class TestKrausRoute:
+    """kraus_of_choi takes a low-rank Choi matrix's Kraus operators from an
+    accepted pivoted Cholesky factor, and every other one from eigh of H."""
+
+    @pytest.mark.parametrize("small, rank", [
+        ([0.98e-10], 1), ([1.02e-10], 2), ([1e-12], 1), ([0.98e-10, 1.02e-10, 1e-12], 2),
+        ([1.0, 0.98e-10], 2), ([1.0, 1.02e-10, 1e-12], 3)])
+    def test_rank_matches_eigvalsh_near_the_cutoff(self, rng, small, rank):
+        for _ in range(5):
+            c = _weyl_mixture(8, [None] + [w / 8 for w in small], rng)
+            assert qu._low_rank_factor(c.choi) is not None
+            ks = qu.kraus_of_choi(c)
+            assert len(ks) == qu.choi_rank(c) == rank
+            v, r = qu.minimal_stinespring(c)
+            assert r == rank and v.mat.shape == (8 * rank, 8)
+
+    @pytest.mark.parametrize("din, dout", [(8, 8), (8, 4), (2, 16), (4, 8), (3, 8)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kraus_vectors_are_orthogonal_and_rebuild_the_choi(self, rng, din, dout, k):
+        for _ in range(5):
+            c = qu.random_channel(din, dout, k, rng)
+            assert qu._low_rank_factor(c.choi) is not None
+            ks = qu.kraus_of_choi(c)
+            w = np.linalg.eigvalsh(c.choi)[::-1][: len(ks)]
+            assert len(ks) == qu.choi_rank(c) == max(k, -(-din // dout))
+            vecs = np.array([m.T.reshape(-1) for m in ks]).T  # vec(K_i) = columns
+            assert np.max(np.abs(vecs.conj().T @ vecs - np.diag(w))) <= 1e-12
+            assert np.max(np.abs(qu.choi_of_kraus(ks).choi - c.choi)) <= 1e-12
+            v, r = qu.minimal_stinespring(c)
+            assert np.array_equal(v.mat, np.stack(ks, axis=1).reshape(dout * r, din))
+
+    def _eigh_cases(self, rng):
+        """Choi matrices the route leaves to eigh of H: near-PSD (min eigenvalue
+        -9e-10, where every factor misses the residual bound), full rank,
+        rank 20, rank 9 above the d = 8 budget of 8 steps with a purity bound
+        under it, and every shape with n < 24."""
+        return ([negative_eigenvalue_identity(3), negative_eigenvalue_identity(8),
+                 qu.random_channel(8, 8, 64, rng), qu.random_channel(8, 8, 20, rng),
+                 _weyl_mixture(8, [None] + [1e-3] * 8, rng)]
+                + [qu.random_channel(din, dout, k, rng)
+                   for din, dout in [(2, 2), (3, 3), (4, 4), (2, 8), (8, 2), (4, 5), (3, 7)]
+                   for k in (1, 2, 3)])
+
+    def test_other_inputs_keep_the_full_eigh_bit_for_bit(self, rng):
+        for c in self._eigh_cases(rng):
+            assert qu._low_rank_factor(c.choi) is None
+            ks = qu.kraus_of_choi(c)
+            expected = oracles.kraus_by_full_eigh(c.choi, c.din, c.dout)
+            assert len(ks) == len(expected)
+            for k, e in zip(ks, expected):
+                assert k.shape == e.shape and k.tobytes() == e.tobytes()
+
+    def test_route_guard(self, rng, monkeypatch):
+        # Neither route can be lost silently: a rank-2 d = 8 channel makes no
+        # 64 x 64 eigh call, a full-rank one exactly one, and the purity bound
+        # skips its Cholesky, so no residual norm is taken.
+        low, full = qu.random_channel(8, 8, 2, rng), qu.random_channel(8, 8, 64, rng)
+        calls = _record_factorisations(monkeypatch, ("eigh", "norm"))
+        qu.kraus_of_choi(low)
+        assert calls == [("norm", (64, 64)), ("eigh", (2, 2))]
+        calls.clear()
+        qu.kraus_of_choi(full)
+        assert calls == [("eigh", (64, 64))]
 
 
 class TestPurity:
