@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -172,6 +173,14 @@ def json_field(data, key: str, where: str):
 ATOL = 1e-9  # structural invariants: unitarity, TP, Hermiticity
 ROUND_ATOL = 1e-8  # round trips through two eigendecompositions
 RANK_CUTOFF = 1e-10  # rank cutoff on Choi eigenvalues
+
+
+def numerical_failure(e: BaseException) -> bool:
+    """Whether e is numpy's LinAlgError: a numerical failure, which is neither
+    a malformed input nor a law's verdict, although numpy derives it from
+    ValueError.  None exists while numpy is not loaded."""
+    return "numpy" in sys.modules and isinstance(e, sys.modules["numpy"].linalg.LinAlgError)
+
 
 UNIT = FinObj((1,))  # one-element set, unit of the tensor product (an enumerated object)
 ZERO = FinObj((0,))  # empty set, unit of the disjoint sum

@@ -6,15 +6,17 @@ tolerances in effect, and its text is exactly
 invocations are byte-identical.  Exit status: 0 on success, 1 on a law
 violation, 2 on malformed input (a parser's ValueError; any other exception
 is a bug and propagates) or an unwritable --out file, 3 on an internal
-numerical failure (numpy's LinAlgError, which is not an input error although
-it subclasses ValueError).
+numerical failure, in an action or while an input loads (numpy's
+LinAlgError, which ``classical.numerical_failure`` tells apart: it is not an
+input error although it subclasses ValueError).
 
 Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
 (partial function), a garbage-carrying morphism, the visible function of a
 pinj-based one (pfn-of), a channel or a matrix (a unitary, for
-channel-of-unitary); inv takes a channel or a morphism.  An input is rejected
-while it is loaded, so the message names it.  The table VERBS declares each
-verb once, with its input kinds and its action.
+channel-of-unitary); inv takes a channel or a morphism.  Each kind is
+declared once, as a (label, parser) pair.  An input is rejected while it is
+loaded, so the message names it.  The table VERBS declares each verb once,
+with its input kinds and its action.
 
 The classical verbs run without loading numpy, and so does lawcheck on a
 classical instance in exhaustive mode: only the channel and matrix parsers
@@ -46,10 +48,6 @@ if TYPE_CHECKING:
     from .quantum import Channel, Unitary
 
 
-class InputError(ValueError):
-    pass
-
-
 def _read_inputs(paths: list[str]) -> list[tuple[str, bytes]]:
     out = []
     for p in paths or ["-"]:
@@ -60,7 +58,7 @@ def _read_inputs(paths: list[str]) -> list[tuple[str, bytes]]:
                 with open(p, "rb") as fh:
                     out.append((p, fh.read()))
             except OSError as e:
-                raise InputError(f"cannot read {p}: {e}") from e
+                raise ValueError(f"cannot read {p}: {e}") from e
     return out
 
 
@@ -71,11 +69,6 @@ def _digest(raws: list[tuple[str, bytes]]) -> str:
     return h.hexdigest()[:16]
 
 
-# Input kinds; the name is the label of a parse error.
-_MOR, _AUX, _CHAN, _MAT = "morphism", "garbage-carrying morphism", "channel", "matrix"
-_CHAN_OR_MOR = "channel or morphism"  # a channel when it has a "din" key
-_VISIBLE = "visible function of a " + _AUX  # a parse error is labelled as _AUX's
-
 def _unitary(data) -> Unitary:
     """A unitary of at least one dimension: a 0x0 one has no channel."""
     u = revcat.quantum.Unitary(revcat.quantum.matrix_from_json(data))
@@ -84,31 +77,37 @@ def _unitary(data) -> Unitary:
     return u
 
 
-# A kind read by one verb is parsed into the value the verb acts on, so that
-# the library's own checks reject a bad input while it is loaded.
-_PARSERS = {
-    _MOR: PartialFn.from_json,
-    _AUX: AuxMorphism.from_json,
-    _VISIBLE: lambda data: gb.visible_fn(AuxMorphism.from_json(data)),  # pinj base only
-    _CHAN: lambda data: revcat.quantum.Channel.from_json(data),
-    _MAT: _unitary,  # read by channel-of-unitary only
-}
+# The input kinds, each a (label, parser) pair.  The parser turns the JSON
+# value into the value a verb acts on, so that the library's own checks reject
+# a bad input while it is loaded; the label names the kind in that error.
+_MOR = ("morphism", PartialFn.from_json)
+_AUX = ("garbage-carrying morphism", AuxMorphism.from_json)
+_VISIBLE = (_AUX[0], lambda data: gb.visible_fn(AuxMorphism.from_json(data)))  # pinj base only
+_CHAN = ("channel", lambda data: revcat.quantum.Channel.from_json(data))
+_MAT = ("matrix", _unitary)  # read by channel-of-unitary only
 
 
-def _load(kind: str, name: str, raw: bytes):
-    """Parse one input as a value of the given kind."""
+def _chan_or_mor(data) -> tuple:
+    """The kind of an input that may be either: a channel when it has a "din" key."""
+    return _CHAN if isinstance(data, dict) and "din" in data else _MOR
+
+
+def _load(kind, name: str, raw: bytes):
+    """Parse one input as a value of the given kind, or of the kind that the
+    function kind chooses from the JSON value."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as e:
-        raise InputError(f"{name}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+        raise ValueError(f"{name}: malformed JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:  # undecodable bytes, too many digits, too deep
-        raise InputError(f"{name}: {e}") from e
-    if kind == _CHAN_OR_MOR:
-        kind = _CHAN if isinstance(data, dict) and "din" in data else _MOR
+        raise ValueError(f"{name}: {e}") from e
+    label, parse = kind(data) if callable(kind) else kind
     try:
-        return _PARSERS[kind](data)
+        return parse(data)
     except ValueError as e:
-        raise InputError(f"{name}: bad {_AUX if kind == _VISIBLE else kind}: {e}") from e
+        if cl.numerical_failure(e):
+            raise
+        raise ValueError(f"{name}: bad {label}: {e}") from e
 
 
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
@@ -160,11 +159,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         given = len(raws) if kinds else len(args.inputs)
         if given != len(kinds):
             wanted = {0: "no inputs", 1: "one input"}.get(len(kinds), f"{len(kinds)} inputs")
-            raise InputError(f"{args.verb} takes {wanted}, got {given}")
+            raise ValueError(f"{args.verb} takes {wanted}, got {given}")
         result, status = action(args, *(_load(kind, *raw) for kind, raw in zip(kinds, raws)))
     except ValueError as e:
-        np = sys.modules.get("numpy")  # no LinAlgError exists before numpy loads
-        if np is not None and isinstance(e, np.linalg.LinAlgError):
+        if cl.numerical_failure(e):
             print(f"internal error: {e}", file=sys.stderr)
             return 3
         print(f"error: {e}", file=sys.stderr)
@@ -195,13 +193,13 @@ def _lawcheck(args) -> tuple[dict | list, int]:
     them in instance order; there a single --law skips the instances that
     lack its oracles."""
     if not args.instance:
-        raise InputError("lawcheck requires --instance")
+        raise ValueError("lawcheck requires --instance")
     if args.trials <= 0:
-        raise InputError(f"--trials must be positive, got {args.trials}")
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
-        raise InputError(f"--seed must be nonnegative, got {args.seed}")
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.law != "all" and args.law not in lc.ALL_LAWS:
-        raise InputError(f"unknown law {args.law!r}")
+        raise ValueError(f"unknown law {args.law!r}")
     every = args.instance == "all"
     entries = []
     for name in sorted(INSTANCES) if every else [args.instance]:
@@ -247,10 +245,10 @@ def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
 
 def _channel_of_unitary(args, u: Unitary) -> tuple[dict, int]:
     if not 0 <= args.anc < u.dim:
-        raise InputError(f"--anc must be in 0..{u.dim - 1} for a {u.dim}-dimensional "
+        raise ValueError(f"--anc must be in 0..{u.dim - 1} for a {u.dim}-dimensional "
                          f"unitary, got {args.anc}")
     if args.env < 1 or u.dim % args.env:
-        raise InputError(f"--env must be a positive divisor of {u.dim}, got {args.env}")
+        raise ValueError(f"--env must be a positive divisor of {u.dim}, got {args.env}")
     return {"channel": pl.unitary_to_channel(u, args.anc, args.env).to_json()}, 0
 
 
@@ -280,7 +278,7 @@ VERBS = {
     "channel-of-unitary": ((_MAT,), _channel_of_unitary),
     "extract-unitary": ((_CHAN,), lambda args, c: (
         {"unitary": revcat.quantum.extract_unitary(c).to_json()}, 0)),
-    "inv": ((_CHAN_OR_MOR,), _inv),
+    "inv": ((_chan_or_mor,), _inv),
     "roundtrip": ((_CHAN,), _roundtrip),
 }
 

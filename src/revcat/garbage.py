@@ -82,7 +82,8 @@ class AuxMorphism:
     The base follows from the core's type: a PartialInj core (cod size b * e,
     flat, B major) is over "pinj", an Isometry core (b * e rows) is over
     "isometry"; a Unitary is an Isometry.  Garbage is tracked by its size e;
-    dom/cod report flat sizes.
+    dom/cod report flat sizes.  An isometry core needs a column and e >= 1,
+    since its collapsed channel needs positive dimensions.
     """
 
     core: Union[PartialInj, Isometry]
@@ -104,6 +105,8 @@ class AuxMorphism:
             size = getattr(self, name)
             if type(size) is not int or size < 0:
                 raise ValueError(f"{name} {size!r} is not a nonnegative integer")
+        if base == ISO and not (dom and self.garbage_size):  # no channel to collapse to
+            raise ValueError("an isometry core needs a nonzero column count and garbage size")
         if flat != self.cod_size * self.garbage_size:
             raise ValueError(f"{what} not factor as B x E")
         object.__setattr__(self, "base", base)
@@ -142,10 +145,13 @@ class AuxMorphism:
         return aux_id(self.dom_size, ISO)  # isometries are total
 
     def to_json(self) -> dict:
+        # Garbage size 0 has only the empty core, written with codomain shape
+        # [B, 0], which keeps B (a built one may have another, such as [0]).
+        core = self.core if self.garbage_size else cl.empty_map(self.core.dom, FinObj((self.cod_size, 0)))
         return {
             "base": self.base,
             "garbage_shape": [self.garbage_size],
-            "core": self.core.to_json(),
+            "core": core.to_json(),
         }
 
     @classmethod

@@ -25,13 +25,12 @@ Only random mode imports numpy, for its generator.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from math import prod
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
-from .classical import sharing
+from .classical import numerical_failure, sharing
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,13 +163,12 @@ def _enumerate_tuples(
 def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
     """None when the tuple satisfies the law, else the failure's detail: ""
     for a false equation, "<ExceptionType>: <message>" for a ValueError the
-    predicate raised.  numpy's LinAlgError is a numerical failure, not a
-    verdict, and propagates; none exists while numpy is not loaded."""
+    predicate raised.  A numerical failure (``classical.numerical_failure``)
+    is not a verdict, and propagates."""
     try:
         return None if predicate(*t) else ""
     except ValueError as e:
-        np = sys.modules.get("numpy")
-        if np is not None and isinstance(e, np.linalg.LinAlgError):
+        if numerical_failure(e):
             raise
         return f"{type(e).__name__}: {e}"
 

@@ -56,6 +56,13 @@ decides each property:
   the product can cross the bound: depolarizing_channel(2, -8e-10) (x)
   identity_channel(4) has min eigenvalue -4e-10 * 4 and is rejected;
 - TP: max |Tr_out H - I|, with I subtracted from the diagonal in place.
+  The TP bound is not closed under the operations either.  A channel's
+  Tr_out may be I + E with |E| up to 1e-9; the tensor product's is
+  (I + E) (x) (I + E'), and the composite's deviation is E_f plus f's
+  adjoint applied to E_g, so the deviations add.  depolarizing_channel(2, 0.3)
+  with 9e-10 added to one Choi diagonal entry is a valid channel, but
+  channel_tensor and channel_compose of it with itself are both rejected
+  with "partial trace over output != identity within 1e-9".
 
 An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
 makes it NaN or inf and is reported before the V^dag V failure.  An Isometry

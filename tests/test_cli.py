@@ -1,8 +1,10 @@
 """Command-line interface: every verb, exit codes, and byte-level determinism."""
 
 import dataclasses
+import io
 import json
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -136,6 +138,19 @@ class TestVerbs:
         assert code == 0 and rep["result"] == {"reversible": False,
                                                "reason": "dimension mismatch"}
 
+    def test_near_unitary_channel_is_not_reversible(self, tmp_path, capsys):
+        # Pure within 1e-8, but its top Kraus operator misses unitarity.
+        t = 1.5e-8
+        k2 = np.zeros((4, 4))
+        k2[0, 0] = np.sqrt(t)
+        k1 = np.roll(np.eye(4), 1, axis=0) @ np.diag([np.sqrt(1 - t), 1, 1, 1])
+        c = write(tmp_path, "c.json", channel_json(qu.choi_of_kraus([k1, k2])))
+        code, rep = run_to(tmp_path, ["inv", c])
+        assert code == 0 and rep["result"] == {"reversible": False, "reason": "not unitary"}
+        assert cli.run(["extract-unitary", c]) == 2
+        assert capsys.readouterr().err == (
+            "error: not unitary: channel is not a unitary conjugation\n")
+
     def test_inv_pfn(self, tmp_path):
         f = write(tmp_path, "f.json", pfn_json(2, 2, [(0, 1), (1, 0)]))
         code, rep = run_to(tmp_path, ["inv", f])
@@ -202,6 +217,13 @@ class TestVerbs:
         (report,) = rep["result"]["reports"]
         assert report["passed"] is False and len(report["counterexample"]) == 2
         assert report["detail"].startswith("CompositionError: cannot compose: ")
+
+    def test_lawcheck_all_skips_instances_without_the_law(self, tmp_path):
+        code, rep = run_to(tmp_path, ["lawcheck", "--instance", "all", "--law",
+                                      "dagger_involution", "--trials", "10"])
+        assert code == 0
+        assert [e["instance"] for e in rep["result"]] == ["pinj", "pinj-large", "unitary"]
+        assert all(len(e["reports"]) == 1 and e["reports"][0]["passed"] for e in rep["result"])
 
     def test_lawcheck_single_law(self, tmp_path):
         code, rep = run_to(
@@ -419,6 +441,15 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: " + message.format(p=paths[0]) + "\n"
 
+    @pytest.mark.parametrize("verb", ["aux-equal", "ext-equal"])
+    def test_isometry_core_without_columns_is_2_and_named(self, tmp_path, capsys, verb):
+        # Refused while it loads, not when its channel is first built.
+        data = {"base": "isometry", "garbage_shape": [1], "core": {"rows": 2, "cols": 0, "entries": []}}
+        p = write(tmp_path, "m.json", data)
+        assert cli.run([verb, p, p]) == 2
+        assert capsys.readouterr() == ("", f"error: {p}: bad garbage-carrying morphism: "
+                                           "an isometry core needs a nonzero column count and garbage size\n")
+
     def test_zero_dimensional_unitary_is_2(self, tmp_path, capsys):
         # Not "--anc must be in 0..-1": the unitary itself is refused.
         p = write(tmp_path, "u.json", {"rows": 0, "cols": 0, "entries": []})
@@ -478,7 +509,9 @@ class TestExitCodes:
         def buggy(data):
             raise TypeError("parser bug")
 
-        monkeypatch.setitem(cli._PARSERS, cli._MOR, buggy)
+        kinds, action = cli.VERBS["bennett-of"]
+        assert kinds == (cli._MOR,)
+        monkeypatch.setitem(cli.VERBS, "bennett-of", (((cli._MOR[0], buggy),), action))
         f = write(tmp_path, "f.json", pfn_json(1, 1, []))
         with pytest.raises(TypeError, match="parser bug"):
             cli.run(["bennett-of", f])
@@ -494,12 +527,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "internal error: Eigenvalues did not converge\n"
 
+    def test_numerical_failure_while_loading_is_3(self, tmp_path, capsys, monkeypatch):
+        # A LinAlgError from a parser is no malformed input either: the
+        # channel's PSD check falls back from cholesky to eigvalsh, and both fail.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        c = write(tmp_path, "c.json", channel_json(qu.identity_channel(2)))
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        assert cli.run(["dilate", c]) == 3
+        assert capsys.readouterr().err == "internal error: Eigenvalues did not converge\n"
+
     def test_non_finite_matrix_is_2(self, tmp_path, capsys):
         m = qu.matrix_to_json(np.eye(2, dtype=complex))
         m["entries"][0][1] = float("inf")
         p = write(tmp_path, "u.json", m)
         assert cli.run(["channel-of-unitary", p]) == 2
         assert "unitary matrix has a non-finite entry" in capsys.readouterr().err
+
+
+class TestStreams:
+    def stdin(self, monkeypatch, data):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(json.dumps(data).encode())))
+
+    @pytest.mark.parametrize("args", [["-"], []], ids=["dash", "no-argument"])
+    def test_input_from_stdin(self, tmp_path, monkeypatch, args):
+        f = pfn_json(2, 1, [(0, 0), (1, 0)])
+        self.stdin(monkeypatch, f)
+        code, rep = run_to(tmp_path, ["bennett-of", *args])
+        assert code == 0 and rep["result"]["morphism"]["graph"] == [[0, 0], [1, 1]]
+        path = write(tmp_path, "f.json", f)
+        assert rep == run_to(tmp_path, ["bennett-of", path])[1]
+
+    def test_bad_stdin_input_is_named(self, monkeypatch, capsys):
+        self.stdin(monkeypatch, {"dom": {"shape": [2]}, "cod": {"shape": [1]}, "graph": [[0, 3]]})
+        assert cli.run(["bennett-of", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: <stdin>: bad morphism: ")
+
+    @pytest.mark.parametrize("argv_factory", [
+        lambda t: ["compose", t + "/f.json", t + "/f.json"],
+        lambda t: ["dilate", t + "/c.json"],
+        lambda t: ["lawcheck", "--instance", "pinj", "--law", "restriction_i"],
+    ], ids=["compose", "dilate", "lawcheck"])
+    def test_report_to_stdout_matches_out_file(self, tmp_path, capsys, argv_factory):
+        write(tmp_path, "f.json", pfn_json(2, 2, [(0, 1)]))
+        write(tmp_path, "c.json", channel_json(qu.random_channel(2, 2, 2, np.random.default_rng(5))))
+        argv = argv_factory(str(tmp_path))
+        out = tmp_path / "o.json"
+        assert cli.run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestDeterminism:

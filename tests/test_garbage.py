@@ -21,6 +21,7 @@ from revcat.instances import enumerate_aux_pinj
 import oracles
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ISO_EMPTY = "an isometry core needs a nonzero column count and garbage size"
 
 
 def pinj(a, b, graph):
@@ -183,7 +184,8 @@ class TestBaseFromCore:
     def test_structural_cores(self, a, b):
         # Over pinj the core is the identity or the symmetry
         # x * b + y -> y * a + x; over isometries it is that permutation's
-        # matrix, exactly.
+        # matrix, exactly.  An isometry core with no column (and so no
+        # garbage, for bang and the projections) has no channel: it is refused.
         ident = lambda n: tuple((i, i) for i in range(n))
         symm = tuple(sorted((x * b + y, y * a + x) for x in range(a) for y in range(b)))
         cases = [
@@ -196,6 +198,10 @@ class TestBaseFromCore:
             p = build(PINJ)
             assert (p.core.dom.shape, p.core.cod.shape, p.core.graph) == (dom, cod, graph)
             assert (p.cod_size, p.garbage_size) == (cod_size, e)
+            if prod(dom) == 0:
+                with pytest.raises(ValueError, match=ISO_EMPTY):
+                    build(ISO)
+                continue
             expected = np.zeros((prod(dom), prod(dom)), dtype=complex)
             for x, y in graph:
                 expected[y, x] = 1
@@ -355,6 +361,12 @@ class TestStructure:
         f1, f2 = successor_pair()
         g = gb.aux_compose(gb.bang(4), f2)
         assert g.cod_size == 1 and g.garbage_size == 12
+
+    @pytest.mark.parametrize("base", [PINJ, ISO])
+    def test_compose_refuses_unmatched_ends(self, base):
+        f, g = gb.aux_id(2, base), gb.bang(3, base)
+        with pytest.raises(gb.EndpointMismatchError, match=r"^cod 2 != dom 3$"):
+            gb.aux_compose(g, f)
 
     def test_compose_visible_matches_table_compose(self):
         # Exhaustive over small morphisms: the visible part of a composite is
@@ -531,6 +543,29 @@ class TestJson:
                     m.dom_size, m.cod_size, m.garbage_size)
                 assert back.core.graph == m.core.graph
 
+    def test_built_zero_garbage_morphisms_roundtrip(self):
+        # The library's own garbage-0 morphisms have empty cores whose
+        # codomain shape is not [B, 0] (bang(0)'s is [0]); to_json writes it so.
+        def roundtrip(m):
+            back = AuxMorphism.from_json(json.loads(json.dumps(m.to_json())))
+            assert (back.dom_size, back.cod_size, back.garbage_size) == (
+                m.dom_size, m.cod_size, m.garbage_size)
+            assert gb.aux_equal(back, m)
+            return back
+
+        sizes = range(3)
+        built = [gb.bang(0)] + [gb.proj1(a, 0) for a in sizes] + [gb.proj2(0, b) for b in sizes]
+        built.append(gb.aux_tensor(gb.bang(0), gb.bang(0)))
+        homs = {(a, b): enumerate_aux_pinj(a, b, 2) for a in sizes for b in sizes}
+        for f, g in itertools.product(itertools.chain(*homs.values()), repeat=2):
+            if 0 in (f.garbage_size, g.garbage_size):
+                built.append(gb.aux_tensor(f, g))
+                if f.cod_size == g.dom_size:
+                    built.append(gb.aux_compose(g, f))
+        assert sum(m.garbage_size == 0 for m in built) == len(built) > 1000
+        for m in built:
+            assert roundtrip(m).core.graph == ()
+
     def test_to_json_with_garbage(self):
         _, f2 = successor_pair()
         assert f2.to_json() == {
@@ -577,6 +612,14 @@ class TestJson:
         data = dict(f2.to_json(), garbage_shape=[-1, -3])
         with pytest.raises(ValueError, match="negative entry"):
             AuxMorphism.from_json(data)
+
+    @pytest.mark.parametrize("rows, e", [(2, 1), (0, 1), (0, 3), (4, 2)])
+    def test_rejects_isometry_core_without_columns(self, rows, e):
+        data = {"base": ISO, "garbage_shape": [e],
+                "core": {"rows": rows, "cols": 0, "entries": []}}
+        with pytest.raises(ValueError) as exc:
+            AuxMorphism.from_json(data)
+        assert str(exc.value) == ISO_EMPTY
 
     def test_rejects_zero_garbage_over_isometries(self):
         data = {"base": ISO, "garbage_shape": [0],

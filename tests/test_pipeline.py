@@ -129,7 +129,42 @@ class TestInvPfn:
         assert pl.inv_pfn(f) is None
 
 
+SHIFT = np.roll(np.eye(4), 1, axis=0)  # the cyclic shift U; with U = I both stay unitary
+
+
+def damped_shift(t=1.5e-8):
+    """Kraus operators U diag(sqrt(1 - t), 1, 1, 1) and sqrt(t) |0><0|: pure
+    within 1e-8, but the top Kraus operator misses unitarity by t > 1e-8."""
+    k2 = np.zeros((4, 4))
+    k2[0, 0] = np.sqrt(t)
+    return qu.choi_of_kraus([SHIFT @ np.diag([np.sqrt(1 - t), 1, 1, 1]), k2])
+
+
+def leaking_shift(s=8e-9):
+    """Kraus operators K2 = sqrt(s / 20) u v^T and K1 = U sqrt(I - K2^dag K2),
+    for u = (0, 2, 0, 1) and v = (-2, -1, 2, 0), so K2^dag K2 = (s / 4) v v^T
+    with |v|^2 = 9.  The top Kraus operator is unitary within 1e-8 (8.9e-9
+    off), but conjugation by its polar part misses the channel by 1.1e-8."""
+    u, v = np.array([0, 2, 0, 1.0]), np.array([-2, -1, 2, 0.0])
+    k1 = SHIFT @ (np.eye(4) - (1 - np.sqrt(1 - 9 * s / 4)) * np.outer(v, v) / 9)
+    return qu.choi_of_kraus([k1, np.sqrt(s / 20) * np.outer(u, v)])
+
+
 class TestInvCptp:
+    @pytest.mark.parametrize("build, top_unitary", [(damped_shift, False), (leaking_shift, True)],
+                             ids=["top-kraus-not-unitary", "polar-part-misses"])
+    def test_near_unitary_is_not_unitary(self, build, top_unitary):
+        # Both pass the dimension and purity tests; each fails one of the two
+        # unitarity tests, told apart by the top Kraus operator.
+        c = build()
+        assert c.din == c.dout and qu.is_pure_choi(c)
+        k = qu.kraus_of_choi(c)[0]
+        assert (np.abs(k.conj().T @ k - np.eye(4)).max() <= qu.ROUND_ATOL) == top_unitary
+        assert qu.reversible_core(c) == "not unitary"
+        assert pl.inv_cptp(c) is None
+        with pytest.raises(qu.NotAChannelError, match="^not unitary: "):
+            qu.extract_unitary(c)
+
     def test_recovers_haar_unitaries(self, rng):
         for _ in range(100):
             d = int(rng.integers(1, 5))

@@ -640,6 +640,14 @@ class TestKraus:
         for k in ks:
             assert abs(k[0, 1]) < 1e-9 and abs(k[1, 0]) < 1e-9
 
+    @pytest.mark.parametrize("ks, message", [
+        ([], "empty Kraus list"),
+        ([np.eye(2), np.eye(2, 3)], "Kraus operators must share one shape"),
+    ], ids=["empty", "mixed-shapes"])
+    def test_choi_of_kraus_refuses(self, ks, message):
+        with pytest.raises(qu.NotAChannelError, match=f"^{message}$"):
+            qu.choi_of_kraus(ks)
+
     def test_pauli_choi_pure(self):
         c = qu.choi_of_kraus([X])
         assert qu.is_pure_choi(c)
