@@ -11,10 +11,13 @@ The channel algebra works on Choi matrices directly: composition is the link
 product (Chiribella, D'Ariano and Perinotti, "Theoretical framework for
 quantum networks", PRA 80 022339, 2009), a contraction over the middle
 factor, and the tensor product is an index-permuted kron.  ``Channel._validate``
-is the one place where a channel's properties are decided: every library
-constructor hands it the raw Choi matrix, unsymmetrised, except that
-``channel_tensor`` hands it a product of two stored matrices, with the two
-factors, whose spectra then decide PSD (below).
+is the one place where a channel's properties are decided.
+``choi_of_kraus`` and ``channel_compose`` hand it the raw Choi matrix,
+unsymmetrised, and ``channel_tensor`` a product of two stored matrices, with
+the two factors; each hands it too the floor that its construction proves
+(PSD, below).  They do so through ``_owned``, which builds an object around
+arrays the library has just allocated, with the public constructor's checks
+but without its copy; ``Channel(...)`` takes no argument that skips a check.
 
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
@@ -41,11 +44,18 @@ decides each property:
   products of conjugate pairs, rounded alike; so it skips this step (its
   entries are finite, being products of validated channels' entries), and
   a test pins its residual at exactly 0;
-- PSD: a Cholesky factorisation of H + (ATOL / 2) I, formed by shifting
+- PSD: every Channel carries a private floor f, a bound lambda_min(H) >= -f.
+  When f <= ATOL / 2, H is PSD by the rule and no check runs.  Otherwise
+  the check below decides, and the channel keeps f = ATOL.  ``Channel(...)``
+  and ``from_json`` always pass f = ATOL, so outside input is always checked;
+  the library operations pass the floors derived after this list.  The
+  check is a Cholesky factorisation of H + (ATOL / 2) I, formed by shifting
   H's diagonal for the call and restoring it, whose backward error
   O(n eps |H|) (Higham, "Accuracy and Stability of Numerical Algorithms",
   ch. 10) is far below ATOL / 2; when it fails, eigvalsh decides as the
-  rule states.  The Choi
+  rule states.  So a certified channel is one the check would accept, and
+  every verdict and message is the check's.  For ``channel_tensor`` the
+  check is the factors' spectra: the Choi
   matrix of a (x) b is a simultaneous row and column permutation of
   kron(A, B), whose eigenvalues are the products alpha * beta (Horn and
   Johnson, "Topics in Matrix Analysis", Thm 4.2.12), so ``channel_tensor``
@@ -64,9 +74,53 @@ decides each property:
   channel_tensor and channel_compose of it with itself are both rejected
   with "partial trace over output != identity within 1e-9".
 
+The floors.  Stinespring ("Positive functions on C*-algebras", Proc. AMS
+1955): C = V V^dag is PSD, and so are tensor and link products of PSD
+matrices; the floors bound how far rounding, and the operands' own floors,
+move the stored H from that.  u = 2^-53 is the unit roundoff and c = 2.
+Higham (ch. 3, complex arithmetic in 3.6): an entry that is a sum of m
+complex products is off by at most gamma_{m+2} = (m + 2) u / (1 - (m + 2) u)
+times the same sum of their moduli, and one complex product (m = 1) by
+sqrt(2) gamma_2 < gamma_3; the Hermitian step rounds each entry once more,
+by u times its modulus.  An error matrix E with |E| <= e w w^T entrywise has
+||E||_2 <= e ||w||^2, and by Weyl's inequality lambda_min moves by at most
+||E||_2.
+
+- ``choi_of_kraus`` (V is n x k): f = c (k + 2) u ||V||_F^2.  Each entry of
+  V V^dag sums k products, so |H - V V^dag| <= (gamma_{k+2} + u (1 +
+  gamma_{k+2})) |V| |V|^T, with w the row norms of V, ||w||^2 = ||V||_F^2.
+- ``channel_tensor`` (m = 1) and ``channel_compose`` (m = d_mid^2, the
+  contraction length) of channels a and b, with T = Tr H + n f of each:
+
+      f = f_a T_b + f_b T_a + c (m + 2) u T_a T_b.
+
+  The eigenvalues of each operand lie in [-f, T] (the largest is at most the
+  trace plus n - 1 times f).  A tensor product's are the products of the
+  factors', none below -(f_a T_b + f_b T_a).  For the link product, P = A +
+  f_a I and Q = B + f_b I are PSD, and link(A, B) = link(P, Q) - f_b link(P,
+  I) - f_a link(I, Q) + f_a f_b d_mid I, where link(P, Q) is PSD and
+  link(P, I) = Tr_mid P (x) I and link(I, Q) = I (x) Tr_mid Q have top
+  eigenvalues at most Tr P = T_a and Tr Q = T_b.  For the rounding, A + f_a I
+  PSD gives |A_xy| <= sqrt((A_xx + f_a)(A_yy + f_a)) = s_x s_y with sum_x
+  s_x^2 = T_a, and likewise t for B; the sum of moduli of an entry is then at
+  most w_x w_y, with w the products s_x t_y (tensor) or w_in = sum_m s_im t_mn
+  (link), and ||w||^2 <= T_a T_b by Cauchy-Schwarz.  A composite takes the
+  Hermitian step, a product does not.
+- The constant: gamma_{m+2} + u (1 + gamma_{m+2}) is below (4/3)(1 + 1e-6)
+  (m + 2) u for m >= 1 and (m + 2) u <= 1e-7, and c = 2 leaves the rest for
+  computing ||V||_F^2, the traces and f in floating point (n u <= 1e-7).
+  Every floor is at least f_a T_b with T_b >= Tr H_b >= 1 - 1e-9 (a channel
+  is TP), so an operand with f = ATOL certifies no product.  Along a chain
+  of composites of d x d channels (T about d) f grows about d-fold a link,
+  and passes ATOL / 2 after 16 links at d = 2, 8 at d = 4 and 3 at d = 16;
+  from there on the check runs.
+
 An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
 makes it NaN or inf and is reported before the V^dag V failure.  An Isometry
-stores its matrix as a C-contiguous, read-only copy, as a Channel does.
+stores its matrix as a C-contiguous, read-only copy, as a Channel does; one
+the library has just allocated (``haar_unitary``, ``complete_to_unitary``,
+``minimal_stinespring``, ``reversible_core``) is stored through ``_owned``,
+checked alike, without that copy.
 
 Kraus route.  ``kraus_of_choi`` (and so ``minimal_stinespring`` and
 ``reversible_core``) needs the eigenpairs of H above RANK_CUTOFF, and the
@@ -95,6 +149,9 @@ from itertools import chain
 import numpy as np
 
 from .classical import ATOL, RANK_CUTOFF, ROUND_ATOL, json_field, json_int
+
+# The unit roundoff u of a double and the constant c of the floors (module docstring).
+_U, _C = np.finfo(float).eps / 2, 2
 
 
 class DimensionError(ValueError):
@@ -155,6 +212,16 @@ def _cholesky_certifies(h: np.ndarray) -> bool:
         h.flat[:: len(h) + 1] = diagonal
 
 
+def _owned(cls, fields: dict, **checks):
+    """cls around fields, whose arrays the library has just allocated and
+    holds nowhere else: the public constructor's checks, given the private
+    arguments checks, without its defensive copy."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    obj._validate(**checks)
+    return obj
+
+
 def _require_finite(m: np.ndarray, field: str, error: type) -> None:
     if not np.all(np.isfinite(m)):
         raise error(f"{field} has a non-finite entry (NaN or inf)")
@@ -198,6 +265,9 @@ class Isometry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mat", self.mat.copy())  # C order; the caller's stays its own
+        self._validate()
+
+    def _validate(self) -> None:
         self.mat.setflags(write=False)
         if self.mat.ndim != 2:
             raise NotAnIsometryError(f"{self._noun} matrix must be 2-D, got shape {self.mat.shape}")
@@ -228,11 +298,12 @@ class Unitary(Isometry):
     """A square isometry U, so U^dag U = I = U U^dag."""
 
     _noun, _letter = "unitary", "U"
+    __post_init__ = Isometry.__post_init__  # the class's own entry, which perfbench traces
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.mat.ndim == 2 and self.mat.shape[0] != self.mat.shape[1]:
             raise NotAnIsometryError("unitary must be square, got {}x{}".format(*self.mat.shape))
-        super().__post_init__()
+        super()._validate()
 
     @property
     def dim(self) -> int:
@@ -246,16 +317,20 @@ class Channel:
     din: int
     dout: int
     choi: np.ndarray
+    _floor = ATOL  # lambda_min(choi) >= -_floor; certifies PSD when at most ATOL / 2
 
     def __post_init__(self) -> None:
         self._validate()
 
-    def _validate(self, factors: tuple[Channel, Channel] | None = None) -> None:
+    def _validate(self, floor: float = ATOL, factors: tuple[Channel, Channel] | None = None) -> None:
         """Decide each property of the Choi matrix, in the order of the module
-        docstring, and store its Hermitian part, read-only.  factors, passed
-        only by channel_tensor, are the channels whose stored matrices this
-        is the product of: it is then exactly Hermitian as it stands, and
-        their spectra decide PSD."""
+        docstring, and store its Hermitian part, read-only.  floor and factors
+        are passed only through _owned.  floor bounds -lambda_min of the
+        stored matrix as the library built it; at most ATOL / 2 it certifies
+        PSD and is kept, else the checks decide PSD and ATOL is kept.
+        factors, passed only by channel_tensor, are the channels whose stored
+        matrices this is the product of: it is then exactly Hermitian as it
+        stands, and their spectra are the PSD check."""
         if self.din < 1 or self.dout < 1:
             raise NotAChannelError(
                 f"din and dout must be positive, got din={self.din}, dout={self.dout}"
@@ -263,9 +338,7 @@ class Channel:
         n = self.din * self.dout
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
-        if factors:
-            min_eig = _product_min_eig(*factors)
-        else:
+        if not factors:
             c = self.choi
             h = np.conjugate(c.T, order="C", dtype=np.result_type(c, float))  # C^dag
             if not _hermitian_residual(c, h) <= ATOL:
@@ -274,7 +347,14 @@ class Channel:
             h *= 0.5  # halved before the sum, which then cannot overflow
             h += 0.5 * c
             object.__setattr__(self, "choi", h)
-            min_eig = None if _cholesky_certifies(h) else np.linalg.eigvalsh(h).min()
+        min_eig = None
+        if not floor <= ATOL / 2:  # a NaN floor certifies nothing either
+            floor = ATOL
+            if factors:
+                min_eig = _product_min_eig(*factors)
+            elif not _cholesky_certifies(self.choi):
+                min_eig = np.linalg.eigvalsh(self.choi).min()
+        object.__setattr__(self, "_floor", floor)
         self.choi.flags.writeable = False
         if min_eig is not None and min_eig < -ATOL:
             raise NotAChannelError(f"choi not PSD: min eigenvalue {min_eig:.2e}")
@@ -324,7 +404,8 @@ def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
     stacked = np.asarray(ks, dtype=complex)  # stacked[k, m, i] = K_k[m, i]
     # C = V V^dag, where column k of V is vec(K_k)[i*dout + m] = K_k[m, i].
     v = stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T
-    return Channel(din, dout, v @ _dag(v))
+    floor = _C * (len(ks) + 2) * _U * np.vdot(v, v).real  # c (k + 2) u ||V||_F^2
+    return _owned(Channel, {"din": din, "dout": dout, "choi": v @ _dag(v)}, floor=floor)
 
 
 def kraus_of_choi(c: Channel) -> list[np.ndarray]:
@@ -393,11 +474,11 @@ def minimal_stinespring(c: Channel) -> tuple[Isometry, int]:
     V^dag V != I."""
     ks = kraus_of_choi(c)
     r = len(ks)
-    v = np.stack(ks, axis=1).reshape(c.dout * r, c.din)
+    v = np.ascontiguousarray(np.stack(ks, axis=1).reshape(c.dout * r, c.din))
     try:
-        return Isometry(v), r
+        return _owned(Isometry, {"mat": v}), r
     except NotAnIsometryError:
-        return Isometry(nearest_unitary(v)), r
+        return _owned(Isometry, {"mat": nearest_unitary(v)}), r
 
 
 def is_pure_choi(c: Channel) -> bool:
@@ -437,7 +518,7 @@ def reversible_core(c: Channel) -> Unitary | str:
     k = kraus_of_choi(c)[0]
     if not _off_identity(_dag(k) @ k) <= ROUND_ATOL:
         return "not unitary"
-    u = Unitary(phase_fix(nearest_unitary(k)))
+    u = _owned(Unitary, {"mat": phase_fix(nearest_unitary(k))})
     if not channel_of_unitary(u).close_to(c, ROUND_ATOL):
         return "not unitary"
     return u
@@ -467,7 +548,7 @@ def complete_to_unitary(v: Isometry) -> Unitary:
     those first columns are then set to V itself."""
     u = np.linalg.qr(np.hstack([v.mat, np.eye(v.rows)]).astype(complex))[0]
     u[:, : v.cols] = v.mat
-    return Unitary(u)
+    return _owned(Unitary, {"mat": u})
 
 
 def channel_compose(g: Channel, f: Channel) -> Channel:
@@ -478,7 +559,8 @@ def channel_compose(g: Channel, f: Channel) -> Channel:
     c = np.tensordot(f.blocks(), g.blocks(), axes=([1, 3], [0, 2]))  # [i, j, n, l]
     n = f.din * g.dout
     choi = c.transpose(0, 2, 1, 3).reshape(n, n)
-    return Channel(f.din, g.dout, choi)
+    return _owned(Channel, {"din": f.din, "dout": g.dout, "choi": choi},
+                  floor=_product_floor(f, g, f.dout**2))
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:
@@ -486,10 +568,15 @@ def channel_tensor(a: Channel, b: Channel) -> Channel:
     matrices, with input factors before output factors."""
     din, dout = a.din * b.din, a.dout * b.dout
     c = np.einsum("imjn,akbl->iamkjbnl", a.blocks(), b.blocks())
-    product = object.__new__(Channel)  # validated below, with its factors
-    vars(product).update(din=din, dout=dout, choi=c.reshape(din * dout, din * dout))
-    product._validate(factors=(a, b))
-    return product
+    return _owned(Channel, {"din": din, "dout": dout, "choi": c.reshape(din * dout, din * dout)},
+                  floor=_product_floor(a, b, 1), factors=(a, b))
+
+
+def _product_floor(a: Channel, b: Channel, m: int) -> float:
+    """The floor of the tensor (m = 1) or link (m = d_mid^2) product of a's
+    and b's stored matrices, from T = Tr H + n f of each (module docstring)."""
+    ta, tb = (x.choi.trace().real + len(x.choi) * x._floor for x in (a, b))
+    return a._floor * tb + b._floor * ta + _C * (m + 2) * _U * ta * tb
 
 
 def _product_min_eig(a: Channel, b: Channel) -> float:
@@ -526,7 +613,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> Unitary:
     z = ginibre(d, d, rng)
     q, r = np.linalg.qr(z)
     ph = np.diag(r) / np.abs(np.diag(r))
-    return Unitary(q * ph)
+    return _owned(Unitary, {"mat": q * ph})
 
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> Isometry:

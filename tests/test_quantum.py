@@ -292,8 +292,9 @@ def _check_the_product_after_factor_edits(a, b):
 
 
 class TestTensorPsd:
-    """channel_tensor decides PSD from its factors' spectra, with the verdict
-    and message of the full check on the product's Choi matrix."""
+    """channel_tensor certifies PSD by its floor, or else decides it from its
+    factors' spectra, with the verdict and message of the full check on the
+    product's Choi matrix."""
 
     def test_verdicts_match_the_product_check(self, rng):
         pairs = _benchmark_and_suite_pairs(rng)
@@ -353,9 +354,15 @@ class TestTensorPsd:
         _check_the_product_after_factor_edits(a, b)
 
     def test_no_factorisation_larger_than_a_factor(self, rng, monkeypatch):
+        # Kraus-built factors certify their product by its floor, with no
+        # factorisation; factors loaded from JSON carry the floor ATOL, which
+        # certifies nothing, so their spectra decide.
         a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
+        loaded = [Channel.from_json(c.to_json()) for c in (a, b)]
         calls = _record_factorisations(monkeypatch)
         assert qu.channel_tensor(a, b).choi.shape == (256, 256)
+        assert calls == []
+        assert qu.channel_tensor(*loaded).choi.shape == (256, 256)
         assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (16, 16))]
 
 
@@ -404,23 +411,30 @@ class TestTensorHermitian:
         (4, 4, [(16, 16), (16, 16)]), (3, 3, [(9, 9), (9, 9)]),
         (2, 4, [(4, 4), (16, 16)]), (2, 2, [(4, 4), (4, 4)])])
     def test_no_pass_over_a_product_above_the_gate(self, rng, monkeypatch, da, db, shapes):
-        # No 64 x 64 gate is left: below it as above, only the factors'
-        # matrices are read, for PSD; a constructor takes the Hermitian pass.
+        # No 64 x 64 gate is left: below it as above, a product takes no
+        # Hermitian pass, and only its floor, or the factors' matrices when
+        # they were loaded from JSON, decide PSD; a constructor takes the
+        # Hermitian pass.
         a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
+        loaded = [Channel.from_json(c.to_json()) for c in (a, b)]
         residuals = []
         residual = qu._hermitian_residual
         monkeypatch.setattr(qu, "_hermitian_residual",
                             lambda c, c_dag: residuals.append(c.shape) or residual(c, c_dag))
         calls = _record_factorisations(monkeypatch)
         qu.channel_tensor(a, b)
+        assert residuals == [] and calls == []
+        qu.channel_tensor(*loaded)
         assert residuals == [] and calls == [("eigvalsh", shape) for shape in shapes]
         Channel(da, da, a.choi)
         assert residuals == [a.choi.shape]
 
 
 class TestPublicPathsCertifyByCholesky:
-    """Every way but channel_tensor decides PSD by the Cholesky certificate of
-    the matrix itself, and no argument of Channel skips or replaces it."""
+    """Channel(...) and from_json decide PSD by the Cholesky certificate of
+    the matrix itself, and no argument of Channel skips or replaces it.  The
+    library's choi_of_kraus and channel_compose certify PSD by their floor,
+    and take that certificate only when the floor is above ATOL / 2."""
 
     def test_channel_signature(self):
         assert list(inspect.signature(Channel).parameters) == ["din", "dout", "choi"]
@@ -436,10 +450,116 @@ class TestPublicPathsCertifyByCholesky:
     def test_kraus_and_compose(self, rng, monkeypatch):
         f, g = qu.random_channel(2, 3, 2, rng), qu.random_channel(3, 2, 2, rng)
         ks = qu.kraus_of_choi(f)
+        loaded = [Channel.from_json(c.to_json()) for c in (g, f)]
         calls = _record_factorisations(monkeypatch)
         qu.choi_of_kraus(ks)
         qu.channel_compose(g, f)
-        assert calls == [("cholesky", (6, 6)), ("cholesky", (4, 4))]
+        assert calls == []
+        qu.channel_compose(*loaded)  # their floor ATOL certifies nothing
+        assert calls == [("cholesky", (4, 4))]
+
+
+def _link_choi(g, f):
+    """The Choi matrix of g after f, assembled as channel_compose assembles
+    it, before its Hermitian step."""
+    n = f.din * g.dout
+    c = np.tensordot(f.blocks(), g.blocks(), axes=([1, 3], [0, 2]))
+    return c.transpose(0, 2, 1, 3).reshape(n, n)
+
+
+def _floor_holds(c):
+    """Whether lambda_min(H) >= -f for the stored H and floor f of c: a
+    Cholesky factorisation of H + f I in long double arithmetic, whose
+    backward error (about n |H| 1e-19) is far below every floor tested.
+    eigvalsh's own error, about n |H| 1e-16, is not: it reads -lambda_min
+    up to 1.2 f on low-rank Kraus channels at n = 256."""
+    assert np.finfo(np.longdouble).eps < 1e-18, "needs an extended long double"
+    a = c.choi.astype(np.clongdouble)
+    a.flat[:: len(a) + 1] += c._floor
+    for k in range(len(a)):
+        pivot = a[k, k].real
+        if not pivot > 0:
+            return False
+        column = a[k + 1:, k] / np.sqrt(pivot)
+        a[k + 1:, k + 1:] -= np.outer(column, column.conj())
+    return True
+
+
+class TestCertifiedFloor:
+    """Every library-built channel carries a floor f with lambda_min(H) >= -f
+    (the module docstring derives it); f <= ATOL / 2 certifies PSD with no
+    factorisation, and each verdict and message is that of the full check."""
+
+    def test_sound_and_same_verdicts_on_the_pairs(self, rng):
+        # Products of Kraus-built operands are certified; an operand built by
+        # Channel(...) (depolarizing_channel, the defect pair) has the floor
+        # ATOL, and so has the product.
+        pairs = _benchmark_and_suite_pairs(rng) + [_defect_pair()]
+        built = 0
+        for a, b in pairs:
+            certified = max(a._floor, b._floor) <= qu.ATOL / 2
+            products = [(lambda x=a, y=b: qu.channel_tensor(x, y), _checked_by_the_product(a, b))]
+            for g, f in ((a, b), (b, a)):
+                if f.dout == g.din:
+                    products.append((lambda x=g, y=f: qu.channel_compose(x, y),
+                                     _verdict(lambda: Channel(f.din, g.dout, _link_choi(g, f)))))
+            for build, expected in products:
+                assert expected is None  # so the verdicts agree when build() returns
+                c = build()
+                assert _floor_holds(c)
+                assert c._floor <= qu.ATOL / 2 if certified else c._floor == qu.ATOL
+                built += 1
+            for c in (a, b):
+                k = qu.choi_of_kraus(qu.kraus_of_choi(c))
+                assert _floor_holds(k) and k._floor <= qu.ATOL / 2
+                assert _verdict(lambda: Channel(k.din, k.dout, k.choi.copy())) is None
+        assert built > 200
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7e-9, 0.99e-9, 1.01e-9, 3e-9])
+    def test_boundary_factors(self, rng, delta):
+        # A factor held unchecked carries the class floor ATOL, so every
+        # product of it takes the full check, and agrees with the check on
+        # the product's own Choi matrix.
+        x = _unvalidated(2, 2, boundary_choi(2, delta, rng))
+        for y in (qu.identity_channel(2), qu.random_channel(2, 2, 2, rng)):
+            for a, b in ((x, y), (y, x)):
+                assert _verdict(lambda: qu.channel_tensor(a, b)) == _checked_by_the_product(a, b)
+                expected = _verdict(lambda: Channel(2, 2, _link_choi(a, b)))
+                assert _verdict(lambda: qu.channel_compose(a, b)) == expected
+        verdict = _verdict(lambda: qu.channel_compose(qu.identity_channel(2), x))
+        assert (verdict is None) == (delta < 1e-9)
+
+    def test_chain_falls_back_to_cholesky(self, rng, monkeypatch):
+        # The floor of a composite grows with each link; once it passes
+        # ATOL / 2 the Cholesky certificate decides, and ATOL is kept.
+        g = qu.random_channel(4, 4, 2, rng)
+        c = qu.random_channel(4, 4, 2, rng)
+        calls = _record_factorisations(monkeypatch)
+        for links in range(1, 20):
+            before = len(calls)
+            c = qu.channel_compose(g, c)
+            assert _floor_holds(c)
+            if c._floor > qu.ATOL / 2:
+                break
+            assert calls[before:] == []
+        assert 3 < links < 19 and c._floor == qu.ATOL
+        assert calls == [("cholesky", (16, 16))]
+        qu.channel_compose(g, c)
+        assert calls == [("cholesky", (16, 16))] * 2
+
+    def test_library_isometries_are_stored_read_only(self, rng):
+        # Built around arrays the library has just allocated, without the
+        # public constructor's copy, and checked alike.
+        c = qu.random_channel(3, 3, 2, rng)
+        made = [qu.haar_unitary(3, rng), qu.complete_to_unitary(qu.haar_isometry(4, 2, rng)),
+                qu.minimal_stinespring(c)[0], qu.extract_unitary(qu.channel_of_unitary(
+                    qu.haar_unitary(3, rng)))]
+        for m in made:
+            assert m.mat.flags.c_contiguous and not m.mat.flags.writeable
+        with pytest.raises(qu.NotAnIsometryError, match="^unitary must be square, got 3x2$"):
+            qu._owned(Unitary, {"mat": np.eye(3, 2, dtype=complex)})
+        with pytest.raises(qu.NotAnIsometryError, match=r"^U\^dag U != I within 1e-9$"):
+            qu._owned(Unitary, {"mat": 2 * np.eye(2, dtype=complex)})
 
 
 class TestConstructorVerdicts:
