@@ -7,11 +7,12 @@ Channels are stored as Choi matrices with the input factor first:
 so C reshaped to (din, dout, din, dout) has C[i, m, j, n] = <m| L(|i><j|) |n>.
 Trace preservation reads Tr_out C = I_din.
 
-The channel algebra works on Choi matrices directly: composition is the link
-product (Chiribella, D'Ariano and Perinotti, "Theoretical framework for
-quantum networks", PRA 80 022339, 2009), a contraction over the middle
-factor, and the tensor product is an index-permuted kron.  ``Channel._validate``
-is the one place where a channel's properties are decided.
+The channel algebra works on Choi matrices: composition is the link product
+(Chiribella, D'Ariano and Perinotti, "Theoretical framework for quantum
+networks", PRA 80 022339, 2009), a contraction over the middle factor, unless
+both channels carry a Kraus factor (below), and the tensor product is an
+index-permuted kron.  ``Channel._validate`` is the one place where a
+channel's properties are decided.
 ``choi_of_kraus`` and ``channel_compose`` hand it the raw Choi matrix,
 unsymmetrised, and ``channel_tensor`` a product of two stored matrices, with
 the two factors; each hands it too the floor that its construction proves
@@ -89,8 +90,9 @@ by u times its modulus.  An error matrix E with |E| <= e w w^T entrywise has
 - ``choi_of_kraus`` (V is n x k): f = c (k + 2) u ||V||_F^2.  Each entry of
   V V^dag sums k products, so |H - V V^dag| <= (gamma_{k+2} + u (1 +
   gamma_{k+2})) |V| |V|^T, with w the row norms of V, ||w||^2 = ||V||_F^2.
-- ``channel_tensor`` (m = 1) and ``channel_compose`` (m = d_mid^2, the
-  contraction length) of channels a and b, with T = Tr H + n f of each:
+- ``channel_tensor`` (m = 1) and the link product of ``channel_compose``
+  (m = d_mid^2, the contraction length) of channels a and b, with T = Tr H +
+  n f of each:
 
       f = f_a T_b + f_b T_a + c (m + 2) u T_a T_b.
 
@@ -111,9 +113,9 @@ by u times its modulus.  An error matrix E with |E| <= e w w^T entrywise has
   computing ||V||_F^2, the traces and f in floating point (n u <= 1e-7).
   Every floor is at least f_a T_b with T_b >= Tr H_b >= 1 - 1e-9 (a channel
   is TP), so an operand with f = ATOL certifies no product.  Along a chain
-  of composites of d x d channels (T about d) f grows about d-fold a link,
-  and passes ATOL / 2 after 16 links at d = 2, 8 at d = 4 and 3 at d = 16;
-  from there on the check runs.
+  of link products of d x d channels (T about d) f grows about d-fold a
+  link, and passes ATOL / 2 after 16 links at d = 2, 8 at d = 4 and 3 at
+  d = 16; from there on the check runs.
 
 An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
 makes it NaN or inf and is reported before the V^dag V failure.  An Isometry
@@ -122,13 +124,36 @@ the library has just allocated (``haar_unitary``, ``complete_to_unitary``,
 ``minimal_stinespring``, ``reversible_core``) is stored through ``_owned``,
 checked alike, without that copy.
 
+Kraus factor.  A channel built from Kraus operators is what is left of the
+isometry V that stacks them once the environment is traced out (Stinespring),
+and it keeps V: a private, read-only n x k matrix ``_kraus`` (class default
+None), with the stored H the Hermitian step of V V^dag.  Only library code
+sets it, through ``_owned``: ``choi_of_kraus``, which copies the caller's
+operators so that V and H cannot drift apart, and ``channel_compose``.
+``Channel(...)``, ``from_json`` and ``channel_tensor`` results carry none, so
+a channel read from JSON, or built by ``Channel(...)`` to hold exact entries
+(dyadic ones, say, which the link product keeps exact), composes by the
+link product.  When both operands of ``channel_compose`` carry a factor and
+k_f k_g <= d_mid^2, the contraction length m of the link product, one
+tensordot over the middle index of the (din, d_mid, k_f) and (d_mid, dout,
+k_g) factors gives the composite's Kraus vectors W, the vec of each L_b K_a,
+and the composite is built from W as ``choi_of_kraus`` builds its own, with
+the floor c (k + 2) u ||W||_F^2.  That floor bounds the rounding of W W^dag
+and of the Hermitian step, not W's own rounding, which cannot make W W^dag
+less than PSD; so it does not grow along a chain, as the link product's
+does: ||W||_F^2 is about Tr H = din and k <= d_mid^2.  The width bound caps
+the work at the link product's and keeps the factor from doubling link
+after link; past it the link product runs and its result carries no factor.
+
 Kraus route.  ``kraus_of_choi`` (and so ``minimal_stinespring`` and
 ``reversible_core``) needs the eigenpairs of H above RANK_CUTOFF, and the
-channels it serves mostly have Kraus rank 1-3.  For n >= 24 it first runs a
-pivoted Cholesky of H (Higham, "Analysis of the Cholesky decomposition of a
-semi-definite matrix", 1990) with a budget of n // 8 steps, each O(n k), and
-skips it when the purity bound Tr(H)^2 / Tr(H^2) <= rank already exceeds the
-budget.  The factor L (n x k) is accepted only if ||H - L L^dag||_F <=
+channels it serves mostly have Kraus rank 1-3.  For n >= 24 its candidate
+factor L (n x k) is the channel's Kraus factor when that has at most n // 8
+columns, with no further step.  Otherwise it runs a pivoted Cholesky of H
+(Higham, "Analysis of the Cholesky decomposition of a semi-definite matrix",
+1990) with a budget of n // 8 steps, each O(n k), and skips it when the
+purity bound Tr(H)^2 / Tr(H^2) <= rank already exceeds the budget.  Either
+candidate is accepted only if ||H - L L^dag||_F <=
 RANK_CUTOFF / 100 = 1e-12.  Then H's eigenpairs above the cutoff are those of
 L L^dag: eigh of the k x k Gram matrix L^dag L = W diag(w) W^dag gives the
 eigenvalues w, and the columns of L W are the Kraus vectors sqrt(w) u, with no
@@ -137,8 +162,8 @@ H's, so the rank matches eigh of H except for eigenvalues within 1e-12 of the
 cutoff.  H with an eigenvalue below -1e-12 always fails the residual (L L^dag
 is PSD), so near-PSD inputs, like inputs of high rank, of n < 24, or whose
 factor misses the bound, take eigh of H as before.  Below n = 24 the steps
-cost about as much as eigh itself.  A Kraus operator from the Cholesky route
-may differ by a phase from the one eigh of H gives.
+cost about as much as eigh itself.  A Kraus operator from either factor may
+differ by a phase from the one eigh of H gives.
 """
 
 from __future__ import annotations
@@ -318,6 +343,7 @@ class Channel:
     dout: int
     choi: np.ndarray
     _floor = ATOL  # lambda_min(choi) >= -_floor; certifies PSD when at most ATOL / 2
+    _kraus = None  # V (n x k), read-only, with choi the Hermitian step of V V^dag
 
     def __post_init__(self) -> None:
         self._validate()
@@ -388,32 +414,41 @@ class Channel:
 
 # -- constructors -------------------------------------------------------------
 
-def choi_of_kraus(ks: list[np.ndarray]) -> Channel:
-    """Assemble the Choi matrix of rho -> sum_k K rho K^dag.
+def choi_of_kraus(ks: list[np.ndarray] | np.ndarray) -> Channel:
+    """Assemble the Choi matrix of rho -> sum_k K rho K^dag, from a list of
+    the K or their stack, which the channel copies as its Kraus factor.
 
     Tr_out C is the entrywise conjugate of sum_k K^dag K, so the constructor's
     trace-preservation check is the Kraus completeness check: a list that is
     not complete within 1e-9 raises NotAChannelError from there.
     """
-    if not ks:
+    if not len(ks):
         raise NotAChannelError("empty Kraus list")
     dout, din = ks[0].shape
     for k in ks:
         if k.shape != (dout, din):
             raise NotAChannelError("Kraus operators must share one shape")
-    stacked = np.asarray(ks, dtype=complex)  # stacked[k, m, i] = K_k[m, i]
+    stacked = np.array(ks, dtype=complex)  # a copy: stacked[k, m, i] = K_k[m, i]
     # C = V V^dag, where column k of V is vec(K_k)[i*dout + m] = K_k[m, i].
-    v = stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T
-    floor = _C * (len(ks) + 2) * _U * np.vdot(v, v).real  # c (k + 2) u ||V||_F^2
-    return _owned(Channel, {"din": din, "dout": dout, "choi": v @ _dag(v)}, floor=floor)
+    return _of_kraus_factor(din, dout, stacked.transpose(0, 2, 1).reshape(len(ks), din * dout).T)
+
+
+def _of_kraus_factor(din: int, dout: int, v: np.ndarray) -> Channel:
+    """The channel with Choi matrix V V^dag, for a V (n x k) the library has
+    just allocated, which the channel keeps, read-only, as its Kraus factor."""
+    v.flags.writeable = False
+    floor = _C * (v.shape[1] + 2) * _U * np.vdot(v, v).real  # c (k + 2) u ||V||_F^2
+    return _owned(Channel, {"din": din, "dout": dout, "choi": v @ _dag(v), "_kraus": v},
+                  floor=floor)
 
 
 def kraus_of_choi(c: Channel) -> list[np.ndarray]:
     """Kraus operators sqrt(w) u from the eigenpairs (w, u) of the Choi matrix
     above RANK_CUTOFF, largest first: those of L L^dag when a low-rank
-    pivoted Cholesky factor L is accepted, else those of eigh of the Choi
-    matrix (the Kraus route of the module docstring)."""
-    l = _low_rank_factor(c.choi)
+    factor L (the channel's Kraus factor or a pivoted Cholesky factor) is
+    accepted, else those of eigh of the Choi matrix (the Kraus route of the
+    module docstring)."""
+    l = _low_rank_factor(c.choi, c._kraus)
     w, vecs = np.linalg.eigh(c.choi if l is None else _dag(l) @ l)
     ks = []
     for i in range(len(w) - 1, -1, -1):  # largest eigenvalue first
@@ -427,13 +462,27 @@ def kraus_of_choi(c: Channel) -> list[np.ndarray]:
 _CHOLESKY_MIN_N = 24
 
 
-def _low_rank_factor(h: np.ndarray) -> np.ndarray | None:
-    """L (n x k) with ||H - L L^dag||_F <= RANK_CUTOFF / 100, from at most
-    n // 8 steps of a pivoted Cholesky of H, or None (module docstring)."""
+def _low_rank_factor(h: np.ndarray, kraus: np.ndarray | None = None) -> np.ndarray | None:
+    """L (n x k) with ||H - L L^dag||_F <= RANK_CUTOFF / 100, or None: the
+    channel's Kraus factor when it has at most n // 8 columns, else the
+    steps of a pivoted Cholesky of H (the Kraus route of the module
+    docstring)."""
     n = len(h)
     if n < _CHOLESKY_MIN_N:
         return None
     budget, bound = n // 8, RANK_CUTOFF / 100
+    if kraus is not None and kraus.shape[1] <= budget:
+        l = kraus
+    else:
+        l = _pivoted_cholesky(h, budget, bound)
+    return l if l is not None and np.linalg.norm(h - l @ _dag(l)) <= bound else None
+
+
+def _pivoted_cholesky(h: np.ndarray, budget: int, bound: float) -> np.ndarray | None:
+    """L (n x k), k <= budget, from the steps of a pivoted Cholesky of H until
+    the residual's trace is at most bound; None, with no step, when the
+    purity bound already puts H's rank above budget."""
+    n = len(h)
     d = h.diagonal().real.copy()  # the diagonal of H - L L^dag, Tr(H) at first
     if d.sum() ** 2 > budget * np.vdot(h, h).real:  # Tr(H)^2 / Tr(H^2) <= rank > budget
         return None
@@ -444,8 +493,7 @@ def _low_rank_factor(h: np.ndarray) -> np.ndarray | None:
         l[:, k] = (h[:, p] - l[:, :k] @ l[p, :k].conj()) / np.sqrt(d[p])
         d -= np.abs(l[:, k]) ** 2
         k += 1
-    l = l[:, :k]
-    return l if np.linalg.norm(h - l @ _dag(l)) <= bound else None
+    return l[:, :k]
 
 
 def choi_rank(c: Channel) -> int:
@@ -552,15 +600,22 @@ def complete_to_unitary(v: Isometry) -> Unitary:
 
 
 def channel_compose(g: Channel, f: Channel) -> Channel:
-    """The composite channel g after f, as the link product of the Choi
-    matrices: C[i, n, j, l] = sum_{m, k} F[i, m, j, k] G[m, n, k, l]."""
+    """The composite channel g after f: from the products of the two Kraus
+    factors when both carry one and the product has at most d_mid^2 columns,
+    else as the link product of the Choi matrices, C[i, n, j, l] =
+    sum_{m, k} F[i, m, j, k] G[m, n, k, l] (module docstring)."""
     if f.dout != g.din:
         raise DimensionError(f"cannot compose: dout {f.dout} != din {g.din}")
+    m, n = f.dout**2, f.din * g.dout
+    if f._kraus is not None and g._kraus is not None and f._kraus.shape[1] * g._kraus.shape[1] <= m:
+        # The Kraus vectors vec(L_b K_a)[i*dout + n] = sum_m V_f[i, m, a] V_g[m, n, b].
+        w = np.tensordot(f._kraus.reshape(f.din, f.dout, -1), g._kraus.reshape(g.din, g.dout, -1),
+                         axes=(1, 0))  # [i, a, n, b]
+        return _of_kraus_factor(f.din, g.dout, w.transpose(0, 2, 1, 3).reshape(n, -1))
     c = np.tensordot(f.blocks(), g.blocks(), axes=([1, 3], [0, 2]))  # [i, j, n, l]
-    n = f.din * g.dout
     choi = c.transpose(0, 2, 1, 3).reshape(n, n)
     return _owned(Channel, {"din": f.din, "dout": g.dout, "choi": choi},
-                  floor=_product_floor(f, g, f.dout**2))
+                  floor=_product_floor(f, g, m))
 
 
 def channel_tensor(a: Channel, b: Channel) -> Channel:

@@ -562,6 +562,83 @@ class TestCertifiedFloor:
             qu._owned(Unitary, {"mat": 2 * np.eye(2, dtype=complex)})
 
 
+def _factor_residual(c):
+    """||H - V V^dag||_F for the stored H and Kraus factor V of c."""
+    return np.linalg.norm(c.choi - c._kraus @ c._kraus.conj().T)
+
+
+class TestKrausFactor:
+    """A channel built from Kraus operators keeps them as its factor V, with
+    the stored H the Hermitian step of V V^dag; channel_compose of two such
+    channels multiplies the factors while the product has at most d_mid^2
+    columns, and runs the link product otherwise."""
+
+    def test_composite_agrees_with_the_link_product(self, rng):
+        routed = 0
+        for a, b in _benchmark_and_suite_pairs(rng):
+            for g, f in ((a, b), (b, a)):
+                if f.dout != g.din or f._kraus is None or g._kraus is None:
+                    continue
+                c = qu.channel_compose(g, f)
+                link = _link_choi(g, f)
+                assert _verdict(lambda: Channel(f.din, g.dout, link)) is None
+                assert np.max(np.abs(c.choi - link)) <= 1e-13
+                assert _floor_holds(c) and c._floor <= qu.ATOL / 2
+                width = f._kraus.shape[1] * g._kraus.shape[1]
+                if width <= f.dout**2:
+                    assert c._kraus.shape == (f.din * g.dout, width)
+                    routed += 1
+                else:
+                    assert c._kraus is None
+        assert routed > 50
+
+    def test_factor_invariant_and_who_sets_it(self, rng):
+        pairs = _benchmark_and_suite_pairs(rng)
+        built = [c for a, b in pairs for c in (a, b)]
+        built += [qu.channel_compose(g, f) for a, b in pairs for g, f in ((a, b), (b, a))
+                  if f.dout == g.din]
+        built += [qu.choi_of_kraus(qu.kraus_of_choi(c)) for c in built[:40]]
+        carrying = [c for c in built if c._kraus is not None]
+        assert len(carrying) > 300
+        for c in carrying:
+            assert _factor_residual(c) <= 1e-12 and not c._kraus.flags.writeable
+        for a, b in pairs[:20]:
+            for c in (Channel(a.din, a.dout, a.choi), Channel.from_json(a.to_json()),
+                      qu.channel_tensor(a, b), qu.depolarizing_channel(a.din, 0.3)):
+                assert c._kraus is None
+
+    def test_chain_width_is_capped(self, rng, monkeypatch):
+        # Rank-2 links double the width up to d_mid^2 = 16; the link product
+        # takes over from there.  Unitary links keep the width and the floor.
+        g, c = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
+        widths = []
+        for _ in range(20):
+            c = qu.channel_compose(g, c)
+            widths.append(None if c._kraus is None else c._kraus.shape[1])
+        assert widths == [4, 8, 16] + [None] * 17
+        u, c = qu.channel_of_unitary(qu.haar_unitary(4, rng)), qu.random_channel(4, 4, 2, rng)
+        bound = qu._C * (2 + 2) * qu._U * 4 * (1 + 1e-9)  # c (k + 2) u ||V||_F^2, Tr H = 4
+        calls = _record_factorisations(monkeypatch)
+        for _ in range(20):
+            c = qu.channel_compose(u, c)
+            assert c._kraus.shape == (16, 2) and c._floor <= bound and _floor_holds(c)
+        assert calls == []
+
+    def test_choi_of_kraus_keeps_its_own_copy(self, rng):
+        # A caller's Kraus array edited after the call moves neither the
+        # channel's Kraus operators nor its composites'.  With din = 1 the
+        # stored factor would otherwise be a view of that array.
+        ks = np.array(qu.kraus_of_choi(qu.random_channel(1, 24, 2, rng)))
+        c = qu.choi_of_kraus(ks)
+        g = qu.channel_of_unitary(qu.haar_unitary(24, rng))
+        before = [qu.kraus_of_choi(c), qu.kraus_of_choi(qu.channel_compose(g, c))]
+        ks *= 1j
+        after = [qu.kraus_of_choi(c), qu.kraus_of_choi(qu.channel_compose(g, c))]
+        for x, y in zip(before, after):
+            assert len(x) == len(y) == 2
+            assert all(np.array_equal(p, q) for p, q in zip(x, y))
+
+
 class TestConstructorVerdicts:
     """Each property is decided by one reduction, and the verdicts and
     messages are those of separate checks in the order finite, Hermitian,
@@ -959,6 +1036,22 @@ class TestKrausRoute:
         calls.clear()
         qu.kraus_of_choi(full)
         assert calls == [("eigh", (64, 64))]
+
+    def test_kraus_factor_runs_no_cholesky_step(self, rng, monkeypatch):
+        # The channel's own Kraus factor is the candidate; its JSON twin
+        # carries none and takes the pivoted Cholesky.
+        c = qu.random_channel(8, 8, 2, rng)
+        twin = Channel.from_json(c.to_json())
+        steps = []
+        cholesky = qu._pivoted_cholesky
+        monkeypatch.setattr(qu, "_pivoted_cholesky",
+                            lambda h, *rest: steps.append(h.shape) or cholesky(h, *rest))
+        ks = qu.kraus_of_choi(c)
+        assert steps == []
+        twin_ks = qu.kraus_of_choi(twin)
+        assert steps == [(64, 64)]
+        assert len(ks) == len(twin_ks) == qu.choi_rank(c) == 2
+        assert np.max(np.abs(qu.choi_of_kraus(ks).choi - qu.choi_of_kraus(twin_ks).choi)) <= 1e-12
 
 
 class TestPurity:
