@@ -14,11 +14,12 @@ both channels carry a Kraus factor (below), and the tensor product is an
 index-permuted kron.  ``Channel._validate`` is the one place where a
 channel's properties are decided.
 ``choi_of_kraus`` and ``channel_compose`` hand it the raw Choi matrix,
-unsymmetrised, and ``channel_tensor`` a product of two stored matrices, with
-the two factors; each hands it too the floor that its construction proves
-(PSD, below).  They do so through ``_owned``, which builds an object around
-arrays the library has just allocated, with the public constructor's checks
-but without its copy; ``Channel(...)`` takes no argument that skips a check.
+unsymmetrised, and ``channel_tensor`` a product of two stored matrices, which
+is exactly Hermitian (below); each hands it too the floor that its
+construction proves (PSD, below).  They do so through ``_owned``, which
+builds an object around arrays the library has just allocated, with the
+public constructor's checks but without its copy; ``Channel(...)`` takes no
+argument that skips a check.
 
 Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
 1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
@@ -27,8 +28,10 @@ deviation.  ``ATOL``, ``ROUND_ATOL`` and ``RANK_CUTOFF`` are defined in the
 numpy-free ``classical`` module, so that the classical half reads them
 without loading numpy, and re-exported here.  A Channel's Choi matrix must be
 finite, Hermitian within 1e-9, PSD (min eigenvalue >= -1e-9) and TP within
-1e-9, and the first of these it fails names the error.  One reduction
-decides each property:
+1e-9, and the first of these it fails names the error; before them, din and
+dout must be positive integers (``operator.index`` must accept them, so a
+numpy integer passes, and is stored as an int).  One reduction decides each
+property:
 
 - finite and Hermitian: r = max |C - C^dag|.  A NaN or inf entry makes r NaN
   or inf, so only when r fails the bound is C searched for a non-finite
@@ -55,17 +58,12 @@ decides each property:
   O(n eps |H|) (Higham, "Accuracy and Stability of Numerical Algorithms",
   ch. 10) is far below ATOL / 2; when it fails, eigvalsh decides as the
   rule states.  So a certified channel is one the check would accept, and
-  every verdict and message is the check's.  For ``channel_tensor`` the
-  check is the factors' spectra: the Choi
-  matrix of a (x) b is a simultaneous row and column permutation of
-  kron(A, B), whose eigenvalues are the products alpha * beta (Horn and
-  Johnson, "Topics in Matrix Analysis", Thm 4.2.12), so ``channel_tensor``
-  takes eigvalsh of the two factors and the least product of their extreme
-  eigenvalues is the min eigenvalue the rule bounds.  Each product entry is
-  one rounded multiplication, which moves the eigenvalues by about 1e-14,
-  far below ATOL.  A factor may itself have eigenvalues down to -1e-9, and
-  the product can cross the bound: depolarizing_channel(2, -8e-10) (x)
-  identity_channel(4) has min eigenvalue -4e-10 * 4 and is rejected;
+  every verdict and message is the check's.  The check runs on the stored
+  matrix whatever built it, so ``channel_tensor``'s product gets the verdict
+  that ``Channel(...)`` gives the same matrix.  The PSD bound is not closed
+  under the operations: a factor may itself have eigenvalues down to -1e-9,
+  and the product can cross the bound, so depolarizing_channel(2, -8e-10)
+  (x) identity_channel(4), with min eigenvalue -4e-10 * 4, is rejected;
 - TP: max |Tr_out H - I|, with I subtracted from the diagonal in place.
   The TP bound is not closed under the operations either.  A channel's
   Tr_out may be I + E with |E| up to 1e-9; the tensor product's is
@@ -168,6 +166,7 @@ differ by a phase from the one eigh of H gives.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -348,23 +347,26 @@ class Channel:
     def __post_init__(self) -> None:
         self._validate()
 
-    def _validate(self, floor: float = ATOL, factors: tuple[Channel, Channel] | None = None) -> None:
+    def _validate(self, floor: float = ATOL, hermitian: bool = False) -> None:
         """Decide each property of the Choi matrix, in the order of the module
-        docstring, and store its Hermitian part, read-only.  floor and factors
-        are passed only through _owned.  floor bounds -lambda_min of the
-        stored matrix as the library built it; at most ATOL / 2 it certifies
-        PSD and is kept, else the checks decide PSD and ATOL is kept.
-        factors, passed only by channel_tensor, are the channels whose stored
-        matrices this is the product of: it is then exactly Hermitian as it
-        stands, and their spectra are the PSD check."""
-        if self.din < 1 or self.dout < 1:
-            raise NotAChannelError(
-                f"din and dout must be positive, got din={self.din}, dout={self.dout}"
-            )
-        n = self.din * self.dout
+        docstring, and store its Hermitian part, read-only.  floor and
+        hermitian are passed only through _owned.  floor bounds -lambda_min
+        of the stored matrix as the library built it; at most ATOL / 2 it
+        certifies PSD and is kept, else the checks decide PSD and ATOL is
+        kept.  hermitian, passed only by channel_tensor, says the matrix is
+        exactly Hermitian and finite as it stands, so it is stored as it is."""
+        try:
+            din, dout = operator.index(self.din), operator.index(self.dout)
+        except TypeError:
+            raise NotAChannelError(f"din and dout must be integers, got din={self.din!r}, "
+                                   f"dout={self.dout!r}") from None
+        if din < 1 or dout < 1:
+            raise NotAChannelError(f"din and dout must be positive, got din={din}, dout={dout}")
+        vars(self).update(din=din, dout=dout)  # a numpy integer is stored as an int
+        n = din * dout
         if self.choi.shape != (n, n):
             raise NotAChannelError(f"choi must be {n}x{n}, got {self.choi.shape}")
-        if not factors:
+        if not hermitian:
             c = self.choi
             h = np.conjugate(c.T, order="C", dtype=np.result_type(c, float))  # C^dag
             if not _hermitian_residual(c, h) <= ATOL:
@@ -373,17 +375,14 @@ class Channel:
             h *= 0.5  # halved before the sum, which then cannot overflow
             h += 0.5 * c
             object.__setattr__(self, "choi", h)
-        min_eig = None
         if not floor <= ATOL / 2:  # a NaN floor certifies nothing either
             floor = ATOL
-            if factors:
-                min_eig = _product_min_eig(*factors)
-            elif not _cholesky_certifies(self.choi):
+            if not _cholesky_certifies(self.choi):
                 min_eig = np.linalg.eigvalsh(self.choi).min()
+                if min_eig < -ATOL:
+                    raise NotAChannelError(f"choi not PSD: min eigenvalue {min_eig:.2e}")
         object.__setattr__(self, "_floor", floor)
         self.choi.flags.writeable = False
-        if min_eig is not None and min_eig < -ATOL:
-            raise NotAChannelError(f"choi not PSD: min eigenvalue {min_eig:.2e}")
         if not _off_identity(np.einsum("imjm->ij", self.blocks())) <= ATOL:
             raise NotAChannelError("partial trace over output != identity within 1e-9")
 
@@ -624,7 +623,7 @@ def channel_tensor(a: Channel, b: Channel) -> Channel:
     din, dout = a.din * b.din, a.dout * b.dout
     c = np.einsum("imjn,akbl->iamkjbnl", a.blocks(), b.blocks())
     return _owned(Channel, {"din": din, "dout": dout, "choi": c.reshape(din * dout, din * dout)},
-                  floor=_product_floor(a, b, 1), factors=(a, b))
+                  floor=_product_floor(a, b, 1), hermitian=True)
 
 
 def _product_floor(a: Channel, b: Channel, m: int) -> float:
@@ -632,13 +631,6 @@ def _product_floor(a: Channel, b: Channel, m: int) -> float:
     and b's stored matrices, from T = Tr H + n f of each (module docstring)."""
     ta, tb = (x.choi.trace().real + len(x.choi) * x._floor for x in (a, b))
     return a._floor * tb + b._floor * ta + _C * (m + 2) * _U * ta * tb
-
-
-def _product_min_eig(a: Channel, b: Channel) -> float:
-    """The min eigenvalue of a (x) b's Choi matrix: the least product of the
-    factors' extreme eigenvalues (see the module docstring)."""
-    ea, eb = np.linalg.eigvalsh(a.choi), np.linalg.eigvalsh(b.choi)
-    return min(x * y for x in (ea[0], ea[-1]) for y in (eb[0], eb[-1]))
 
 
 def identity_channel(d: int) -> Channel:

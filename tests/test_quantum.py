@@ -118,6 +118,17 @@ class TestTrustBoundary:
         with pytest.raises(ValueError, match=f"{field} .* is not an integer"):
             Channel.from_json(data)
 
+    @pytest.mark.parametrize("din, dout", [(2.0, 2), (2, 2.0), ("2", 2), (2, None), (2, 2.5)],
+                             ids=["float-din", "float-dout", "str-din", "none-dout", "half-dout"])
+    def test_non_integer_constructor_dimension_rejected(self, din, dout):
+        with pytest.raises(qu.NotAChannelError, match="^din and dout must be integers, got din="):
+            Channel(din, dout, qu.identity_channel(2).choi)
+
+    def test_numpy_integer_dimension_stored_as_an_int(self):
+        c = Channel(np.int64(2), np.uint8(2), qu.identity_channel(2).choi)
+        assert (type(c.din), type(c.dout)) == (int, int)
+        assert Channel.from_json(json.loads(json.dumps(c.to_json()))).close_to(c)
+
 
 class TestIsometryForms:
     @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (4, 1), (2, 0)])
@@ -292,9 +303,9 @@ def _check_the_product_after_factor_edits(a, b):
 
 
 class TestTensorPsd:
-    """channel_tensor certifies PSD by its floor, or else decides it from its
-    factors' spectra, with the verdict and message of the full check on the
-    product's Choi matrix."""
+    """channel_tensor certifies PSD by its floor, or else decides it by the
+    full check on the product's Choi matrix, as the constructor does, with
+    the same verdict and message."""
 
     def test_verdicts_match_the_product_check(self, rng):
         pairs = _benchmark_and_suite_pairs(rng)
@@ -353,17 +364,17 @@ class TestTensorPsd:
         a, b = qu.random_channel(2, 2, 2, rng), qu.random_channel(2, 2, 2, rng)
         _check_the_product_after_factor_edits(a, b)
 
-    def test_no_factorisation_larger_than_a_factor(self, rng, monkeypatch):
+    def test_only_an_uncertified_product_is_factorised(self, rng, monkeypatch):
         # Kraus-built factors certify their product by its floor, with no
         # factorisation; factors loaded from JSON carry the floor ATOL, which
-        # certifies nothing, so their spectra decide.
+        # certifies nothing, so the product takes the constructor's check.
         a, b = qu.random_channel(4, 4, 2, rng), qu.random_channel(4, 4, 2, rng)
         loaded = [Channel.from_json(c.to_json()) for c in (a, b)]
         calls = _record_factorisations(monkeypatch)
         assert qu.channel_tensor(a, b).choi.shape == (256, 256)
         assert calls == []
         assert qu.channel_tensor(*loaded).choi.shape == (256, 256)
-        assert calls == [("eigvalsh", (16, 16)), ("eigvalsh", (16, 16))]
+        assert calls == [("cholesky", (256, 256))]
 
 
 def _channels_of_the_pairs(rng):
@@ -407,14 +418,11 @@ class TestTensorHermitian:
         a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
         _check_the_product_after_factor_edits(a, b)
 
-    @pytest.mark.parametrize("da, db, shapes", [
-        (4, 4, [(16, 16), (16, 16)]), (3, 3, [(9, 9), (9, 9)]),
-        (2, 4, [(4, 4), (16, 16)]), (2, 2, [(4, 4), (4, 4)])])
-    def test_no_pass_over_a_product_above_the_gate(self, rng, monkeypatch, da, db, shapes):
-        # No 64 x 64 gate is left: below it as above, a product takes no
-        # Hermitian pass, and only its floor, or the factors' matrices when
-        # they were loaded from JSON, decide PSD; a constructor takes the
-        # Hermitian pass.
+    @pytest.mark.parametrize("da, db", [(4, 4), (3, 3), (2, 4), (2, 2)])
+    def test_no_hermitian_pass_over_a_product(self, rng, monkeypatch, da, db):
+        # A product takes no Hermitian pass, whether its floor certifies PSD
+        # (Kraus-built factors) or the Cholesky check of the product decides
+        # (factors loaded from JSON); a constructor takes the Hermitian pass.
         a, b = qu.random_channel(da, da, 2, rng), qu.random_channel(db, db, 2, rng)
         loaded = [Channel.from_json(c.to_json()) for c in (a, b)]
         residuals = []
@@ -425,7 +433,8 @@ class TestTensorHermitian:
         qu.channel_tensor(a, b)
         assert residuals == [] and calls == []
         qu.channel_tensor(*loaded)
-        assert residuals == [] and calls == [("eigvalsh", shape) for shape in shapes]
+        n = (da * db) ** 2
+        assert residuals == [] and calls == [("cholesky", (n, n))]
         Channel(da, da, a.choi)
         assert residuals == [a.choi.shape]
 
