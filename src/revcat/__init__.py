@@ -4,10 +4,12 @@ Partial functions and injections, unitaries, isometries, and quantum
 channels, together with the garbage-adjoining completion, the extensional
 quotient, the ancilla-input presentation, and a randomized law checker.
 
-The classical modules are imported here and load no numpy.  ``quantum`` and
-``pipeline`` are imported on first use of the attribute (``revcat.quantum``,
-PEP 562), and numpy loads with the first quantum module used.  The package's
-own modules reach ``quantum`` the same way, as ``revcat.quantum``.
+Lazy numpy.  The classical modules are imported here and load no numpy.
+``quantum`` and ``pipeline`` are imported on first use of the attribute (PEP
+562); the package's own modules reach them the same way, as ``revcat.quantum``,
+and a branch that needs numpy imports it where it is taken.  So numpy loads
+with the first quantum use: a channel, an isometry-base morphism, a quantum
+instance or a random-mode law check.
 """
 
 import importlib

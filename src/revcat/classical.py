@@ -11,29 +11,34 @@ indexing convention; the symmetry and the middle-factor interchange remain
 genuine permutations and are produced by :func:`coherence`.
 
 Every constructor validates, the results of the closed operations included:
-a graph is accepted only when each pair is in range and the graph is
-functional (and injective, for ``PartialInj``).  One pass over the sorted
-graph checks the ranges against the stored object sizes and finds a repeated
-input next to its first occurrence; injectivity is a set-size test.
-Objects are interned: ``FinObj(shape)`` checks that each factor is a
-nonnegative ``int`` (``True`` and ``1.0`` equal ``1`` as keys), then returns
-the one object for that shape, so equality and hashing are identity, in C.
+a graph is accepted only when each entry is an ``int`` (a bool is not one),
+each pair is in range and the graph is functional (and injective, for
+``PartialInj``).  One pass over the sorted graph checks the ranges against
+the stored object sizes and finds a repeated input next to its first
+occurrence; injectivity is a set-size test.
+
+Interning.  ``FinObj(shape)`` checks that each factor is a nonnegative
+``int`` (``True`` and ``1.0`` equal ``1`` as keys), then returns the one
+object for that shape (hash-consing: Filliâtre and Conchon, "Type-safe
+modular hash-consing", 2006), so equality and hashing are identity, in C.
 The table grows by one entry per distinct shape.  ``FinObj.of_size``,
 ``FinObj.tensor``, ``identity`` and ``coherence`` are memoised on their
-arguments, and a morphism's ``mapping`` (its graph as a dict) and
-``restricted`` (r(f), which ``ridm`` returns) are kept on it by the lockless
-memo :class:`once`.  A memoised value was validated when first built.
+arguments, and a morphism keeps its ``mapping`` (its graph as a dict) and
+``restricted`` (r(f), which ``ridm`` returns) through the memo :class:`once`.
+A memoised value was validated when first built.
 
-Within a :func:`sharing` scope (``lawcheck.run_law`` opens one per law run)
-equal finite morphisms are one object: the closed operations and the
-enumerators build their results through :func:`make`, which returns the
-morphism already built from equal fields, so it is validated once and its
-``once`` caches serve every later use.  The table is dropped when the
-outermost scope exits.  Only the library's own operations call ``make``,
-never ``from_json``, the public constructors or a sampler, so every key holds
-validated ``int`` entries and no ``1.0`` or ``True`` can alias one.  The
-process-wide ``identity`` and ``coherence`` are built without ``make`` and
-store r(f) at once, so that no memo of theirs keeps a run's object alive.
+Sharing.  Within a :func:`sharing` scope (``lawcheck.run_law`` opens one per
+law run) equal finite morphisms are one object: the closed operations and
+enumerators, here and over ``garbage``'s pinj base, build through
+:func:`make`, which returns the morphism already built from equal fields, so
+it is validated once and its ``once`` values serve every use in the scope.
+The table is dropped when the outermost scope exits; outside one, every
+operation returns a fresh object.  Only the library's own operations call
+``make``, never ``from_json``, the public constructors or a sampler, so a
+key holds validated ``int`` entries and interned objects (compared by
+identity), and no ``1.0`` or ``True`` can alias one.  The process-wide
+``identity`` and ``coherence`` are built without ``make`` and store r(f) at
+once, so that no memo of theirs keeps a run's object alive.
 """
 
 from __future__ import annotations
@@ -58,9 +63,7 @@ class once:
     attribute storage.  Unlike ``functools.cached_property`` it takes no
     lock.  The library is single-threaded, and a race could only compute the
     same pure value twice.
-    The stored value is shared by every reader; do not mutate it.  Inside a
-    :func:`sharing` scope one object stands for every equal morphism, so its
-    stored values are shared by every use of that value in the scope.
+    The stored value is shared by every reader; do not mutate it.
     A value that is the instance itself (r(r) for a restriction idempotent r)
     is not stored: that would be a reference cycle, outliving the scope's
     table until the cyclic collector runs.  The next read recomputes it."""
@@ -99,8 +102,7 @@ def sharing() -> Iterator[None]:
 def make(cls, *fields):
     """``cls(*fields)``; inside a :func:`sharing` scope, the object already
     built from equal (cls, *fields) when there is one.  A new object is
-    validated by its constructor before it is recorded.  Callers pass only
-    fields derived from validated morphisms (int entries, hashable)."""
+    validated by its constructor before it is recorded."""
     table = _shared.get()
     if table is None:
         return cls(*fields)
@@ -113,8 +115,7 @@ def make(cls, *fields):
 
 @dataclass(frozen=True, eq=False, init=False)
 class FinObj:
-    """A finite set of size prod(shape), with factor structure for tensors.
-    Interned: one object per shape, so equality and hashing are identity."""
+    """A finite set of size prod(shape), with factor structure for tensors; interned."""
 
     shape: tuple[int, ...]
     size: int = field(repr=False)

@@ -2,26 +2,16 @@
 
 Every report carries the verb, a digest of the inputs, the seed and the
 tolerances in effect, and its text is exactly
-``json.dumps(report, sort_keys=True, indent=2) + "\n"``, so identical
-invocations are byte-identical.  Exit status: 0 on success, 1 on a law
-violation, 2 on malformed input (a parser's ValueError; any other exception
-is a bug and propagates) or an unwritable --out file, 3 on an internal
-numerical failure, in an action or while an input loads (numpy's
+``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, so identical
+invocations are byte-identical.  Exit status: 0 on success, 1 on a law or
+round-trip failure, 2 on malformed input (a parser's ValueError; any other
+exception is a bug and propagates) or an unwritable --out file, 3 on an
+internal numerical failure, in an action or while an input loads (numpy's
 LinAlgError, which ``classical.numerical_failure`` tells apart: it is not an
 input error although it subclasses ValueError).
 
-Each verb takes a fixed list of inputs, each parsed as one kind: a morphism
-(partial function), a garbage-carrying morphism, the visible function of a
-pinj-based one (pfn-of), a channel or a matrix (a unitary, for
-channel-of-unitary); inv takes a channel or a morphism.  Each kind is
-declared once, as a (label, parser) pair.  An input is rejected while it is
-loaded, so the message names it.  The table VERBS declares each verb once,
-with its input kinds and its action.
-
-The classical verbs run without loading numpy, and so does lawcheck on a
-classical instance in exhaustive mode: only the channel and matrix parsers
-and actions, the quantum instances and random-mode sampling use
-``revcat.quantum`` (which the package imports on first use) or numpy.
+A bad input is rejected while it loads, with its name.  The classical verbs,
+and lawcheck on a classical instance in exhaustive mode, load no numpy.
 """
 
 from __future__ import annotations

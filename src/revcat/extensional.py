@@ -8,9 +8,8 @@ relation ``ext_equiv`` on garbage-carrying morphisms; a class is held by any
 of its representatives.
 
 Also ships the tomographic state family, the global points of a channel
-object.  Well-pointedness and the congruence of the quotient are checked as
-the ``wellpointed`` and ``quotient_congruence`` laws of ``lawcheck``, on the
-instances that supply a ``points`` oracle.
+object.  Well-pointedness and the congruence of the quotient are laws of
+``lawcheck`` (``wellpointed``, ``quotient_congruence``).
 """
 
 from __future__ import annotations

@@ -18,33 +18,16 @@ on it.  For the isometry base the induced channel (trace out the garbage) is
 a complete invariant, so equivalence is Choi equality and has no other
 witness.
 
-The visible graph, the normal form, the collapsed morphism and the
-restriction are pure, so each morphism computes them once, on first use, and
-keeps them through the lockless memo ``classical.once``
-(``AuxMorphism.visible_graph``, ``.normal_form``, ``.collapsed`` and
-``.restricted``); the normal form and the visible partial function share the
-one visible graph.  ``aux_equal`` checks base and endpoints once; over pinj it
-then compares the two normal forms with one tuple comparison, in C, and
-``aux_equiv`` returns the mediator of a positive decision.
-``collapsed_equal`` compares the two visible graphs alone.  The pinj
-composite and tensor each build their core in one pass and one
-``PartialInj``: the composite sends each pair (x, (b, e)) of f's core through
-g's memoised mapping, and the tensor maps each pair of core pairs straight to
-its interchanged index.  Every constructor still validates: a cached value is
-derived from a core that has passed its own checks, and each result core
-passes them once.
-
-Over the pinj base the composite, the tensor, ``embed``, the structural
-morphisms, ``visible_fn`` and ``points_of`` build their cores and morphisms
-through ``classical.make``: inside a ``classical.sharing`` scope (one law
-run) equal values are one object, validated once, whose normal form and
-restriction are computed once.  Keys hold only cores and sizes derived from
-validated morphisms (``int`` entries).  The isometry base never shares: its
-matrices are not hashable.
-
-Only the isometry branches use ``quantum`` and numpy: they reach the module
-as ``revcat.quantum``, which the package imports on first use, and import
-numpy where they are taken, so the pinj base runs without loading numpy.
+Each morphism keeps its visible graph, normal form, collapsed morphism and
+restriction through ``classical.once``, and the normal form and the visible
+partial function share the one visible graph; so over pinj ``aux_equal`` is
+one comparison of two tuples, in C.  Over the pinj base the composite, the
+tensor, ``embed``, the structural morphisms, ``visible_fn`` and ``points_of``
+build through ``classical.make``, so they share within a
+``classical.sharing`` scope.  The isometry branches build with the public
+constructors, so they never share, although an ``Isometry`` could be a key
+(it hashes by identity).  Only they load ``revcat.quantum`` and numpy
+(lazily, as the package docstring says).
 """
 
 from __future__ import annotations
@@ -77,14 +60,11 @@ class EndpointMismatchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class AuxMorphism:
-    """A garbage-carrying morphism: core f : A -> B (x) E in the base.
-
-    The base follows from the core's type: a PartialInj core (cod size b * e,
-    flat, B major) is over "pinj", an Isometry core (b * e rows) is over
-    "isometry"; a Unitary is an Isometry.  Garbage is tracked by its size e;
-    dom/cod report flat sizes.  An isometry core needs a column and e >= 1,
-    since its collapsed channel needs positive dimensions.
-    """
+    """A garbage-carrying morphism: core f : A -> B (x) E in the base, a
+    PartialInj (cod size b * e, flat, B major) or an Isometry (b * e rows).
+    Garbage is tracked by its size e; dom/cod report flat sizes.  An isometry
+    core needs a column and e >= 1, since its collapsed channel needs
+    positive dimensions."""
 
     core: Union[PartialInj, Isometry]
     cod_size: int
@@ -114,32 +94,31 @@ class AuxMorphism:
 
     @cl.once
     def visible_graph(self) -> tuple[tuple[int, int], ...]:
-        """The pinj core's graph with the garbage dropped, pairs (x, b) of its
-        pairs (x, (b, e)); computed on first use."""
+        """The pinj core's graph with the garbage dropped: pairs (x, b) of its
+        pairs (x, (b, e))."""
         e = self.garbage_size
         return tuple((x, y // e) for x, y in self.core.graph) if e else ()
 
     @cl.once
     def collapsed(self) -> Union[PartialFn, Channel]:
         """The visible partial function, or the channel with the garbage
-        traced out; computed on first use."""
+        traced out."""
         if self.base == PINJ:
             return visible_fn(self)
         return revcat.quantum.channel_of_isometry(self.core, self.garbage_size)
 
     @cl.once
     def normal_form(self) -> Union[tuple[tuple, tuple], Channel]:
-        """The class invariant, computed on first use: over pinj the plain
-        hashable pair (visible graph, garbage partition) of int tuples, over
-        isometries the channel."""
+        """The class invariant: over pinj the plain hashable pair (visible
+        graph, garbage partition) of int tuples, over isometries the channel."""
         if self.base == PINJ:
             return self.visible_graph, garbage_partition(self)
         return self.collapsed
 
     @cl.once
     def restricted(self) -> "AuxMorphism":
-        """r(f), the partial identity where f is defined with trivial
-        garbage, computed on first use."""
+        """r(f), the partial identity where f is defined, with trivial
+        garbage."""
         if self.base == PINJ:
             return embed(cl.ridm(self.core))
         return aux_id(self.dom_size, ISO)  # isometries are total
@@ -169,8 +148,6 @@ class AuxMorphism:
         if base == PINJ:
             core = PartialInj.from_json(core)
             if e == 0:
-                # Only the empty morphism has garbage size 0; its core codomain
-                # has shape (B, 0), which keeps B.
                 if core.cod.shape[1:] != (0,):
                     raise ValueError("garbage size 0 needs a core codomain of shape [B, 0]")
                 return cls(core, core.cod.shape[0], 0)
@@ -269,8 +246,7 @@ def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
 
 
 def aux_ridm(f: AuxMorphism) -> AuxMorphism:
-    """The partial identity where f is defined, with trivial garbage (cached
-    on f)."""
+    """r(f), ``AuxMorphism.restricted``."""
     return f.restricted
 
 
@@ -345,14 +321,13 @@ def garbage_partition(f: AuxMorphism) -> tuple[tuple[int, ...], ...]:
 
 
 def normal_form(f: AuxMorphism) -> Union[tuple[tuple, tuple], Channel]:
-    """The class invariant of f, cached on f: over pinj the plain hashable
-    tuple (visible graph, garbage partition), equal exactly for equivalent
-    morphisms with the same endpoints; over isometries the channel."""
+    """f's class invariant, ``AuxMorphism.normal_form``: equal exactly for
+    equivalent morphisms with the same endpoints."""
     return f.normal_form
 
 
-# Kept apart from aux_equiv: inlined, its dict comprehension makes aux_equiv's
-# locals closure cells on CPython 3.11, so every call ran 9-20% slower.
+# Kept apart from aux_equiv: inlined there, its dict comprehension would make
+# aux_equiv's locals closure cells on CPython 3.11, which slows every call.
 def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
     """The one-step mediator h : E_f -> E_g witnessing f ~ g; assumes the
     normal forms agree."""

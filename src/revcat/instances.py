@@ -2,12 +2,14 @@
 
 Classical instances enumerate their hom-sets when the object-size bound is
 small (<= 3), enabling exhaustive law checks; larger bounds and the quantum
-instances are sampled randomly.  Two instances list their global points, the
-oracle the well-pointedness laws need: ``cptp`` (the tomographic states, as
-channels 1 -> d) and ``ext-aux-pinj`` (``garbage.points_of``).  The quantum
-factories reach ``revcat.quantum`` and numpy when called, so building or
-enumerating a classical instance loads no numpy; only its sampler takes a
-numpy generator.
+instances are sampled randomly, and a seed fixes the samples within one
+version of revcat, not across versions.  Two instances list their global
+points, the oracle the well-pointedness laws need: ``cptp`` (the tomographic
+states, as channels 1 -> d) and ``ext-aux-pinj`` (``garbage.points_of``).
+``aux-pinj`` has none: before the quotient, two morphisms with one visible
+function but different garbage agree on every point, so it would fail
+``wellpointed``.  Building or enumerating a classical instance loads no
+numpy; only its sampler takes a numpy generator.
 """
 
 from __future__ import annotations

@@ -3,23 +3,27 @@ monoidal structure on concrete finite categories, and for well-pointedness
 and the congruence of a quotient.
 
 A category is described by oracles (composition, identity, equality, and
-optionally restriction, dagger, tensor, global points) plus samplers and,
-where feasible, enumerators.  Laws are registered declaratively as (name,
-sampling pattern, equation); the engine enumerates exhaustively when the
-search space is small enough and otherwise draws seeded random samples, and
-returns the first counterexample found.  An equation is a plain predicate
+optionally restriction, dagger, tensor and its unit, global points) plus
+samplers and, where feasible, enumerators.  Laws are registered
+declaratively as (name, sampling pattern, equation, oracles needed); the
+engine enumerates exhaustively when the tuple count is within EXHAUSTIVE_CAP
+and otherwise draws seeded random samples, and returns the first
+counterexample found.  An equation is a plain predicate
 check(cat, *morphisms) -> bool on the pattern's morphisms; one that raises a
 ValueError on a tuple (an oracle producing a morphism it cannot compose, say)
-fails the law with that tuple as its counterexample.
+fails the law with that tuple as its counterexample.  A ConfigurationError,
+or the ValueError of an unknown pattern, is raised before the first tuple.
 
-Everything here is pure over immutable instance descriptions.  The trials of
-one run_law call share two things.  Inside a ``classical.sharing`` scope,
-equal finite morphisms built by the library's operations are one immutable
-object, validated once, with its derived values (mapping, restriction, normal
-form) computed once.  An exhaustive run also memoises compose, tensor_mor and
-dagger on operand identity.  Random mode does not: a memo would only keep its
-fresh samples' results alive, Choi matrices among them.  Both end with the call.
-Only random mode imports numpy, for its generator.
+The memo of an exhaustive run.  Each run_law call runs in a
+``classical.sharing`` scope, where equal values are mostly one object, and a
+law recomputes the same operations on them many times.  So an exhaustive run
+memoises compose, tensor_mor and dagger on the identity of the operands
+(memo functions, after Michie, Nature 1968).  An entry holds its result and
+its operands, so no id is reused while the memo lives; a call that raises
+stores nothing; the memo is cleared when run_law returns or raises.  Random
+mode is not memoised: its tuples are fresh samples, and a memo would only
+keep their results, Choi matrices among them, alive.  Only random mode
+imports numpy, for its generator.
 """
 
 from __future__ import annotations
@@ -174,10 +178,9 @@ def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
 
 
 def _memoised(fn: Callable, memo: dict) -> Callable:
-    """The unary or binary oracle fn, its results kept in memo under the ids
-    of the first and last operand, packed in one int (CPython ids are
-    addresses, below 2**64).  An entry holds the operands, so no id is reused
-    while it lives; a call that raises stores nothing."""
+    """The unary or binary oracle fn, memoised (module docstring) in memo
+    under the ids of the first and last operand, packed in one int (CPython
+    ids are addresses, below 2**64)."""
     def call(*args):
         key = id(args[0]) << 64 | id(args[-1])
         entry = memo.get(key)
@@ -190,9 +193,8 @@ def _memoised(fn: Callable, memo: dict) -> Callable:
 
 def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) -> LawReport:
     """Check one law: exhaustively when the instance enumerates and the tuple
-    count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples.  The
-    run shares equal finite morphisms (``classical.sharing``); an exhaustive
-    run also memoises compose, tensor_mor and dagger on operand identity."""
+    count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples; with
+    sharing, and the memo of an exhaustive run (module docstring)."""
     _require(cat, law.needs)
     memos = {n: {} for n in ("compose", "tensor_mor", "dagger") if getattr(cat, n) is not None}
     with sharing():
@@ -224,7 +226,6 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
 
 
 # -- law registry -------------------------------------------------------------
-# Each predicate takes the instance and the pattern's morphisms, in slot order.
 
 def _restriction_i(cat, f):
     return cat.eq(cat.compose(f, cat.restrict(f)), f)
@@ -382,7 +383,7 @@ MONOIDAL_LAWS = [
     Law("tensor_bifunctor", "pair", _monoidal_bifunctor, frozenset({"tensor_mor"})),
     Law("tensor_interchange", "chain3", _monoidal_interchange,
         frozenset({"tensor_mor"})),
-    Law("tensor_unit", "single", _monoidal_unit, frozenset({"tensor_mor"})),
+    Law("tensor_unit", "single", _monoidal_unit, frozenset({"tensor_mor", "unit"})),
     Law("tensor_assoc", "pair", _monoidal_assoc, frozenset({"tensor_mor"})),
 ]
 

@@ -7,10 +7,7 @@ transitively on completions of a fixed isometry.  Composing with the
 garbage-adjoining and extensional phases turns unitaries into channels and
 partial injections into partial functions; the reverse direction carves out
 the partial isomorphisms (classically) and the pure-Choi square channels
-(quantumly, up to a global phase).
-
-The quantum functions reach ``quantum`` as ``revcat.quantum``, which the
-package imports on first use, so ``inv_pfn`` runs without loading numpy.
+(quantumly, up to a global phase).  ``inv_pfn`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -95,11 +92,7 @@ def inv_pfn(f: PartialFn) -> Optional[PartialInj]:
 
 
 def inv_cptp(c: Channel) -> Optional[UnitaryPhaseClass]:
-    """The phase class of the conjugating unitary, for reversible channels.
-
-    Absent when the dimensions differ, the Choi matrix is impure, or the
-    extracted matrix fails unitarity; conjugation by the result reproduces
-    the channel within 1e-8.
-    """
+    """The phase class of ``quantum.reversible_core``'s unitary, or None where
+    that gives a reason."""
     core = revcat.quantum.reversible_core(c)
     return None if isinstance(core, str) else UnitaryPhaseClass(core)

@@ -5,65 +5,57 @@ Channels are stored as Choi matrices with the input factor first:
     C = sum_{ij} |i><j| (x) L(|i><j|)
 
 so C reshaped to (din, dout, din, dout) has C[i, m, j, n] = <m| L(|i><j|) |n>.
-Trace preservation reads Tr_out C = I_din.
-
-The channel algebra works on Choi matrices: composition is the link product
+Trace preservation reads Tr_out C = I_din.  Composition is the link product
 (Chiribella, D'Ariano and Perinotti, "Theoretical framework for quantum
 networks", PRA 80 022339, 2009), a contraction over the middle factor, unless
-both channels carry a Kraus factor (below), and the tensor product is an
-index-permuted kron.  ``Channel._validate`` is the one place where a
-channel's properties are decided.
-``choi_of_kraus`` and ``channel_compose`` hand it the raw Choi matrix,
-unsymmetrised, and ``channel_tensor`` a product of two stored matrices, which
-is exactly Hermitian (below); each hands it too the floor that its
-construction proves (PSD, below).  They do so through ``_owned``, which
-builds an object around arrays the library has just allocated, with the
-public constructor's checks but without its copy; ``Channel(...)`` takes no
-argument that skips a check.
+both channels carry a Kraus factor (below); the tensor product is an
+index-permuted kron.
 
-Tolerances: 1e-9 for structural invariants (unitarity, TP, Hermiticity),
-1e-8 for round trips through two eigendecompositions, 1e-10 as the rank
-cutoff on Choi eigenvalues; a structural check bounds the largest entrywise
-deviation.  ``ATOL``, ``ROUND_ATOL`` and ``RANK_CUTOFF`` are defined in the
-numpy-free ``classical`` module, so that the classical half reads them
-without loading numpy, and re-exported here.  A Channel's Choi matrix must be
-finite, Hermitian within 1e-9, PSD (min eigenvalue >= -1e-9) and TP within
-1e-9, and the first of these it fails names the error; before them, din and
-dout must be positive integers (``operator.index`` must accept them, so a
-numpy integer passes, and is stored as an int).  One reduction decides each
-property:
+Tolerances (defined in ``classical``, re-exported here): 1e-9 for structural
+invariants (unitarity, TP, Hermiticity), 1e-8 for round trips through two
+eigendecompositions, 1e-10 as the rank cutoff on Choi eigenvalues; a
+structural check bounds the largest entrywise deviation.
+
+Validation.  ``Channel._validate`` is the one place where a channel's
+properties are decided.  ``Channel(...)`` and ``from_json`` hand it the
+caller's matrix, and take no argument that skips a check.  ``choi_of_kraus``
+and ``channel_compose`` hand it the raw Choi matrix, unsymmetrised, and
+``channel_tensor`` a product of two stored matrices, each with the floor its
+construction proves, through ``_owned`` (the same checks, without the
+defensive copy).  In this order, the first failure naming the error: din and
+dout are positive integers (``operator.index`` must accept them, so a numpy
+integer passes, and is stored as an int); the Choi matrix is n x n for
+n = din dout, finite, Hermitian within 1e-9, PSD (min eigenvalue >= -1e-9)
+and TP within 1e-9.  One reduction decides each property:
 
 - finite and Hermitian: r = max |C - C^dag|.  A NaN or inf entry makes r NaN
   or inf, so only when r fails the bound is C searched for a non-finite
   entry, which is reported before the Hermitian failure.  Once r passes, the
   Channel stores the Hermitian part H = C/2 + C^dag/2, C-contiguous and
-  read-only, and PSD and TP are decided on H.  H is exactly Hermitian in
-  floating point: the sums H[i, j] and conj(H[j, i]) add the same two halves
-  (addition commutes and conjugation is exact), and round-to-nearest is
-  symmetric under sign.  Halving each term before the sum keeps every entry
-  finite, and equals (C + C^dag)/2 bit for bit above the subnormal range, so
-  a stored H passed to ``Channel`` again is stored unchanged.  The product
-  that ``channel_tensor`` builds from two stored matrices is exactly
-  Hermitian as well, since an entry and its mirror are single complex
-  products of conjugate pairs, rounded alike; so it skips this step (its
-  entries are finite, being products of validated channels' entries), and
-  a test pins its residual at exactly 0;
+  read-only (the caller's array is not touched), and PSD and TP are decided
+  on H.  H is exactly Hermitian in floating point: the sums H[i, j] and
+  conj(H[j, i]) add the same two halves (addition commutes and conjugation
+  is exact), and round-to-nearest is symmetric under sign.  Halving each
+  term before the sum keeps every entry finite, and equals (C + C^dag)/2 bit
+  for bit above the subnormal range, so a stored H passed to ``Channel``
+  again is stored unchanged.  The product that ``channel_tensor`` builds from
+  two stored matrices is exactly Hermitian as well, since an entry and its
+  mirror are single complex products of conjugate pairs, rounded alike, and
+  finite, as products of validated entries; so it is stored as built;
 - PSD: every Channel carries a private floor f, a bound lambda_min(H) >= -f.
   When f <= ATOL / 2, H is PSD by the rule and no check runs.  Otherwise
-  the check below decides, and the channel keeps f = ATOL.  ``Channel(...)``
-  and ``from_json`` always pass f = ATOL, so outside input is always checked;
-  the library operations pass the floors derived after this list.  The
-  check is a Cholesky factorisation of H + (ATOL / 2) I, formed by shifting
-  H's diagonal for the call and restoring it, whose backward error
-  O(n eps |H|) (Higham, "Accuracy and Stability of Numerical Algorithms",
-  ch. 10) is far below ATOL / 2; when it fails, eigvalsh decides as the
-  rule states.  So a certified channel is one the check would accept, and
-  every verdict and message is the check's.  The check runs on the stored
-  matrix whatever built it, so ``channel_tensor``'s product gets the verdict
-  that ``Channel(...)`` gives the same matrix.  The PSD bound is not closed
-  under the operations: a factor may itself have eigenvalues down to -1e-9,
-  and the product can cross the bound, so depolarizing_channel(2, -8e-10)
-  (x) identity_channel(4), with min eigenvalue -4e-10 * 4, is rejected;
+  the check decides, and the channel keeps f = ATOL; ``Channel(...)`` and
+  ``from_json`` always start from f = ATOL, so outside input is always
+  checked.  The check is a Cholesky factorisation of H + (ATOL / 2) I, whose
+  backward error O(n eps |H|) (Higham, "Accuracy and Stability of Numerical
+  Algorithms", ch. 10) is far below ATOL / 2; when it fails, eigvalsh
+  decides as the rule states.  So a certified channel is one the check would
+  accept, and every verdict and message is the check's on the stored matrix,
+  whatever built it: ``channel_tensor`` and ``Channel(...)`` agree on a
+  product.  The PSD bound is not closed under the operations: a factor may
+  itself have eigenvalues down to -1e-9, and the product can cross the
+  bound, so depolarizing_channel(2, -8e-10) (x) identity_channel(4), with min
+  eigenvalue -4e-10 * 4, is rejected;
 - TP: max |Tr_out H - I|, with I subtracted from the diagonal in place.
   The TP bound is not closed under the operations either.  A channel's
   Tr_out may be I + E with |E| up to 1e-9; the tensor product's is
@@ -72,6 +64,12 @@ property:
   with 9e-10 added to one Choi diagonal entry is a valid channel, but
   channel_tensor and channel_compose of it with itself are both rejected
   with "partial trace over output != identity within 1e-9".
+
+An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
+makes it NaN or inf and is reported before the V^dag V failure.  It stores
+its matrix as a C-contiguous, read-only copy; one the library has just
+allocated goes through ``_owned``, checked alike, without the copy.  Other
+modules compare matrices only through ``close_to``.
 
 The floors.  Stinespring ("Positive functions on C*-algebras", Proc. AMS
 1955): C = V V^dag is PSD, and so are tensor and link products of PSD
@@ -115,43 +113,35 @@ by u times its modulus.  An error matrix E with |E| <= e w w^T entrywise has
   link, and passes ATOL / 2 after 16 links at d = 2, 8 at d = 4 and 3 at
   d = 16; from there on the check runs.
 
-An Isometry is decided the same way by max |V^dag V - I|: a non-finite entry
-makes it NaN or inf and is reported before the V^dag V failure.  An Isometry
-stores its matrix as a C-contiguous, read-only copy, as a Channel does; one
-the library has just allocated (``haar_unitary``, ``complete_to_unitary``,
-``minimal_stinespring``, ``reversible_core``) is stored through ``_owned``,
-checked alike, without that copy.
-
 Kraus factor.  A channel built from Kraus operators is what is left of the
 isometry V that stacks them once the environment is traced out (Stinespring),
-and it keeps V: a private, read-only n x k matrix ``_kraus`` (class default
-None), with the stored H the Hermitian step of V V^dag.  Only library code
-sets it, through ``_owned``: ``choi_of_kraus``, which copies the caller's
-operators so that V and H cannot drift apart, and ``channel_compose``.
-``Channel(...)``, ``from_json`` and ``channel_tensor`` results carry none, so
-a channel read from JSON, or built by ``Channel(...)`` to hold exact entries
-(dyadic ones, say, which the link product keeps exact), composes by the
-link product.  When both operands of ``channel_compose`` carry a factor and
-k_f k_g <= d_mid^2, the contraction length m of the link product, one
-tensordot over the middle index of the (din, d_mid, k_f) and (d_mid, dout,
-k_g) factors gives the composite's Kraus vectors W, the vec of each L_b K_a,
-and the composite is built from W as ``choi_of_kraus`` builds its own, with
-the floor c (k + 2) u ||W||_F^2.  That floor bounds the rounding of W W^dag
-and of the Hermitian step, not W's own rounding, which cannot make W W^dag
-less than PSD; so it does not grow along a chain, as the link product's
-does: ||W||_F^2 is about Tr H = din and k <= d_mid^2.  The width bound caps
-the work at the link product's and keeps the factor from doubling link
-after link; past it the link product runs and its result carries no factor.
+and it keeps V: a private, read-only n x k matrix ``_kraus``, with the stored
+H the Hermitian step of V V^dag.  Only ``choi_of_kraus``, which copies the
+caller's operators so that V and H cannot drift apart, and
+``channel_compose`` set it.  A channel from JSON (every CLI input), from
+``channel_tensor`` or from ``Channel(...)`` (to hold exact entries, say
+dyadic ones, which the link product keeps exact) carries none, and composes
+by the link product.  When both operands of ``channel_compose`` carry a
+factor and k_f k_g <= d_mid^2, the contraction length m of the link product,
+one tensordot over the middle index gives the composite's Kraus vectors W,
+the vec of each L_b K_a, and the composite is built from W as
+``choi_of_kraus`` builds its own, with the floor c (k + 2) u ||W||_F^2.  That
+floor bounds the rounding of W W^dag and of the Hermitian step, not W's own
+rounding, which cannot make W W^dag less than PSD; so it does not grow along
+a chain, as the link product's does: ||W||_F^2 is about Tr H = din and
+k <= d_mid^2.  The width bound caps the work at the link product's and keeps
+the factor from doubling link after link; past it the link product runs and
+its result carries no factor.
 
 Kraus route.  ``kraus_of_choi`` (and so ``minimal_stinespring`` and
 ``reversible_core``) needs the eigenpairs of H above RANK_CUTOFF, and the
 channels it serves mostly have Kraus rank 1-3.  For n >= 24 its candidate
 factor L (n x k) is the channel's Kraus factor when that has at most n // 8
-columns, with no further step.  Otherwise it runs a pivoted Cholesky of H
-(Higham, "Analysis of the Cholesky decomposition of a semi-definite matrix",
-1990) with a budget of n // 8 steps, each O(n k), and skips it when the
-purity bound Tr(H)^2 / Tr(H^2) <= rank already exceeds the budget.  Either
-candidate is accepted only if ||H - L L^dag||_F <=
+columns.  A channel without one, or with a wider one, runs a pivoted
+Cholesky of H instead (Higham, "Analysis of the Cholesky decomposition of a
+semi-definite matrix", 1990), with a budget of n // 8 steps, each O(n k),
+skipped when the purity bound Tr(H)^2 / Tr(H^2) <= rank already exceeds the
+budget.  Either candidate is accepted only if ||H - L L^dag||_F <=
 RANK_CUTOFF / 100 = 1e-12.  Then H's eigenpairs above the cutoff are those of
 L L^dag: eigh of the k x k Gram matrix L^dag L = W diag(w) W^dag gives the
 eigenvalues w, and the columns of L W are the Kraus vectors sqrt(w) u, with no
@@ -159,9 +149,8 @@ division.  By Weyl's inequality each eigenvalue of L L^dag is within 1e-12 of
 H's, so the rank matches eigh of H except for eigenvalues within 1e-12 of the
 cutoff.  H with an eigenvalue below -1e-12 always fails the residual (L L^dag
 is PSD), so near-PSD inputs, like inputs of high rank, of n < 24, or whose
-factor misses the bound, take eigh of H as before.  Below n = 24 the steps
-cost about as much as eigh itself.  A Kraus operator from either factor may
-differ by a phase from the one eigh of H gives.
+factor misses the bound, take eigh of H.  A Kraus operator from either
+factor may differ by a phase from the one eigh of H gives.
 """
 
 from __future__ import annotations
@@ -349,12 +338,10 @@ class Channel:
 
     def _validate(self, floor: float = ATOL, hermitian: bool = False) -> None:
         """Decide each property of the Choi matrix, in the order of the module
-        docstring, and store its Hermitian part, read-only.  floor and
-        hermitian are passed only through _owned.  floor bounds -lambda_min
-        of the stored matrix as the library built it; at most ATOL / 2 it
-        certifies PSD and is kept, else the checks decide PSD and ATOL is
-        kept.  hermitian, passed only by channel_tensor, says the matrix is
-        exactly Hermitian and finite as it stands, so it is stored as it is."""
+        docstring, and store its Hermitian part, read-only.  Only _owned
+        passes floor, the floor the construction proves, and hermitian, which
+        channel_tensor alone sets: the matrix is exactly Hermitian and finite
+        as it stands, so it is stored as it is."""
         try:
             din, dout = operator.index(self.din), operator.index(self.dout)
         except TypeError:
@@ -443,10 +430,8 @@ def _of_kraus_factor(din: int, dout: int, v: np.ndarray) -> Channel:
 
 def kraus_of_choi(c: Channel) -> list[np.ndarray]:
     """Kraus operators sqrt(w) u from the eigenpairs (w, u) of the Choi matrix
-    above RANK_CUTOFF, largest first: those of L L^dag when a low-rank
-    factor L (the channel's Kraus factor or a pivoted Cholesky factor) is
-    accepted, else those of eigh of the Choi matrix (the Kraus route of the
-    module docstring)."""
+    above RANK_CUTOFF, largest first, by the Kraus route of the module
+    docstring."""
     l = _low_rank_factor(c.choi, c._kraus)
     w, vecs = np.linalg.eigh(c.choi if l is None else _dag(l) @ l)
     ks = []
@@ -462,10 +447,8 @@ _CHOLESKY_MIN_N = 24
 
 
 def _low_rank_factor(h: np.ndarray, kraus: np.ndarray | None = None) -> np.ndarray | None:
-    """L (n x k) with ||H - L L^dag||_F <= RANK_CUTOFF / 100, or None: the
-    channel's Kraus factor when it has at most n // 8 columns, else the
-    steps of a pivoted Cholesky of H (the Kraus route of the module
-    docstring)."""
+    """L (n x k) with ||H - L L^dag||_F <= RANK_CUTOFF / 100, or None, by the
+    Kraus route of the module docstring."""
     n = len(h)
     if n < _CHOLESKY_MIN_N:
         return None
@@ -599,10 +582,9 @@ def complete_to_unitary(v: Isometry) -> Unitary:
 
 
 def channel_compose(g: Channel, f: Channel) -> Channel:
-    """The composite channel g after f: from the products of the two Kraus
-    factors when both carry one and the product has at most d_mid^2 columns,
-    else as the link product of the Choi matrices, C[i, n, j, l] =
-    sum_{m, k} F[i, m, j, k] G[m, n, k, l] (module docstring)."""
+    """The composite channel g after f, on the Kraus factors (module
+    docstring) or as the link product of the Choi matrices,
+    C[i, n, j, l] = sum_{m, k} F[i, m, j, k] G[m, n, k, l]."""
     if f.dout != g.din:
         raise DimensionError(f"cannot compose: dout {f.dout} != din {g.din}")
     m, n = f.dout**2, f.din * g.dout

@@ -305,6 +305,14 @@ class TestCoherence:
         with pytest.raises(ValueError, match="unknown coherence kind"):
             cl.coherence("assoc", (1, 1, 1))
 
+    @pytest.mark.parametrize("kind, shapes, message", [
+        ("symm", (1, 2, 3), "symm takes two factor sizes"),
+        ("interchange", (1, 2), "interchange takes four factor sizes"),
+    ])
+    def test_wrong_factor_count(self, kind, shapes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cl.coherence(kind, shapes)
+
     def test_symm_2x3(self):
         p = cl.coherence("symm", (2, 3))
         for x in range(2):

@@ -134,6 +134,8 @@ class TestDecider:
         iso = gb.aux_id(2, ISO)
         with pytest.raises(gb.BaseMismatchError, match="requires the pinj base"):
             gb.aux_equiv(iso, iso)
+        with pytest.raises(gb.BaseMismatchError, match="^garbage_partition requires the pinj base$"):
+            gb.garbage_partition(iso)
 
 
 class TestBaseFromCore:

@@ -82,6 +82,14 @@ class TestConfiguration:
         with pytest.raises(lc.ConfigurationError):
             lc.run_law(cat, lc.ALL_LAWS["dagger_involution"])
 
+    @pytest.mark.parametrize("make", [lambda: inst.make_pfn_instance(2),
+                                      lambda: inst.make_aux_pinj_instance(2, 2)])
+    def test_tensor_unit_needs_the_unit(self, make):
+        cat = dataclasses.replace(make(), unit=None)
+        with pytest.raises(lc.ConfigurationError, match="no unit oracle"):
+            lc.run_law(cat, lc.ALL_LAWS["tensor_unit"], trials=0)
+        assert lc.ALL_LAWS["tensor_unit"] not in lc.applicable_laws(cat)
+
     def test_unknown_pattern_rejected(self):
         cat = inst.make_pfn_instance(2)
         bad = lc.Law("bad", "nonsense", lambda cat, *a: True)

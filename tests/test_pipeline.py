@@ -55,6 +55,8 @@ class TestInpRoundtrip:
     def test_dimension_guard(self, rng):
         with pytest.raises(qu.DimensionError):
             pl.InpUnitary(2, 2, qu.haar_unitary(3, rng))
+        with pytest.raises(qu.DimensionError, match="^dimensions must be nonnegative$"):
+            pl.InpUnitary(-1, 3, Unitary(np.eye(2)))
 
     def test_conservative_over_pinj(self):
         # Adjoining a size-0 ancilla input to a partial injection leaves its table.

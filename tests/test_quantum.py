@@ -48,6 +48,10 @@ class TestChannelInvariants:
         rebuilt = oracles.choi_by_action(c.apply, 2, 3)
         assert np.max(np.abs(rebuilt - c.choi)) < 1e-10
 
+    def test_apply_rejects_a_state_of_another_size(self):
+        with pytest.raises(qu.DimensionError, match="^state must be 2x2$"):
+            qu.identity_channel(2).apply(np.eye(3))
+
 
 class TestTrustBoundary:
     @pytest.mark.parametrize("din, dout", [(0, 2), (2, 0), (0, 0)])
@@ -1119,7 +1123,8 @@ class TestExtractUnitary:
         with pytest.raises(qu.NotAChannelError):
             qu.extract_unitary(qu.dephasing_channel(2))
 
-    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+    # (2, 2) is all zeros: nonempty, but with no entry to take a phase from.
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (2, 2)])
     def test_phase_fix_of_an_empty_matrix(self, shape):
         m = np.zeros(shape, dtype=complex)
         assert qu.phase_fix(m) is m
