@@ -33,9 +33,12 @@ enumerators, here and over ``garbage``'s pinj base, build through
 :func:`make`, which returns the morphism already built from equal fields, so
 it is validated once and its ``once`` values serve every use in the scope.
 The table is dropped when the outermost scope exits; outside one, every
-operation returns a fresh object.  Only the library's own operations call
-``make``, never ``from_json``, the public constructors or a sampler, so a
-key holds validated ``int`` entries and interned objects (compared by
+operation returns a fresh object.  Every morphism class here and in
+``garbage`` is built from three fields, so ``make(cls, a, b, c)`` takes
+exactly those, keyed by (cls, a, b, c); it is not an ``*args`` function,
+for the reason ``lawcheck``'s memo gives.  Only the library's own operations
+call ``make``, never ``from_json``, the public constructors or a sampler, so
+a key holds validated ``int`` entries and interned objects (compared by
 identity), and no ``1.0`` or ``True`` can alias one.  The process-wide
 ``identity`` and ``coherence`` are built without ``make`` and store r(f) at
 once, so that no memo of theirs keeps a run's object alive.
@@ -99,17 +102,17 @@ def sharing() -> Iterator[None]:
             _shared.reset(token)
 
 
-def make(cls, *fields):
-    """``cls(*fields)``; inside a :func:`sharing` scope, the object already
-    built from equal (cls, *fields) when there is one.  A new object is
+def make(cls, a, b, c):
+    """``cls(a, b, c)``; inside a :func:`sharing` scope, the object already
+    built from equal (cls, a, b, c) when there is one.  A new object is
     validated by its constructor before it is recorded."""
     table = _shared.get()
     if table is None:
-        return cls(*fields)
-    key = (cls, *fields)
+        return cls(a, b, c)
+    key = (cls, a, b, c)
     obj = table.get(key)
     if obj is None:
-        obj = table[key] = cls(*fields)
+        obj = table[key] = cls(a, b, c)
     return obj
 
 
@@ -246,7 +249,7 @@ class PartialFn:
 
     def same_table(self, other: "PartialFn") -> bool:
         """Equality disregarding factor shapes (flat sizes and graphs match)."""
-        return (
+        return self is other or (
             self.dom.size == other.dom.size
             and self.cod.size == other.cod.size
             and self.graph == other.graph

@@ -190,7 +190,7 @@ def make_aux_pinj_instance(
         cod=lambda f: f.cod_size,
         compose=gb.aux_compose,
         identity=gb.aux_id,
-        eq=lambda f, g: gb.aux_equal(f, g),
+        eq=lambda f, g: f is g or gb.aux_equal(f, g),
         restrict=gb.aux_ridm,
         tensor_mor=gb.aux_tensor,
         unit=1,
@@ -200,7 +200,7 @@ def make_aux_pinj_instance(
     if not extensional:
         return cat
     # The extensional quotient: the same morphisms, compared on global points.
-    return replace(cat, name="ext-aux-pinj", eq=lambda f, g: ex.ext_equiv(f, g),
+    return replace(cat, name="ext-aux-pinj", eq=lambda f, g: f is g or ex.ext_equiv(f, g),
                    points=gb.points_of)
 
 

@@ -17,13 +17,17 @@ or the ValueError of an unknown pattern, is raised before the first tuple.
 The memo of an exhaustive run.  Each run_law call runs in a
 ``classical.sharing`` scope, where equal values are mostly one object, and a
 law recomputes the same operations on them many times.  So an exhaustive run
-memoises compose, tensor_mor and dagger on the identity of the operands
-(memo functions, after Michie, Nature 1968).  An entry holds its result and
-its operands, so no id is reused while the memo lives; a call that raises
-stores nothing; the memo is cleared when run_law returns or raises.  Random
-mode is not memoised: its tuples are fresh samples, and a memo would only
-keep their results, Choi matrices among them, alive.  Only random mode
-imports numpy, for its generator.
+memoises them (memo functions, after Michie, Nature 1968): compose and
+tensor_mor under the ids of their two operands, packed in one int (CPython
+ids are addresses, below 2**64), and dagger under the id of its operand.  An
+entry holds its result and its operands, so no id is reused while the memo
+lives; a call that raises stores nothing; the memo is cleared when run_law
+returns or raises.  The memoised oracles, like ``classical.make``, are
+fixed-arity functions rather than ``*args`` ones, because CPython 3.11 does
+not specialise ``*args`` calls and these run on nearly every oracle call of
+an exhaustive run.  Random mode is not memoised: its tuples are fresh
+samples, and a memo would only keep their results, Choi matrices among them,
+alive.  Only random mode imports numpy, for its generator.
 """
 
 from __future__ import annotations
@@ -177,16 +181,26 @@ def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
         return f"{type(e).__name__}: {e}"
 
 
-def _memoised(fn: Callable, memo: dict) -> Callable:
-    """The unary or binary oracle fn, memoised (module docstring) in memo
-    under the ids of the first and last operand, packed in one int (CPython
-    ids are addresses, below 2**64)."""
-    def call(*args):
-        key = id(args[0]) << 64 | id(args[-1])
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = (fn(*args), *args)
-        return entry[0]
+# The oracles an exhaustive run memoises, with their arities.
+_MEMOISED = {"compose": 2, "tensor_mor": 2, "dagger": 1}
+
+
+def _memoised(fn: Callable, memo: dict, arity: int) -> Callable:
+    """The oracle fn of the given arity (1 or 2), memoised in memo (module
+    docstring)."""
+    if arity == 1:
+        def call(a):
+            entry = memo.get(id(a))
+            if entry is None:
+                entry = memo[id(a)] = (fn(a), a)
+            return entry[0]
+    else:
+        def call(a, b):
+            key = id(a) << 64 | id(b)
+            entry = memo.get(key)
+            if entry is None:
+                entry = memo[key] = (fn(a, b), a, b)
+            return entry[0]
 
     return call
 
@@ -196,12 +210,13 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
     count is within EXHAUSTIVE_CAP, otherwise on trials seeded samples; with
     sharing, and the memo of an exhaustive run (module docstring)."""
     _require(cat, law.needs)
-    memos = {n: {} for n in ("compose", "tensor_mor", "dagger") if getattr(cat, n) is not None}
+    memos = {n: {} for n in _MEMOISED if getattr(cat, n) is not None}
     with sharing():
         space = _enumerate_tuples(cat, law.pattern)
         if space is not None:
             (count, tuples), mode = space, "exhaustive"
-            cat = replace(cat, **{n: _memoised(getattr(cat, n), m) for n, m in memos.items()})
+            cat = replace(cat, **{n: _memoised(getattr(cat, n), m, _MEMOISED[n])
+                                  for n, m in memos.items()})
         else:
             for bad, rule, value in ((trials <= 0, "trials must be positive", trials),
                                      (seed < 0, "seed must be nonnegative", seed)):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from revcat import classical as cl
+from revcat import garbage as gb
 from revcat import instances as inst
 from revcat import lawcheck as lc
 from revcat import quantum as qu
@@ -179,13 +180,20 @@ class TestCounterexamples:
         assert failed and failed[0].law == "restriction_i"
 
 
+def fresh_copy(m):
+    """A new object equal to the library's morphism m, built by the plain
+    constructors (an AuxMorphism's core included)."""
+    if isinstance(m, gb.AuxMorphism):
+        return gb.AuxMorphism(fresh_copy(m.core), m.cod_size, m.garbage_size)
+    return type(m)(m.dom, m.cod, m.graph)
+
+
 def fresh_oracles(cat):
     """cat whose compose, tensor and dagger return a new object on every
-    call, built by the plain constructor from the library's result."""
+    call, a fresh copy of the library's result."""
     def fresh(op):
         def call(*args):
-            m = op(*args)
-            return type(m)(m.dom, m.cod, m.graph)
+            return fresh_copy(op(*args))
         return None if op is None else call
 
     return dataclasses.replace(cat, compose=fresh(cat.compose),
@@ -231,15 +239,23 @@ BROKEN_REPORTS = {
 }
 
 
+# The laws perfbench runs on ext-aux-pinj(2,2) and on aux-pinj(2,2), whose
+# chain laws set the tail of its laws workload.
+EXT_AUX_LAWS = lc.RESTRICTION_LAWS + lc.DERIVED_LAWS
+AUX_LAWS = EXT_AUX_LAWS + [lc.ALL_LAWS["tensor_restriction"], lc.ALL_LAWS["tensor_unit"]]
+
+
 class TestMemo:
-    @pytest.mark.parametrize("make", [lambda: inst.make_pfn_instance(2),
-                                      lambda: inst.make_pinj_instance(2),
-                                      lambda: dataclasses.replace(inst.make_pinj_instance(2),
-                                                                  dagger=lambda f: f)],
-                             ids=["pfn2", "pinj2", "pinj2-dagger-identity"])
-    def test_fresh_results_give_the_unmemoised_reports(self, make):
+    @pytest.mark.parametrize("make, laws", [
+        (lambda: inst.make_pfn_instance(2), None),
+        (lambda: inst.make_pinj_instance(2), None),
+        (lambda: dataclasses.replace(inst.make_pinj_instance(2), dagger=lambda f: f), None),
+        (lambda: inst.make_aux_pinj_instance(2, 2), AUX_LAWS),
+        (lambda: inst.make_aux_pinj_instance(2, 2, extensional=True), EXT_AUX_LAWS),
+    ], ids=["pfn2", "pinj2", "pinj2-dagger-identity", "aux-pinj22", "ext-aux-pinj22"])
+    def test_fresh_results_give_the_unmemoised_reports(self, make, laws):
         cat = fresh_oracles(make())
-        for law in lc.applicable_laws(cat):
+        for law in lc.applicable_laws(cat) if laws is None else laws:
             want = unmemoised_report(cat, law).to_json()
             assert lc.run_law(cat, law).to_json() == want, law.name
 
@@ -259,6 +275,24 @@ class TestMemo:
             return all(cat.compose(f, PartialInj(h.dom, h.cod, h.graph)).graph
                        == cl.compose(f, h).graph
                        for h in (cat.restrict(f), cl.empty_map(f.dom, f.dom)) * 3)
+
+        rep = lc.run_law(inst.make_pinj_instance(2), lc.Law("probe", "single", check))
+        assert rep.mode == "exhaustive" and rep.passed
+
+    def test_exhaustive_mode_calls_dagger_once_per_operand(self):
+        base = fresh_oracles(inst.make_pinj_instance(2))
+        calls = []
+        cat = dataclasses.replace(base, dagger=lambda f: calls.append(1) or base.dagger(f))
+        law = lc.Law("probe", "single", lambda cat, f: cat.dagger(f) is cat.dagger(f))
+        rep = lc.run_law(cat, law)
+        assert rep.mode == "exhaustive" and rep.passed and len(calls) == rep.trials
+
+    def test_dagger_entries_keep_their_operands_alive(self):
+        # As for compose: a freed temporary's id would likely go to the next.
+        def check(cat, f):
+            return all(cat.dagger(PartialInj(h.dom, h.cod, h.graph)).graph
+                       == cl.dagger(h).graph
+                       for h in (f, cl.empty_map(f.dom, f.cod)) * 3)
 
         rep = lc.run_law(inst.make_pinj_instance(2), lc.Law("probe", "single", check))
         assert rep.mode == "exhaustive" and rep.passed

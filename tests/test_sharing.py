@@ -10,7 +10,7 @@ from revcat import classical as cl
 from revcat import garbage as gb
 from revcat import instances as inst
 from revcat import lawcheck as lc
-from revcat.classical import FinObj, PartialInj
+from revcat.classical import FinObj, PartialFn, PartialInj
 
 TWO = FinObj.of_size(2)
 
@@ -78,6 +78,40 @@ class TestInsideARun:
             with cl.sharing():
                 assert cl.compose(f, f) is outer
             assert cl.compose(f, f) is outer
+
+
+class TestMake:
+    SWAP = (TWO, TWO, ((0, 1), (1, 0)))
+
+    def test_equal_fields_give_one_object_in_a_scope(self):
+        with cl.sharing():
+            f = cl.make(PartialInj, *self.SWAP)
+            assert cl.make(PartialInj, TWO, TWO, ((0, 1), (1, 0))) is f
+            m = cl.make(gb.AuxMorphism, f, 2, 1)
+            assert cl.make(gb.AuxMorphism, f, 2, 1) is m
+
+    def test_the_class_is_part_of_the_key(self):
+        with cl.sharing():
+            fn, inj = cl.make(PartialFn, *self.SWAP), cl.make(PartialInj, *self.SWAP)
+            assert type(fn) is PartialFn and type(inj) is PartialInj
+            assert fn is not inj and fn != inj and fn.same_table(inj)
+
+    def test_outside_a_scope_every_call_builds_and_validates(self):
+        assert cl.make(PartialInj, *self.SWAP) is not cl.make(PartialInj, *self.SWAP)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="graph is not injective"):
+                cl.make(PartialInj, TWO, TWO, ((0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("name", ["aux-pinj", "ext-aux-pinj"])
+def test_eq_oracle_still_raises_on_different_endpoints(name):
+    # The oracle answers f is g first; two distinct morphisms with different
+    # endpoints must still reach the decider's mismatch error.
+    eq = inst.INSTANCES[name]().eq
+    f, g = gb.aux_id(2), gb.bang(2)
+    assert eq(f, f) and eq(g, g)
+    with pytest.raises(gb.EndpointMismatchError, match=r"^endpoints differ: 2->2 vs 2->1$"):
+        eq(f, g)
 
 
 class TestAfterARun:
