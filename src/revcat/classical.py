@@ -40,8 +40,9 @@ for the reason ``lawcheck``'s memo gives.  Only the library's own operations
 call ``make``, never ``from_json``, the public constructors or a sampler, so
 a key holds validated ``int`` entries and interned objects (compared by
 identity), and no ``1.0`` or ``True`` can alias one.  The process-wide
-``identity`` and ``coherence`` are built without ``make`` and store r(f) at
-once, so that no memo of theirs keeps a run's object alive.
+``identity`` and ``coherence``, and ``garbage.aux_id``, are built without
+``make`` and store r(f) at once, so that no memo of theirs keeps a run's
+object alive.
 """
 
 from __future__ import annotations

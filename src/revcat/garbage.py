@@ -20,18 +20,28 @@ witness.
 
 Each morphism keeps its visible graph, normal form, collapsed morphism and
 restriction through ``classical.once``, and the normal form and the visible
-partial function share the one visible graph; so over pinj ``aux_equal`` is
-one comparison of two tuples, in C.  Over the pinj base the composite, the
-tensor, ``embed``, the structural morphisms, ``visible_fn`` and ``points_of``
-build through ``classical.make``, so they share within a
-``classical.sharing`` scope.  The isometry branches build with the public
-constructors, so they never share, although an ``Isometry`` could be a key
-(it hashes by identity).  Only they load ``revcat.quantum`` and numpy
+partial function share the one visible graph; so over pinj a decision is one
+comparison of two tuples, in C.  The deciders check in this order:
+``aux_equal`` and ``collapsed_equal`` (``extensional.ext_equiv``) answer
+``f is g`` first; ``aux_equiv`` first rejects a base other than pinj and has
+no such check, since its all-pairs callers rarely pass one morphism twice.
+Then each raises the base or endpoint mismatch, and then compares.
+
+Over the pinj base the composite, the tensor, ``embed``, ``bang``, the
+projections, ``visible_fn`` and ``points_of`` build through
+``classical.make``, so they share within a ``classical.sharing`` scope.
+``aux_id`` is process-wide, like ``classical.identity``: memoised on its
+arguments and built without ``make``, it stores r(id) = id and, over pinj,
+its collapsed partial function from the public constructor, so that no memo
+of it keeps a run's object alive.  The isometry branches build with the
+public constructors, so they never share, although an ``Isometry`` could be
+a key (it hashes by identity).  Only they load ``revcat.quantum`` and numpy
 (lazily, as the package docstring says).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import prod
 from typing import TYPE_CHECKING, Optional, Union
@@ -203,8 +213,18 @@ def _structural(perm: PartialInj, cod_size: int, garbage_size: int, base: str) -
     raise ValueError(f"unknown base {base!r}")
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def aux_id(size: int, base: str = PINJ) -> AuxMorphism:
-    return _structural(cl.identity(FinObj.of_size(size)), size, 1, base)
+    """The identity on size, memoised on its arguments for the process
+    (module docstring); typed, so ``True`` is no key for 1."""
+    ident = cl.identity(FinObj.of_size(size))
+    if base == PINJ:
+        f = AuxMorphism(ident, size, 1)
+        object.__setattr__(f, "collapsed", PartialFn(ident.dom, ident.cod, f.visible_graph))
+    else:
+        f = _structural(ident, size, 1, base)
+    object.__setattr__(f, "restricted", f)  # r(id) = id; a cycle, but the cache keeps f
+    return f
 
 
 def bang(size: int, base: str = PINJ) -> AuxMorphism:
@@ -290,6 +310,8 @@ def factorize(f: AuxMorphism) -> tuple[AuxMorphism, AuxMorphism]:
 def collapsed_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     """Whether f and g agree once the garbage is forgotten: the same visible
     partial function, or channels equal within 1e-9."""
+    if f is g:
+        return True
     _same_endpoints(f, g)
     if f.base == PINJ:
         return f.visible_graph == g.visible_graph
@@ -342,6 +364,8 @@ def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
 def aux_equal(f: AuxMorphism, g: AuxMorphism) -> bool:
     """Decide the garbage-mediated equivalence: equal normal forms, or for
     the isometry base Choi equality within 1e-9."""
+    if f is g:
+        return True
     if f.base != g.base or f.dom_size != g.dom_size or f.cod_size != g.cod_size:
         _same_endpoints(f, g)  # raises the mismatch
     if f.base == ISO:
@@ -355,7 +379,9 @@ def aux_equiv(f: AuxMorphism, g: AuxMorphism) -> Optional[PartialInj]:
     only witness, so ask aux_equal there; this raises BaseMismatchError."""
     if f.base != PINJ:
         raise BaseMismatchError("aux_equiv requires the pinj base; use aux_equal")
-    return direct_mediator(f, g) if aux_equal(f, g) else None
+    if f.base != g.base or f.dom_size != g.dom_size or f.cod_size != g.cod_size:
+        _same_endpoints(f, g)  # raises the mismatch
+    return direct_mediator(f, g) if f.normal_form == g.normal_form else None
 
 
 def replay_witness(f: AuxMorphism, g: AuxMorphism, h: PartialInj) -> bool:

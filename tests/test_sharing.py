@@ -4,9 +4,11 @@ import dataclasses
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from revcat import classical as cl
+from revcat import extensional as ex
 from revcat import garbage as gb
 from revcat import instances as inst
 from revcat import lawcheck as lc
@@ -103,15 +105,42 @@ class TestMake:
                 cl.make(PartialInj, TWO, TWO, ((0, 1), (1, 1)))
 
 
-@pytest.mark.parametrize("name", ["aux-pinj", "ext-aux-pinj"])
-def test_eq_oracle_still_raises_on_different_endpoints(name):
-    # The oracle answers f is g first; two distinct morphisms with different
-    # endpoints must still reach the decider's mismatch error.
-    eq = inst.INSTANCES[name]().eq
+@pytest.mark.parametrize("eq", [
+    inst.INSTANCES["aux-pinj"]().eq, inst.INSTANCES["ext-aux-pinj"]().eq,
+    gb.aux_equal, ex.ext_equiv,
+], ids=["aux-pinj", "ext-aux-pinj", "aux_equal", "ext_equiv"])
+def test_eq_oracle_still_raises_on_different_endpoints(eq):
+    # The decider, not the oracle, answers f is g first; two distinct
+    # morphisms with different endpoints must still reach its mismatch error.
     f, g = gb.aux_id(2), gb.bang(2)
     assert eq(f, f) and eq(g, g)
     with pytest.raises(gb.EndpointMismatchError, match=r"^endpoints differ: 2->2 vs 2->1$"):
         eq(f, g)
+
+
+class TestIdentityTable:
+    @pytest.mark.parametrize("base", [gb.PINJ, gb.ISO])
+    def test_one_object_across_scopes(self, base):
+        with cl.sharing():
+            inside = gb.aux_id(2, base)
+        with cl.sharing():
+            assert gb.aux_id(2, base) is inside
+        assert gb.aux_id(2, base) is inside
+
+    @pytest.mark.parametrize("base", [gb.PINJ, gb.ISO])
+    def test_restriction_is_itself(self, base):
+        ident = gb.aux_id(2, base)
+        assert ident.restricted is ident and gb.aux_ridm(ident) is ident
+
+    @pytest.mark.parametrize("size", [np.int64(2), True], ids=["int64", "bool"])
+    def test_non_int_sizes_still_raise(self, size):
+        # An untyped cache keys a lone int argument by itself but two
+        # arguments by their tuple, where (True, base) == (1, base).
+        for args in ((1,), (2,), (1, gb.PINJ), (2, gb.PINJ)):
+            gb.aux_id(*args)
+        for args in ((size,), (size, gb.PINJ)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                gb.aux_id(*args)
 
 
 class TestAfterARun:
@@ -216,6 +245,24 @@ class TestAfterARun:
         gc.collect()
         assert refs and all(r() is None for r in refs)
         assert cl.identity(TWO).restricted is cl.identity(TWO)
+
+    def test_identity_table_keeps_no_run_value(self):
+        # aux_id is a process-wide cache like identity: its memos, first read
+        # inside a run, must not keep that run's objects alive after it.
+        tables = []
+
+        def check(cat, f):
+            if not tables:
+                tables.append(cl._shared.get())
+            ident = cat.identity(cat.dom(f))
+            return (ident.collapsed.same_table(gb.visible_fn(ident))
+                    and gb.normal_form(ident) is not None and cat.restrict(ident) is ident)
+
+        gb.aux_id.cache_clear()  # so that the run is the first to read each memo
+        probe(inst.make_aux_pinj_instance(2, 2), "single", check)
+        refs = [weakref.ref(v) for v in tables.pop().values()]
+        gc.collect()
+        assert refs and all(r() is None for r in refs)
 
     def test_outside_a_run_nothing_is_shared(self):
         probe(inst.make_pinj_instance(2), "single", lambda cat, f: True)
