@@ -30,18 +30,17 @@ Then each raises the base or endpoint mismatch, and then compares.
 Over the pinj base the composite, the tensor, ``embed``, ``bang``, the
 projections, ``visible_fn`` and ``points_of`` build through
 ``classical.make``, so they share within a ``classical.sharing`` scope.
-``aux_id`` is process-wide, like ``classical.identity``: memoised on its
-arguments and built without ``make``, it stores r(id) = id and, over pinj,
-its collapsed partial function from the public constructor, so that no memo
-of it keeps a run's object alive.  The isometry branches build with the
-public constructors, so they never share, although an ``Isometry`` could be
-a key (it hashes by identity).  Only they load ``revcat.quantum`` and numpy
-(lazily, as the package docstring says).
+``aux_id`` is process-wide, like ``classical.identity``: one object per
+(size, base), however they are passed, built without ``make``.  It stores
+r(id) = id and, over pinj, its collapsed partial function from the public
+constructor, so that no memo of it keeps a run's object alive.  The isometry
+branches build with the public constructors, so they never share, although
+an ``Isometry`` could be a key (it hashes by identity).  Only they load
+``revcat.quantum`` and numpy (lazily, as the package docstring says).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import prod
 from typing import TYPE_CHECKING, Optional, Union
@@ -105,9 +104,12 @@ class AuxMorphism:
     @cl.once
     def visible_graph(self) -> tuple[tuple[int, int], ...]:
         """The pinj core's graph with the garbage dropped: pairs (x, b) of its
-        pairs (x, (b, e))."""
+        pairs (x, (b, e)), none when e = 0."""
         e = self.garbage_size
-        return tuple((x, y // e) for x, y in self.core.graph) if e else ()
+        graph = []
+        for x, y in self.core.graph:
+            graph.append((x, y // e))
+        return tuple(graph)
 
     @cl.once
     def collapsed(self) -> Union[PartialFn, Channel]:
@@ -213,17 +215,25 @@ def _structural(perm: PartialInj, cod_size: int, garbage_size: int, base: str) -
     raise ValueError(f"unknown base {base!r}")
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+_aux_ids: dict[tuple[int, str], AuxMorphism] = {}  # (size, base) -> its one identity
+
+
 def aux_id(size: int, base: str = PINJ) -> AuxMorphism:
-    """The identity on size, memoised on its arguments for the process
-    (module docstring); typed, so ``True`` is no key for 1."""
-    ident = cl.identity(FinObj.of_size(size))
-    if base == PINJ:
-        f = AuxMorphism(ident, size, 1)
-        object.__setattr__(f, "collapsed", PartialFn(ident.dom, ident.cod, f.visible_graph))
-    else:
-        f = _structural(ident, size, 1, base)
-    object.__setattr__(f, "restricted", f)  # r(id) = id; a cycle, but the cache keeps f
+    """The identity on size, one object per (size, base) for the process,
+    however the arguments are passed (module docstring).  A size that is no
+    ``int`` (``True``, a numpy integer) would find the equal int's entry, so
+    it skips the table, and ``FinObj`` rejects it."""
+    key = (size, base)
+    f = _aux_ids.get(key) if type(size) is int else None
+    if f is None:
+        ident = cl.identity(FinObj.of_size(size))
+        if base == PINJ:
+            f = AuxMorphism(ident, size, 1)
+            object.__setattr__(f, "collapsed", PartialFn(ident.dom, ident.cod, f.visible_graph))
+        else:
+            f = _structural(ident, size, 1, base)
+        object.__setattr__(f, "restricted", f)  # r(id) = id; a cycle, but the table keeps f
+        _aux_ids[key] = f
     return f
 
 
@@ -253,12 +263,12 @@ def aux_compose(g: AuxMorphism, f: AuxMorphism) -> AuxMorphism:
         raise EndpointMismatchError(f"cod {f.cod_size} != dom {g.dom_size}")
     if f.base == PINJ:
         e, gm = f.garbage_size, g.core.mapping
-        core = cl.make(
-            PartialInj,
-            f.core.dom,
-            g.core.cod.tensor(FinObj.of_size(e)),
-            tuple((x, gm[y // e] * e + y % e) for x, y in f.core.graph if y // e in gm),
-        )
+        graph = []
+        for x, y in f.core.graph:
+            b = y // e
+            if b in gm:
+                graph.append((x, gm[b] * e + y % e))
+        core = cl.make(PartialInj, f.core.dom, g.core.cod.tensor(FinObj.of_size(e)), tuple(graph))
         return cl.make(AuxMorphism, core, g.cod_size, g.garbage_size * e)
     import numpy as np
     core = revcat.quantum.Isometry(np.kron(g.core.mat, np.eye(f.garbage_size)) @ f.core.mat)
@@ -283,17 +293,13 @@ def aux_tensor(f: AuxMorphism, g: AuxMorphism) -> AuxMorphism:
     cod_size, garbage_size = f.cod_size * g.cod_size, f.garbage_size * g.garbage_size
     if f.base == PINJ:
         fc, gc, moved = f.core, g.core, theta.graph
-        n, m = gc.dom.size, gc.cod.size
-        core = cl.make(
-            PartialInj,
-            fc.dom.tensor(gc.dom),
-            theta.cod,
-            tuple(
-                (x * n + y, moved[fx * m + gy][1])
-                for x, fx in fc.graph
-                for y, gy in gc.graph
-            ),
-        )
+        n, m, gg = gc.dom.size, gc.cod.size, gc.graph
+        graph = []
+        for x, fx in fc.graph:
+            x0, y0 = x * n, fx * m
+            for y, gy in gg:
+                graph.append((x0 + y, moved[y0 + gy][1]))
+        core = cl.make(PartialInj, fc.dom.tensor(gc.dom), theta.cod, tuple(graph))
         return cl.make(AuxMorphism, core, cod_size, garbage_size)
     import numpy as np
     core = revcat.quantum.Isometry(_permute_rows(theta, np.kron(f.core.mat, g.core.mat)))
@@ -348,14 +354,15 @@ def normal_form(f: AuxMorphism) -> Union[tuple[tuple, tuple], Channel]:
     return f.normal_form
 
 
-# Kept apart from aux_equiv: inlined there, its dict comprehension would make
-# aux_equiv's locals closure cells on CPython 3.11, which slows every call.
+# Kept apart from aux_equiv, whose all-pairs callers mostly reach no mediator.
 def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
     """The one-step mediator h : E_f -> E_g witnessing f ~ g; assumes the
     normal forms agree."""
     ef, eg = f.garbage_size, g.garbage_size
     gg = g.core.mapping
-    pairs = {y % ef: gg[x] % eg for x, y in f.core.graph}
+    pairs = {}
+    for x, y in f.core.graph:
+        pairs[y % ef] = gg[x] % eg
     return PartialInj(
         FinObj.of_size(ef), FinObj.of_size(eg), tuple(pairs.items())
     )

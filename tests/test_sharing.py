@@ -118,6 +118,16 @@ def test_eq_oracle_still_raises_on_different_endpoints(eq):
         eq(f, g)
 
 
+# Every way to ask for the identity on 2, per base.
+AUX_ID_FORMS = {
+    gb.PINJ: [lambda: gb.aux_id(2), lambda: gb.aux_id(2, gb.PINJ),
+              lambda: gb.aux_id(size=2), lambda: gb.aux_id(2, base=gb.PINJ),
+              lambda: gb.aux_id(size=2, base=gb.PINJ), lambda: gb.aux_id(base=gb.PINJ, size=2)],
+    gb.ISO: [lambda: gb.aux_id(2, gb.ISO), lambda: gb.aux_id(2, base=gb.ISO),
+             lambda: gb.aux_id(size=2, base=gb.ISO)],
+}
+
+
 class TestIdentityTable:
     @pytest.mark.parametrize("base", [gb.PINJ, gb.ISO])
     def test_one_object_across_scopes(self, base):
@@ -132,15 +142,26 @@ class TestIdentityTable:
         ident = gb.aux_id(2, base)
         assert ident.restricted is ident and gb.aux_ridm(ident) is ident
 
+    @pytest.mark.parametrize("base, first", [(b, i) for b, forms in AUX_ID_FORMS.items()
+                                             for i in range(len(forms))])
+    def test_one_object_however_the_arguments_are_passed(self, monkeypatch, base, first):
+        monkeypatch.setattr(gb, "_aux_ids", {})  # so that the form called first builds it
+        forms = AUX_ID_FORMS[base]
+        ident = forms[first]()
+        assert all(form() is ident for form in forms)
+        assert ident.base == base and (ident.dom_size, ident.cod_size) == (2, 2)
+
     @pytest.mark.parametrize("size", [np.int64(2), True], ids=["int64", "bool"])
     def test_non_int_sizes_still_raise(self, size):
-        # An untyped cache keys a lone int argument by itself but two
-        # arguments by their tuple, where (True, base) == (1, base).
+        # A table keyed by (size, base) would find (1, base) for (True, base),
+        # however the arguments are passed.
         for args in ((1,), (2,), (1, gb.PINJ), (2, gb.PINJ)):
             gb.aux_id(*args)
-        for args in ((size,), (size, gb.PINJ)):
+        for args, kwargs in [((size,), {}), ((size, gb.PINJ), {}), ((), {"size": size}),
+                             ((size,), {"base": gb.PINJ}), ((), {"size": size, "base": gb.PINJ}),
+                             ((size, gb.ISO), {})]:
             with pytest.raises(ValueError, match="is not an integer"):
-                gb.aux_id(*args)
+                gb.aux_id(*args, **kwargs)
 
 
 class TestAfterARun:
@@ -258,7 +279,7 @@ class TestAfterARun:
             return (ident.collapsed.same_table(gb.visible_fn(ident))
                     and gb.normal_form(ident) is not None and cat.restrict(ident) is ident)
 
-        gb.aux_id.cache_clear()  # so that the run is the first to read each memo
+        gb._aux_ids.clear()  # so that the run is the first to read each memo
         probe(inst.make_aux_pinj_instance(2, 2), "single", check)
         refs = [weakref.ref(v) for v in tables.pop().values()]
         gc.collect()
