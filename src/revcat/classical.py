@@ -17,19 +17,25 @@ genuine permutations and are produced by :func:`coherence`.
 Every constructor validates, the results of the closed operations included:
 a graph is accepted only when each entry is an ``int`` (a bool is not one),
 each pair is in range and the graph is functional (and injective, for
-``PartialInj``).  One pass over the sorted graph checks the ranges against
-the stored object sizes and finds a repeated input next to its first
-occurrence; injectivity is a set-size test.
+``PartialInj``).  A first pass takes the graph as given and accepts it
+when it is a tuple of ``int`` pairs, each a tuple and in range, whose inputs
+strictly rise (so it is sorted and functional): the closed operations and
+JSON inputs build their graphs in that order, so this pass is all they pay.
+A graph that fails it, whether out of order, not all tuples or with an error,
+is sorted and checked pair by pair: the error named is the first one in
+sorted order, a repeated input is found next to its first occurrence, and the
+sorted pairs are stored as tuples.  Injectivity is a set-size test.
 
 Interning.  ``FinObj(shape)`` checks that each factor is a nonnegative
 ``int`` (``True`` and ``1.0`` equal ``1`` as keys), then returns the one
 object for that shape (hash-consing: Filliâtre and Conchon, "Type-safe
 modular hash-consing", 2006), so equality and hashing are identity, in C.
-The table grows by one entry per distinct shape.  ``FinObj.of_size``,
-``FinObj.tensor`` and ``coherence`` are memoised on their arguments,
-``identity`` keeps one object per object (however it is passed) in a table
-of its own, and a morphism keeps its ``mapping`` (its graph as a dict) and
-``restricted`` (r(f), which ``ridm`` returns) through the memo :class:`once`.
+The table grows by one entry per distinct shape.  ``FinObj.of_size`` and
+``FinObj.tensor`` are memoised on their arguments; ``identity`` keeps one
+object per object and ``coherence`` one per (kind, shapes), however they are
+passed, each in a table of its own; and a morphism keeps its ``mapping``
+(its graph as a dict) and ``restricted`` (r(f), which ``ridm`` returns)
+through the memo :class:`once`.
 A memoised value was validated when first built.
 
 Sharing.  Within a :func:`sharing` scope (``lawcheck.run_law`` opens one per
@@ -212,14 +218,25 @@ class PartialFn:
     graph: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        graph, n, m = self.graph, self.dom.size, self.cod.size
+        if type(graph) is tuple:
+            previous = -1  # strictly rising inputs are in order and never repeated
+            try:
+                for pair in graph:
+                    x, y = pair if type(pair) is tuple else ()  # ValueError unless a 2-tuple
+                    if type(x) is not int or type(y) is not int \
+                            or not previous < x < n or not 0 <= y < m:
+                        raise ValueError
+                    previous = x
+                return
+            except ValueError:  # not in order, not all pairs tuples, or a fault: sort
+                pass
         try:
-            graph = tuple(sorted(self.graph))
+            graph = sorted(graph)
         except TypeError:  # unorderable entries: name the first one that is no int
             for v in itertools.chain.from_iterable(self.graph):
                 json_int(v, "graph entry")
             raise
-        object.__setattr__(self, "graph", graph)
-        n, m = self.dom.size, self.cod.size
         previous = None  # sorted, so a repeated input follows its first occurrence
         for x, y in graph:
             if type(x) is not int or type(y) is not int:
@@ -232,6 +249,7 @@ class PartialFn:
             if x == previous:
                 raise ValueError(f"graph not functional: input {x} repeated")
             previous = x
+        object.__setattr__(self, "graph", tuple(map(tuple, graph)))
 
     def __call__(self, x: int) -> Optional[int]:
         return self.mapping.get(x)
@@ -264,20 +282,23 @@ class PartialFn:
             and self.graph == other.graph
         )
 
-    def to_json(self) -> dict:
+    def to_json(self, stored: bool = False) -> dict:
+        """The JSON layout: dom and cod shapes and the graph as [x, y] lists;
+        with stored=True the graph is the stored tuple of pairs, which
+        json.dumps writes as the same arrays (the CLI reports that)."""
         return {
             "dom": {"shape": list(self.dom.shape)},
             "cod": {"shape": list(self.cod.shape)},
-            "graph": list(map(list, self.graph)),
+            "graph": self.graph if stored else list(map(list, self.graph)),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialFn":
         pairs = json_field(data, "graph", "morphism")
         try:
-            if not isinstance(pairs, list):
-                raise TypeError
-            graph = tuple((x, y) for x, y in pairs)
+            graph = tuple(map(tuple, pairs))
+            if not isinstance(pairs, list) or {*map(len, graph)} - {2}:
+                raise ValueError
         except (TypeError, ValueError):
             raise ValueError("graph must be a list of [x, y] pairs") from None
         dom, cod = (json_field(json_field(data, end, "morphism"), "shape", end)
@@ -339,8 +360,9 @@ def ridm(f: PartialFn) -> PartialFn:
 
 
 def dagger(f: PartialInj) -> PartialInj:
-    """The partial inverse: the transposed graph, sorted as the constructor
-    would sort it, so that it meets an equal morphism built elsewhere."""
+    """The partial inverse: the transposed graph, sorted here, the one sort
+    on this path (the constructor takes a sorted graph as it is), so that it
+    meets an equal morphism built elsewhere."""
     graph = []
     for x, y in f.graph:
         graph.append((y, x))
@@ -373,16 +395,20 @@ def direct_sum(f: PartialFn, g: PartialFn) -> PartialFn:
     return make(cls, dom, cod, graph)
 
 
-@functools.cache
+_coherences: dict[tuple[str, tuple[int, ...]], PartialInj] = {}  # (kind, shapes) -> its one f
+
+
 def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
-    """Structural permutation of flat indices for the tensor product,
-    memoised on (kind, shapes).
+    """Structural permutation of flat indices for the tensor product, one
+    object per (kind, shapes), however they are passed.
 
     Associators and unitors are identities under flat indexing, so only two
     kinds are genuine permutations:
       - "symm":        (a, b), A x B -> B x A.
       - "interchange": (b, e, b2, e2), (B x E) x (B' x E') -> (B x B') x (E x E').
     """
+    if (f := _coherences.get((kind, shapes))) is not None:
+        return f
     if kind == "symm":
         if len(shapes) != 2:
             raise ValueError("symm takes two factor sizes")
@@ -399,6 +425,7 @@ def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
     else:
         raise ValueError(f"unknown coherence kind {kind!r}")
     object.__setattr__(f, "restricted", identity(f.dom))
+    _coherences[kind, shapes] = f
     return f
 
 

@@ -3,12 +3,16 @@
 Every report carries the verb, a digest of the inputs, the seed and the
 tolerances in effect, and its text is exactly
 ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, so identical
-invocations are byte-identical.  Exit status: 0 on success, 1 on a law or
-round-trip failure, 2 on malformed input (a parser's ValueError; any other
-exception is a bug and propagates) or an unwritable --out file, 3 on an
-internal numerical failure, in an action or while an input loads (numpy's
-LinAlgError, which ``classical.numerical_failure`` tells apart: it is not an
-input error although it subclasses ValueError).
+invocations are byte-identical.  A morphism is reported by its stored graph,
+a tuple of int pairs that json.dumps writes as arrays, and ``_write`` prints
+such rows of ints by one format; every other value takes its general path.
+
+Exit status: 0 on success, 1 on a law or round-trip failure, 2 on malformed
+input (a parser's ValueError; any other exception is a bug and propagates) or
+an unwritable --out file, 3 on an internal numerical failure, in an action or
+while an input loads (numpy's LinAlgError, which
+``classical.numerical_failure`` tells apart: it is not an input error
+although it subclasses ValueError).
 
 A bad input is rejected while it loads, with its name.  The classical verbs,
 and lawcheck on a classical instance in exhaustive mode, load no numpy.
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -53,10 +58,7 @@ def _read_inputs(paths: list[str]) -> list[tuple[str, bytes]]:
 
 
 def _digest(raws: list[tuple[str, bytes]]) -> str:
-    h = hashlib.sha256()
-    for _, raw in raws:
-        h.update(raw)
-    return h.hexdigest()[:16]
+    return hashlib.sha256(b"".join(raw for _, raw in raws)).hexdigest()[:16]
 
 
 def _unitary(data) -> Unitary:
@@ -104,20 +106,29 @@ _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _write(value, pad: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) at indent pad.  The C encoder
-    writes lists of non-empty rows of non-string scalars; with no '"', each "["
-    opens a list and each "],[" joins two siblings, so the counts admit just those."""
-    inner = pad + "  "
+    """json.dumps(value, sort_keys=True, indent=2) at indent pad.  Rows of one
+    type (list or tuple) and one length whose entries are all ints, such as a
+    morphism's stored graph, are printed by one "%d" format over the flattened
+    rows.  Other lists of non-empty rows of non-string scalars, such as a
+    matrix's float pairs, go to the C encoder after one type test; with no
+    '"', each "[" opens a list and each "],[" joins two siblings, so the counts
+    admit just those."""
+    inner, deep = pad + "  ", pad + "    "
     if isinstance(value, dict) and value:
         items = [f"{json.encoder.encode_basestring_ascii(k)}: {_write(v, inner)}"
                  for k, v in sorted(value.items())]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
     if not isinstance(value, (list, tuple)) or not value:
         return _compact(value)
-    enc = _compact(value) if isinstance(value[0], (list, tuple)) else ""
+    first = value[0]
+    if isinstance(first, (list, tuple)) and first and type(first[0]) is int \
+            and {*map(type, value)} == {type(first)} and {*map(len, value)} == {len(first)} \
+            and {*map(type, flat := tuple(itertools.chain.from_iterable(value)))} == {int}:
+        row = f"{inner}[\n{deep}" + f",\n{deep}".join(["%d"] * len(first)) + f"\n{inner}]"
+        return "[\n" + ",\n".join([row] * len(value)) % flat + f"\n{pad}]"
+    enc = _compact(value) if isinstance(first, (list, tuple)) else ""
     if '"' in enc or "[]" in enc or not enc.count("[") == len(value) + 1 == enc.count("],[") + 2:
         return "[\n" + inner + f",\n{inner}".join(_write(v, inner) for v in value) + f"\n{pad}]"
-    deep = inner + "  "
     rows = enc[2:-2].replace(",", ",\n" + deep)
     rows = rows.replace(f"],\n{deep}[", f"\n{inner}],\n{inner}[\n{deep}")
     return f"[\n{inner}[\n{deep}{rows}\n{inner}]\n{pad}]"
@@ -206,13 +217,17 @@ def _lawcheck(args) -> tuple[dict | list, int]:
     return entries if every else entries[0], 0 if ok else 1
 
 
+def _morphism(f: PartialFn) -> dict:
+    return {"morphism": f.to_json(stored=True)}
+
+
 def _aux_equal(args, f: AuxMorphism, g: AuxMorphism) -> tuple[dict, int]:
     if f.base != gb.PINJ or g.base != gb.PINJ:  # Choi equality has no mediator
         return {"equal": gb.aux_equal(f, g)}, 0
     h = gb.aux_equiv(f, g)
     res = {"equal": h is not None}
     if h is not None:
-        res["mediator"] = [{"forward": True, "map": h.to_json()}]
+        res["mediator"] = [{"forward": True, "map": h.to_json(stored=True)}]
     return res, 0
 
 
@@ -226,7 +241,7 @@ def _inv(args, x: Channel | PartialFn) -> tuple[dict, int]:
         inj = pl.inv_pfn(x)
         if inj is None:
             return {"reversible": False, "reason": "not injective"}, 0
-        return {"reversible": True, "inverse": cl.dagger(inj).to_json()}, 0
+        return {"reversible": True, "inverse": cl.dagger(inj).to_json(stored=True)}, 0
     core = revcat.quantum.reversible_core(x)
     if isinstance(core, str):
         return {"reversible": False, "reason": core}, 0
@@ -256,10 +271,10 @@ def _roundtrip(args, c: Channel) -> tuple[dict, int]:
 VERBS = {
     "lawcheck": ((), _lawcheck),
     # g after f: inputs are given in diagram order.
-    "compose": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.compose(g, f).to_json()}, 0)),
-    "tensor": ((_MOR, _MOR), lambda args, f, g: ({"morphism": cl.tensor_prod(f, g).to_json()}, 0)),
-    "bennett-of": ((_MOR,), lambda args, f: ({"morphism": cl.bennett(f).to_json()}, 0)),
-    "pfn-of": ((_VISIBLE,), lambda args, f: ({"morphism": f.to_json()}, 0)),
+    "compose": ((_MOR, _MOR), lambda args, f, g: (_morphism(cl.compose(g, f)), 0)),
+    "tensor": ((_MOR, _MOR), lambda args, f, g: (_morphism(cl.tensor_prod(f, g)), 0)),
+    "bennett-of": ((_MOR,), lambda args, f: (_morphism(cl.bennett(f)), 0)),
+    "pfn-of": ((_VISIBLE,), lambda args, f: (_morphism(f), 0)),
     "aux-equal": ((_AUX, _AUX), _aux_equal),
     "ext-equal": ((_AUX, _AUX), lambda args, f, g: ({"equal": ex.ext_equiv(f, g)}, 0)),
     "dilate": ((_CHAN,), _dilate),

@@ -364,7 +364,7 @@ def direct_mediator(f: AuxMorphism, g: AuxMorphism) -> PartialInj:
     for x, y in f.core.graph:
         pairs[y % ef] = gg[x] % eg
     return PartialInj(
-        FinObj.of_size(ef), FinObj.of_size(eg), tuple(pairs.items())
+        FinObj.of_size(ef), FinObj.of_size(eg), tuple(sorted(pairs.items()))
     )
 
 

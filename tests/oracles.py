@@ -135,6 +135,36 @@ def direct_mediator_graph(f: AuxMorphism, g: AuxMorphism) -> tuple:
     return tuple(sorted({y % ef: gg[x] % eg for x, y in f.core.graph}.items()))
 
 
+# -- the constructor's sort-then-validate path --------------------------------
+
+def sorted_then_validated(cls: type, dom: FinObj, cod: FinObj, graph) -> tuple:
+    """The graph that cls(dom, cod, graph) stores, or the error it raises,
+    when every graph is sorted before one validating pass: the reference for
+    a constructor that sorts only a graph that is not already in order."""
+    try:
+        graph = tuple(sorted(graph))
+    except TypeError:  # unorderable entries: name the first one that is no int
+        for v in itertools.chain.from_iterable(graph):
+            cl.json_int(v, "graph entry")
+        raise
+    n, m = dom.size, cod.size
+    previous = None
+    for x, y in graph:
+        if type(x) is not int or type(y) is not int:
+            bad = y if type(x) is int else x
+            raise ValueError(f"graph entry {bad!r} is not an integer")
+        if not (0 <= x < n):
+            raise ValueError(f"input {x} out of range for dom of size {n}")
+        if not (0 <= y < m):
+            raise ValueError(f"output {y} out of range for cod of size {m}")
+        if x == previous:
+            raise ValueError(f"graph not functional: input {x} repeated")
+        previous = x
+    if issubclass(cls, PartialInj) and len({y for _, y in graph}) != len(graph):
+        raise ValueError("graph is not injective")
+    return graph
+
+
 # -- zigzag equivalence oracle for garbage-carrying partial injections -------
 
 def enumerate_cores(a: int, b: int, max_garbage: int) -> list[AuxMorphism]:

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -154,13 +155,14 @@ class TestValidation:
         (PartialFn, [(1, 0), (0, 1), (1, 2)], "graph not functional: input 1 repeated"),
         # The first bad pair in sorted order is the one named.
         (PartialFn, [(1, 7), (0, 5), (5, 0)], "output 5 out of range for cod of size 3"),
+        (PartialFn, [(1, 0), (1, 1), (0, 9)], "output 9 out of range for cod of size 3"),
         (PartialInj, [(2, 0)], "input 2 out of range for dom of size 2"),
         (PartialInj, [(0, 3)], "output 3 out of range for cod of size 3"),
         (PartialInj, [(1, 0), (1, 1)], "graph not functional: input 1 repeated"),
         (PartialInj, [(0, 2), (1, 2)], "graph is not injective"),
     ], ids=["input-high", "input-negative", "output-high", "output-negative",
-            "repeated-input", "first-bad-pair", "inj-input-high", "inj-output-high",
-            "inj-repeated-input", "inj-repeated-output"])
+            "repeated-input", "first-bad-pair", "first-bad-pair-after-a-repeat",
+            "inj-input-high", "inj-output-high", "inj-repeated-input", "inj-repeated-output"])
     def test_malformed_graph_message(self, cls, graph, message):
         with pytest.raises(ValueError) as exc:
             cls(FinObj.of_size(2), FinObj.of_size(3), tuple(graph))
@@ -206,6 +208,98 @@ class TestValidation:
         assert repr(a) == "FinObj(shape=(2, 3))"
         assert a == FinObj((2, 3)) and hash(a) == hash(FinObj((2, 3)))
         assert a != FinObj((6,))
+
+
+def constructed(build):
+    """("stored", graph) for the graph build() stores, or the error it raises."""
+    try:
+        return "stored", build()
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+def random_graph(rng: random.Random, n: int, m: int):
+    """A graph for sizes n -> m: usually a sorted tuple of valid pairs, else
+    one with some of disorder, faults, bool or float entries, list pairs or
+    a 3-entry pair, as a tuple or a list."""
+    pairs = [(x, rng.randrange(m)) for x in range(n) if m and rng.random() < 0.7]
+    if rng.random() < 0.5:
+        return tuple(pairs)
+    for _ in range(rng.randrange(3)):
+        pairs.append((rng.randrange(-1, n + 2), rng.randrange(-1, m + 2)))
+    for i in range(len(pairs)):
+        x, y = pairs[i]
+        roll = rng.random()
+        if roll < 0.05:
+            pairs[i] = (x, bool(y % 2))
+        elif roll < 0.1:
+            pairs[i] = (float(x), y)
+        elif roll < 0.13:
+            pairs[i] = (x, y, 0)
+    if rng.random() < 0.5:
+        rng.shuffle(pairs)
+    if rng.random() < 0.2:
+        pairs = [list(p) for p in pairs]
+    elif rng.random() < 0.05 and pairs:
+        pairs[0] = list(pairs[0])
+    return tuple(pairs) if rng.random() < 0.8 else pairs
+
+
+class TestConstructorAgainstSortingPath:
+    """The constructor sorts only a graph that is not already in order; it
+    accepts, stores and refuses exactly as sorting every graph did, except
+    that list pairs are stored as tuples."""
+
+    @staticmethod
+    def check(cls, n, m, graph):
+        dom, cod = FinObj.of_size(n), FinObj.of_size(m)
+        got = constructed(lambda: cls(dom, cod, graph).graph)
+        want = constructed(lambda: oracles.sorted_then_validated(cls, dom, cod, graph))
+        if want[0] == "stored":  # a tuple never equals a list, so got's pairs are tuples
+            want = "stored", tuple(map(tuple, want[1]))
+        assert got == want
+
+    @pytest.mark.parametrize("cls", [PartialFn, PartialInj])
+    @pytest.mark.parametrize("n, m, graph", [
+        (3, 3, ((2, 0), (0, 1))),  # out of order
+        (3, 3, [(0, 1), (2, 0)]),  # a list graph
+        (3, 3, ((0, 1), (0, 2))),  # a repeated input
+        (3, 3, ((0, 1), (3, 0))),  # input out of range
+        (3, 3, ((-1, 1),)),
+        (3, 3, ((0, 1), (1, 3))),  # output out of range
+        (3, 3, ((0, True),)),
+        (3, 3, ((True, 1),)),
+        (3, 3, ((0, 1.0),)),
+        (3, 3, ((0, 1), (1.0, 2))),
+        (3, 3, ([0, 1], [1, 2])),  # list pairs
+        (3, 3, [[1, 2], [0, 1]]),
+        (3, 3, ((0, 1), [1, 2])),  # mixed list and tuple pairs
+        (3, 3, ((0, 1, 2),)),  # a 3-entry pair
+        (3, 3, ((0, 1), (1, 2, 0))),
+        (3, 3, ((0, 1), (0, "a"))),
+        (3, 3, ((1, 0), (1, 1), (0, 9))),  # the first error in sorted order
+        (0, 0, ()),
+    ])
+    def test_listed_graphs(self, cls, n, m, graph):
+        self.check(cls, n, m, graph)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(36)
+        for _ in range(3000):
+            n, m = rng.randrange(6), rng.randrange(6)
+            graph = random_graph(rng, n, m)
+            for cls in (PartialFn, PartialInj):
+                self.check(cls, n, m, graph)
+
+    def test_list_pairs_are_stored_as_tuples(self):
+        a = FinObj.of_size(3)
+        f, g = PartialFn(a, a, [[0, 1], [1, 2]]), PartialFn(a, a, ((0, 1), (1, 2)))
+        assert f.graph == g.graph == ((0, 1), (1, 2)) and f == g and hash(f) == hash(g)
+        assert PartialInj(a, a, ([2, 0], [0, 1])).graph == ((0, 1), (2, 0))
+
+    def test_sorted_tuple_graph_is_stored_as_given(self):
+        graph = ((0, 1), (2, 0))
+        assert pfn(3, 3, graph).graph is graph
 
 
 class TestMemoised:
@@ -312,6 +406,16 @@ class TestCoherence:
             "interchange", (2, 1, 1, 2))
         with pytest.raises(ValueError, match="unknown coherence kind"):
             cl.coherence("assoc", (1, 1, 1))
+
+    @pytest.mark.parametrize("keyword_first", [False, True])
+    def test_one_object_however_the_arguments_are_passed(self, monkeypatch, keyword_first):
+        monkeypatch.setattr(cl, "_coherences", {})  # so that the form called first builds it
+        first = (cl.coherence(kind="symm", shapes=(2, 2)) if keyword_first
+                 else cl.coherence("symm", (2, 2)))
+        assert cl.coherence("symm", (2, 2)) is first
+        assert cl.coherence(kind="symm", shapes=(2, 2)) is first
+        assert cl.coherence("symm", shapes=(2, 2)) is first
+        assert first.restricted is cl.identity(FinObj((2, 2)))
 
     @pytest.mark.parametrize("kind, shapes, message", [
         ("symm", (1, 2, 3), "symm takes two factor sizes"),

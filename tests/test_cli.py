@@ -676,6 +676,10 @@ class TestReportWriter:
         [[True, None, -1, 1e-09, float("nan"), float("inf"), -float("inf"), -0.0]],
         {"b": [[0, 1]], "a": {"d": [[2.5, -3]], "c": True, "e": None}},
         ((0, 1), (2, 3)), [(0, 1), [2, 3]],
+        # rows that take the int-rows format, and rows that must not
+        [[1, 2, 3], [4, 5, 6]], ((-1, 10 ** 30),), ((5,), (6,)), [[0, 0]],
+        [[1, 2], [3, True]], [[1, 2], [3.0, 4]], [[1, 2], [3]], [(1, 2), [3, 4]],
+        [[1, 2], [3, None]], [[1, 2], "ab"], [[1, 2], [3, [4]]],
         True, None, -7, 1e-09, float("nan"), "x\u00e9",
     ], ids=repr)
     def test_matches_json_dumps(self, value):
@@ -700,6 +704,34 @@ class TestReportWriter:
                   "empty": qu.matrix_to_json(np.zeros((0, 2))),
                   "matrices": [qu.matrix_to_json(m) for m in matrices]}
         assert cli._write(report) == json.dumps(report, sort_keys=True, indent=2)
+
+        # The verbs' reports at the benchmark's sizes, each graph a stored tuple.
+        def table(n, defined, injective=False):
+            outs = rng.permutation(n) if injective else rng.integers(0, n, n)
+            xs = sorted(rng.choice(n, defined, replace=False).tolist())
+            cls = PartialInj if injective else PartialFn
+            return cls(FinObj.of_size(n), FinObj.of_size(n), tuple((x, int(outs[x])) for x in xs))
+
+        def act(verb, *inputs):
+            return cli.VERBS[verb][1](None, *inputs)[0]
+
+        mediated = [AuxMorphism(PartialInj(FinObj.of_size(4), FinObj((2, 4)), tuple(graph)), 2, 4)
+                    for graph in ([(x, x % 2 * 4 + x) for x in range(4)],
+                                  [(x, x % 2 * 4 + 3 - x) for x in range(4)])]
+        reports = {
+            "tensor": act("tensor", table(64, 46), table(64, 49)),
+            "bennett-of": act("bennett-of", table(1024, 768)),
+            "inv": act("inv", table(1024, 768, injective=True)),
+            "compose": act("compose", table(1024, 768), table(1024, 768)),
+            "empty": cli._morphism(cl.empty_map(FinObj((2, 3)), FinObj((0,)))),
+            "shaped": cli._morphism(cl.coherence("interchange", (2, 3, 1, 2))),
+            "aux-equal": act("aux-equal", *mediated),
+        }
+        assert len(reports["tensor"]["morphism"]["graph"]) == 2254
+        assert reports["inv"]["reversible"] and len(reports["inv"]["inverse"]["graph"]) == 768
+        assert reports["aux-equal"]["mediator"][0]["map"]["graph"] == ((0, 3), (1, 2), (2, 1), (3, 0))
+        for report in reports.values():
+            assert cli._write(report) == json.dumps(report, sort_keys=True, indent=2)
 
     def test_non_string_key_is_refused(self):
         # json.dumps would write the key 1 as "1"; the writer refuses it.
