@@ -400,13 +400,17 @@ _coherences: dict[tuple[str, tuple[int, ...]], PartialInj] = {}  # (kind, shapes
 
 def coherence(kind: str, shapes: tuple[int, ...]) -> PartialInj:
     """Structural permutation of flat indices for the tensor product, one
-    object per (kind, shapes), however they are passed.
+    object per (kind, shapes), however they are passed.  A factor that is not
+    an int raises, as in FinObj, whatever ran before.
 
     Associators and unitors are identities under flat indexing, so only two
     kinds are genuine permutations:
       - "symm":        (a, b), A x B -> B x A.
       - "interchange": (b, e, b2, e2), (B x E) x (B' x E') -> (B x B') x (E x E').
     """
+    for n in shapes:  # before the table, where (True, 2) would find (1, 2)'s entry
+        if type(n) is not int:
+            raise ValueError(f"factor {n!r} in shape {shapes} is not an integer")
     if (f := _coherences.get((kind, shapes))) is not None:
         return f
     if kind == "symm":

@@ -9,13 +9,24 @@ declaratively as (name, sampling pattern, equation, oracles needed); the
 engine enumerates exhaustively when the tuple count is within EXHAUSTIVE_CAP
 and otherwise draws seeded random samples, and returns the first
 counterexample found.  An equation is a plain predicate
-check(cat, *morphisms) -> bool on the pattern's morphisms; one that raises a
-ValueError on a tuple (an oracle producing a morphism it cannot compose, say)
-fails the law with that tuple as its counterexample.  A ConfigurationError,
+check(cat, *morphisms) on the pattern's morphisms: True or False on a tuple
+its premise covers, and None on a tuple outside it, which run_law skips.  A
+law that returns None on every tuple has checked nothing, so it has not
+passed: run_law reports such a run failed, in either mode, with no
+counterexample and the detail "no tuple met the premise".  An equation that
+raises a ValueError on a tuple (an oracle producing a morphism it cannot
+compose, say), premise or not, fails the law with that tuple as its
+counterexample.  A ConfigurationError,
 or the ValueError of an unknown pattern, is raised before the first tuple; a
 ValueError of the sampler or the enumerator is no verdict, and propagates.
 run_law calls check itself, in a ``try`` per tuple, with no wrapper frame
 between them.
+
+ridm_of_invertible, r(f) = id for an invertible f, decides its premise by
+a search for an inverse: f is invertible when some candidate g has
+g o f = id and f o g = id.  The one candidate is the dagger of f where the
+instance has a dagger, and otherwise every g in the hom-set cod f -> dom f,
+so the law needs a dagger or an enumeration.
 
 The memo of an exhaustive run.  Each run_law call runs in a
 ``classical.sharing`` scope, where equal values are mostly one object, and a
@@ -103,18 +114,27 @@ class LawReport:
 @dataclass(frozen=True)
 class Law:
     """A checkable equation: a sampling pattern (a key of PATTERNS) plus a
-    predicate check(cat, *morphisms) on the pattern's morphisms."""
+    predicate check(cat, *morphisms) on the pattern's morphisms, which
+    returns None on a tuple outside the law's premise; a run that met the
+    premise on no tuple has not passed.  needs names the oracles check
+    calls; an entry "a or b" is met by either oracle."""
 
     name: str
     pattern: str
-    check: Callable[..., bool]
+    check: Callable[..., Optional[bool]]
     needs: frozenset = frozenset()
 
 
+def _lacking(cat: CategoryInstance, needs: Iterable[str]) -> Optional[str]:
+    """The first entry of sorted needs that the instance does not provide, or
+    None; sorted, so that an error names the same entry under every hash seed."""
+    return next((n for n in sorted(needs)
+                 if all(getattr(cat, o) is None for o in n.split(" or "))), None)
+
+
 def _require(cat: CategoryInstance, needs: Iterable[str]) -> None:
-    for n in needs:
-        if getattr(cat, n) is None:
-            raise ConfigurationError(f"instance {cat.name!r} has no {n} oracle")
+    if (n := _lacking(cat, needs)) is not None:
+        raise ConfigurationError(f"instance {cat.name!r} has no {n} oracle")
 
 
 # Each pattern lists its morphism slots in order.  A slot's domain is any
@@ -224,11 +244,14 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
             rng = np.random.default_rng(seed)
             count, mode = trials, "random"
             tuples = (_sample_tuple(cat, law.pattern, rng) for _ in range(trials))
-        check = law.check
+        check, checked = law.check, 0
         try:
             for t in tuples:
                 try:
-                    if check(cat, *t):
+                    if ok := check(cat, *t):
+                        checked += 1
+                        continue
+                    if ok is None:  # outside the law's premise
                         continue
                     detail = ""
                 except ValueError as e:
@@ -237,6 +260,9 @@ def run_law(cat: CategoryInstance, law: Law, trials: int = 1000, seed: int = 0) 
                     detail = f"{type(e).__name__}: {e}"
                 return LawReport(law.name, count, False, counterexample=t,
                                  detail=detail, mode=mode)
+            if not checked:
+                return LawReport(law.name, count, False, detail="no tuple met the premise",
+                                 mode=mode)
             return LawReport(law.name, count, True, mode=mode)
         finally:
             for memo in memos.values():
@@ -274,20 +300,18 @@ def _lemma_i(cat, f, g):
 
 def _lemma_ii(cat, f, g):
     if not cat.eq(cat.restrict(g), cat.identity(cat.dom(g))):
-        return True  # only constrains total g
+        return None  # only constrains total g
     return cat.eq(cat.restrict(cat.compose(g, f)), cat.restrict(f))
 
 
 def _lemma_iii(cat, f):
-    if cat.dagger is None:
-        return True
-    fd = cat.dagger(f)
-    invertible = cat.eq(
-        cat.compose(fd, f), cat.identity(cat.dom(f))
-    ) and cat.eq(cat.compose(f, fd), cat.identity(cat.cod(f)))
-    if not invertible:
-        return True
-    return cat.eq(cat.restrict(f), cat.identity(cat.dom(f)))
+    # Only constrains invertible f; its inverse is searched for (module docstring).
+    a, b = cat.dom(f), cat.cod(f)
+    ida, idb = cat.identity(a), cat.identity(b)
+    for g in [cat.dagger(f)] if cat.dagger is not None else cat.enumerate_mors(b, a):
+        if cat.eq(cat.compose(g, f), ida) and cat.eq(cat.compose(f, g), idb):
+            return cat.eq(cat.restrict(f), ida)
+    return None
 
 
 def _dagger_involution(cat, f):
@@ -356,7 +380,7 @@ def _monoidal_assoc(cat, f, g):
 def _wellpointed(cat, f, g):
     # f = g exactly when f o p = g o p for every global point p.
     if cat.cod(f) != cat.cod(g):
-        return True
+        return None
     agree = all(cat.eq(cat.compose(f, p), cat.compose(g, p)) for p in cat.points(cat.dom(f)))
     return cat.eq(f, g) == agree
 
@@ -365,7 +389,7 @@ def _quotient_congruence(cat, f, g, h):
     # Equal parallel f, g stay equal under post-composition, restriction and
     # tensor; only enumeration yields equal pairs often enough to test this.
     if cat.cod(f) != cat.cod(g) or not cat.eq(f, g):
-        return True
+        return None
     return (
         cat.eq(cat.compose(h, f), cat.compose(h, g))
         and cat.eq(cat.restrict(f), cat.restrict(g))
@@ -383,7 +407,8 @@ RESTRICTION_LAWS = [
 DERIVED_LAWS = [
     Law("ridm_of_composite", "chain", _lemma_i, frozenset({"restrict"})),
     Law("ridm_total_post", "chain", _lemma_ii, frozenset({"restrict"})),
-    Law("ridm_of_invertible", "single", _lemma_iii, frozenset({"restrict"})),
+    Law("ridm_of_invertible", "single", _lemma_iii,
+        frozenset({"restrict", "dagger or enumerate_mors"})),
 ]
 
 INVERSE_LAWS = [
@@ -419,5 +444,4 @@ ALL_LAWS: dict[str, Law] = {
 
 def applicable_laws(cat: CategoryInstance) -> list[Law]:
     """The registered laws whose oracles the instance provides."""
-    return [law for law in ALL_LAWS.values()
-            if all(getattr(cat, n) is not None for n in law.needs)]
+    return [law for law in ALL_LAWS.values() if _lacking(cat, law.needs) is None]

@@ -29,8 +29,9 @@ def report(num, label, passed):
 
 
 def run_laws(cat, laws, trials, seed, exhaustive=False):
+    applicable = lc.applicable_laws(cat)
     for law in laws:
-        if any(getattr(cat, n) is None for n in law.needs):
+        if law not in applicable:
             continue
         rep = lc.run_law(cat, law, trials=trials, seed=seed)
         if exhaustive:

@@ -417,6 +417,20 @@ class TestCoherence:
         assert cl.coherence("symm", shapes=(2, 2)) is first
         assert first.restricted is cl.identity(FinObj((2, 2)))
 
+    @pytest.mark.parametrize("kind, shapes, int_shapes, bad", [
+        ("symm", (True, 2), (1, 2), "True"),
+        ("symm", (2, 1.0), (2, 1), "1.0"),
+        ("interchange", (1, 2, 2, True), (1, 2, 2, 1), "True"),
+    ])
+    def test_a_non_int_factor_raises_whatever_ran_before(self, monkeypatch, kind, shapes,
+                                                          int_shapes, bad):
+        # The table's key (True, 2) equals (1, 2), and hashes alike.
+        monkeypatch.setattr(cl, "_coherences", {})
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^factor {bad} in shape .* is not an integer$"):
+                cl.coherence(kind, shapes)
+            assert cl.coherence(kind, int_shapes).dom.shape == int_shapes
+
     @pytest.mark.parametrize("kind, shapes, message", [
         ("symm", (1, 2, 3), "symm takes two factor sizes"),
         ("interchange", (1, 2), "interchange takes four factor sizes"),

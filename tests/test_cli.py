@@ -225,6 +225,23 @@ class TestVerbs:
         assert [e["instance"] for e in rep["result"]] == ["pinj", "pinj-large", "unitary"]
         assert all(len(e["reports"]) == 1 and e["reports"][0]["passed"] for e in rep["result"])
 
+    def test_lawcheck_all_runs_ridm_of_invertible_where_an_inverse_can_be_found(self, tmp_path):
+        # Found by the dagger or by a search of the enumerated hom-set.
+        code, rep = run_to(tmp_path, ["lawcheck", "--instance", "all", "--law",
+                                      "ridm_of_invertible"])
+        assert code == 0
+        assert [e["instance"] for e in rep["result"]] == [
+            "aux-pinj", "ext-aux-pinj", "pfn", "pinj", "pinj-large", "unitary"]
+
+    def test_lawcheck_that_met_no_premise_is_exit_1(self, tmp_path):
+        # At seed 0 the one sampled pair of channels has two codomains.
+        code, rep = run_to(tmp_path, ["lawcheck", "--instance", "cptp", "--law",
+                                      "wellpointed", "--trials", "1"])
+        assert code == 1
+        assert rep["result"]["reports"] == [{
+            "law": "wellpointed", "trials": 1, "mode": "random", "passed": False,
+            "counterexample": None, "detail": "no tuple met the premise"}]
+
     def test_lawcheck_single_law(self, tmp_path):
         code, rep = run_to(
             tmp_path,
@@ -264,7 +281,10 @@ class TestExitCodes:
         ("ext-aux-pinj", "dagger_involution", "dagger"),
         ("pfn-large", "dagger_involution", "dagger"),
         ("pinj-large", "wellpointed", "points"),
-    ], ids=["aux-pinj", "ext-aux-pinj", "pfn-large", "pinj-large"])
+        ("cptp", "ridm_of_invertible", "dagger or enumerate_mors"),
+        ("pinj-large", "quotient_congruence", "enumerate_mors"),  # the first it lacks, sorted
+    ], ids=["aux-pinj", "ext-aux-pinj", "pfn-large", "pinj-large", "cptp",
+            "pinj-large-two-lacking"])
     def test_missing_oracle_names_the_instance_as_typed(self, capsys, instance, law, oracle):
         argv = ["lawcheck", "--instance", instance, "--law", law]
         assert cli.run(argv) == 2

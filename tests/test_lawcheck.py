@@ -276,6 +276,57 @@ class TestVerdicts:
         assert rep.counterexample == stream[0] and rep.detail == "ValueError: 0 stays"
 
 
+# The laws whose check returns None on a tuple outside their premise.
+GUARDED_LAWS = ["ridm_total_post", "ridm_of_invertible", "wellpointed", "quotient_congruence"]
+
+
+class TestPremise:
+    """A tuple outside a law's premise (check returns None) is not checked,
+    and a run that checked no tuple has not passed."""
+
+    @pytest.mark.parametrize("trials", [0, 200], ids=["exhaustive", "random"])
+    def test_a_run_that_met_no_premise_has_not_passed(self, trials):
+        cat = inst.make_pfn_instance(2 if trials == 0 else 6)
+        rep = lc.run_law(cat, lc.Law("probe", "chain", lambda cat, f, g: None),
+                         trials=trials, seed=0)
+        assert rep == lc.LawReport("probe", 233 if trials == 0 else 200, False,
+                                   detail="no tuple met the premise",
+                                   mode="exhaustive" if trials == 0 else "random")
+
+    @pytest.mark.parametrize("trials", [0, 200], ids=["exhaustive", "random"])
+    def test_a_value_error_in_a_guard_fails_with_its_tuple(self, trials):
+        def check(cat, f):
+            if f.dom.size == 1 and f.cod.size == 2:
+                raise ValueError("guard broke")
+            return None
+
+        cat = inst.make_pfn_instance(2 if trials == 0 else 6)
+        rep = lc.run_law(cat, lc.Law("probe", "single", check), trials=trials, seed=0)
+        assert not rep.passed and rep.detail == "ValueError: guard broke"
+        (f,) = rep.counterexample
+        assert (f.dom.size, f.cod.size) == (1, 2)
+
+    def test_ridm_of_invertible_finds_inverses_without_a_dagger(self):
+        # restrict sends each nonempty bijection to the empty map: only the
+        # search for an inverse in the hom-set reaches the equation on pfn.
+        def restrict(f):
+            bijection = f.graph and f.is_total() and f.is_injective() and f.dom == f.cod
+            return cl.empty_map(f.dom, f.dom) if bijection else cl.ridm(f)
+
+        cat = dataclasses.replace(inst.make_pfn_instance(2), restrict=restrict)
+        rep = lc.run_law(cat, lc.ALL_LAWS["ridm_of_invertible"])
+        assert not rep.passed and rep.mode == "exhaustive" and rep.detail == ""
+        assert rep.to_json()["counterexample"] == [
+            {"dom": {"shape": [1]}, "cod": {"shape": [1]}, "graph": [[0, 0]]}]
+
+    @pytest.mark.parametrize("key, law", [
+        (key, law) for key, make in inst.INSTANCES.items() for law in GUARDED_LAWS
+        if lc.ALL_LAWS[law] in lc.applicable_laws(make())])
+    def test_guarded_laws_meet_their_premise_at_the_cli_defaults(self, key, law):
+        rep = lc.run_law(inst.INSTANCES[key](), lc.ALL_LAWS[law], trials=200, seed=0)
+        assert rep.passed, rep.to_json()
+
+
 def fresh_copy(m):
     """A new object equal to the library's morphism m, built by the plain
     constructors (an AuxMorphism's core included)."""
@@ -297,10 +348,12 @@ def fresh_oracles(cat):
 
 
 def verdict(law, cat, t):
-    """None when the tuple t satisfies the law, else run_law's detail for it:
-    "" for a false equation, "<ExceptionType>: <message>" for a ValueError."""
+    """None when the tuple t satisfies the law or is outside its premise (not
+    checked), else run_law's detail for it: "" for a false equation,
+    "<ExceptionType>: <message>" for a ValueError."""
     try:
-        return None if law.check(cat, *t) else ""
+        ok = law.check(cat, *t)
+        return None if ok is None or ok else ""
     except ValueError as e:
         return f"{type(e).__name__}: {e}"
 
